@@ -1,9 +1,14 @@
 #ifndef TPCBIH_ENGINE_SCAN_UTIL_H_
 #define TPCBIH_ENGINE_SCAN_UTIL_H_
 
+#include <atomic>
+#include <cstdint>
+
 #include "catalog/schema.h"
 #include "common/value.h"
 #include "engine/engine.h"
+#include "exec/parallel.h"
+#include "storage/row_table.h"
 #include "temporal/temporal.h"
 
 namespace bih {
@@ -45,6 +50,47 @@ inline void RecordIndexUse(ExecStats* stats, const std::string& name) {
   stats->used_index = true;
   if (!stats->index_name.empty()) stats->index_name += ",";
   stats->index_name += name;
+}
+
+// Morsel body of the row-store fallback scans (Systems A, B and D): examines
+// the live slots [begin, end) of `part`, shapes each into the scan-schema
+// row through `row_of` (the stored row itself, or a morsel-local scratch row
+// for layouts that append or strip columns) and records the ids of the
+// qualifying slots. Thread-safe for concurrent morsels of one partition
+// (pure reads).
+template <class RowOf>
+void ScanRowMorsel(const RowTable& part, const RowOf& row_of,
+                   const ScanRequest& req, const TemporalCols& tc, int64_t now,
+                   uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
+                   MorselOutput* out) {
+  Row scratch;
+  for (RowId rid = begin; rid < end; ++rid) {
+    if (MorselInterrupted(stop, req.ctx)) return;
+    if (!part.IsLive(rid)) continue;
+    ++out->rows_examined;
+    const Row& row = row_of(rid, &scratch);
+    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
+    if (!MatchesConstraints(row, req)) continue;
+    out->rids.push_back(rid);
+    out->examined_at.push_back(out->rows_examined);
+  }
+}
+
+// The morsel-parallel form of a row-store partition scan: workers filter
+// with ScanRowMorsel, the coordinator re-shapes each hit through the same
+// `row_of` and emits it to `cb`, so rows and counters match the serial loop.
+template <class RowOf>
+void ParallelRowScan(const ParallelScanPlan& plan, const RowTable& part,
+                     const RowOf& row_of, const ScanRequest& req,
+                     const TemporalCols& tc, int64_t now, ExecStats* stats,
+                     bool* stopped, const RowCallback& cb) {
+  ParallelScanPartition(
+      plan, part.SlotCount(), req.ctx,
+      [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
+          MorselOutput* out) {
+        ScanRowMorsel(part, row_of, req, tc, now, begin, end, stop, out);
+      },
+      row_of, &stats->rows_examined, &stats->rows_output, stopped, cb);
 }
 
 }  // namespace bih

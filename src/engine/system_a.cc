@@ -219,23 +219,6 @@ Status SystemAEngine::DoDeleteSequenced(const std::string& table,
   return ApplySequenced(table, key, period_index, period, {}, 1);
 }
 
-void SystemAEngine::ScanMorsel(const RowTable& part, const ScanRequest& req,
-                               const TemporalCols& tc, int64_t now,
-                               uint64_t begin, uint64_t end,
-                               const std::atomic<bool>& stop,
-                               MorselOutput* out) const {
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!part.IsLive(rid)) continue;
-    ++out->rows_examined;
-    const Row& row = part.Get(rid);
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(row);
-    out->examined_at.push_back(out->rows_examined);
-  }
-}
-
 void SystemAEngine::ScanPartition(const Table& t, bool is_history,
                                   const ScanRequest& req,
                                   const TemporalCols& tc,
@@ -295,13 +278,10 @@ void SystemAEngine::ScanPartition(const Table& t, bool is_history,
     }
   }
   if (plan.Engage(part.SlotCount())) {
-    ParallelScanPartition(
-        plan, part.SlotCount(), req.ctx,
-        [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-            MorselOutput* out) {
-          ScanMorsel(part, req, tc, now, begin, end, stop, out);
-        },
-        &stats->rows_examined, &stats->rows_output, stopped, cb);
+    ParallelRowScan(
+        plan, part,
+        [&part](uint64_t rid, Row*) -> const Row& { return part.Get(rid); },
+        req, tc, now, stats, stopped, cb);
     return;
   }
   part.Scan([&](RowId, const Row& row) { return consider(row); });

@@ -97,14 +97,6 @@ class SystemAEngine : public TemporalEngine {
                      const ParallelScanPlan& plan, ExecStats* stats,
                      bool* stopped, const RowCallback& cb);
 
-  // Morsel-range entry point of the fallback table scan: filters slots
-  // [begin, end) of `part` into `out`. Thread-safe for concurrent morsels
-  // of one partition (pure reads).
-  void ScanMorsel(const RowTable& part, const ScanRequest& req,
-                  const TemporalCols& tc, int64_t now, uint64_t begin,
-                  uint64_t end, const std::atomic<bool>& stop,
-                  MorselOutput* out) const;
-
   std::unordered_map<std::string, Table> tables_;
 };
 

@@ -298,64 +298,6 @@ Status SystemBEngine::DoDeleteSequenced(const std::string& table,
   return ApplySequenced(table, key, period_index, period, {}, 1);
 }
 
-void SystemBEngine::ScanCurrentMorsel(const Table& t, const ScanRequest& req,
-                                      const TemporalCols& tc, int64_t now,
-                                      uint64_t begin, uint64_t end,
-                                      const std::atomic<bool>& stop,
-                                      MorselOutput* out) const {
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!t.current.IsLive(rid)) continue;
-    ++out->rows_examined;
-    Row row = t.current.Get(rid);
-    auto it = t.version_slot.find(rid);
-    row.push_back(Value(t.versions[it->second].sys_from));
-    row.push_back(Value(Period::kForever));
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(std::move(row));
-    out->examined_at.push_back(out->rows_examined);
-  }
-}
-
-void SystemBEngine::ScanReconstructionMorsel(
-    const Table& t, const std::vector<int64_t>& sys_from_of,
-    const ScanRequest& req, const TemporalCols& tc, int64_t now,
-    uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-    MorselOutput* out) const {
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!t.current.IsLive(rid)) continue;
-    ++out->rows_examined;
-    Row row = t.current.Get(rid);
-    row.push_back(Value(sys_from_of[rid]));
-    row.push_back(Value(Period::kForever));
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(std::move(row));
-    out->examined_at.push_back(out->rows_examined);
-  }
-}
-
-void SystemBEngine::ScanHistoryMorsel(const Table& t, const ScanRequest& req,
-                                      const TemporalCols& tc, int64_t now,
-                                      uint64_t begin, uint64_t end,
-                                      const std::atomic<bool>& stop,
-                                      MorselOutput* out) const {
-  const int scan_width = t.stored_schema.num_columns();
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!t.history.IsLive(rid)) continue;
-    ++out->rows_examined;
-    const Row& hist_row = t.history.Get(rid);
-    Row row(hist_row.begin(), hist_row.begin() + scan_width);
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(std::move(row));
-    out->examined_at.push_back(out->rows_examined);
-  }
-}
-
 void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
                                                   const ScanRequest& req,
                                                   const TemporalCols& tc,
@@ -412,14 +354,16 @@ void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
   if (plan.Engage(t->current.SlotCount())) {
     // The sorted sys_from_of join result is built once on the coordinator
     // above; the morsels only read it.
-    ParallelScanPartition(
-        plan, t->current.SlotCount(), req.ctx,
-        [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-            MorselOutput* out) {
-          ScanReconstructionMorsel(*t, sys_from_of, req, tc, now, begin, end,
-                                   stop, out);
+    ParallelRowScan(
+        plan, t->current,
+        [t, &sys_from_of](uint64_t rid, Row* row) -> const Row& {
+          const Row& user_row = t->current.Get(rid);
+          row->assign(user_row.begin(), user_row.end());
+          row->push_back(Value(sys_from_of[rid]));
+          row->push_back(Value(Period::kForever));
+          return *row;
         },
-        &stats->rows_examined, &stats->rows_output, stopped, cb);
+        req, tc, now, stats, stopped, cb);
     return;
   }
   t->current.Scan(
@@ -489,13 +433,17 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
       }
     }
     if (plan.Engage(t->current.SlotCount())) {
-      ParallelScanPartition(
-          plan, t->current.SlotCount(), req.ctx,
-          [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-              MorselOutput* out) {
-            ScanCurrentMorsel(*t, req, tc, now, begin, end, stop, out);
+      ParallelRowScan(
+          plan, t->current,
+          [t](uint64_t rid, Row* row) -> const Row& {
+            const Row& user_row = t->current.Get(rid);
+            row->assign(user_row.begin(), user_row.end());
+            auto it = t->version_slot.find(rid);
+            row->push_back(Value(t->versions[it->second].sys_from));
+            row->push_back(Value(Period::kForever));
+            return *row;
           },
-          &stats->rows_examined, &stats->rows_output, &stopped, cb);
+          req, tc, now, stats, &stopped, cb);
     } else {
       t->current.Scan(
           [&](RowId rid, const Row& row) { return consider(rid, row); });
@@ -534,13 +482,14 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
             })) {
       RecordIndexUse(stats, index_name);
     } else if (plan.Engage(t->history.SlotCount())) {
-      ParallelScanPartition(
-          plan, t->history.SlotCount(), req.ctx,
-          [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-              MorselOutput* out) {
-            ScanHistoryMorsel(*t, req, tc, now, begin, end, stop, out);
+      ParallelRowScan(
+          plan, t->history,
+          [t, scan_width](uint64_t rid, Row* row) -> const Row& {
+            const Row& hist_row = t->history.Get(rid);
+            row->assign(hist_row.begin(), hist_row.begin() + scan_width);
+            return *row;
           },
-          &stats->rows_examined, &stats->rows_output, &stopped, cb);
+          req, tc, now, stats, &stopped, cb);
     } else {
       t->history.Scan(
           [&](RowId, const Row& row) { return consider_hist(row); });

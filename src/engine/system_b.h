@@ -125,25 +125,6 @@ class SystemBEngine : public TemporalEngine {
                                      ExecStats* stats, bool* stopped,
                                      const RowCallback& cb);
 
-  // Morsel-range entry points of the three fallback scan loops; each
-  // filters slots [begin, end) into `out` and is thread-safe for
-  // concurrent morsels (pure reads; the undo log is drained before any
-  // history scan fans out).
-  void ScanCurrentMorsel(const Table& t, const ScanRequest& req,
-                         const TemporalCols& tc, int64_t now, uint64_t begin,
-                         uint64_t end, const std::atomic<bool>& stop,
-                         MorselOutput* out) const;
-  void ScanReconstructionMorsel(const Table& t,
-                                const std::vector<int64_t>& sys_from_of,
-                                const ScanRequest& req, const TemporalCols& tc,
-                                int64_t now, uint64_t begin, uint64_t end,
-                                const std::atomic<bool>& stop,
-                                MorselOutput* out) const;
-  void ScanHistoryMorsel(const Table& t, const ScanRequest& req,
-                         const TemporalCols& tc, int64_t now, uint64_t begin,
-                         uint64_t end, const std::atomic<bool>& stop,
-                         MorselOutput* out) const;
-
   std::unordered_map<std::string, Table> tables_;
   int64_t next_txn_id_ = 1;
 };

@@ -269,28 +269,22 @@ Status SystemCEngine::DoDeleteSequenced(const std::string& table,
 void SystemCEngine::ScanMorsel(const ColumnTable& part, const ScanRequest& req,
                                const TemporalCols& tc, int64_t now, int ncols,
                                const std::vector<uint8_t>& checked,
-                               const std::vector<uint8_t>& emit_col,
                                uint64_t begin, uint64_t end,
                                const std::atomic<bool>& stop,
                                MorselOutput* out) const {
+  // Only the checked columns are fetched here; the coordinator materializes
+  // the emit columns of the qualifying slots (see ScanPartition).
+  Row row(static_cast<size_t>(ncols));
   for (RowId rid = begin; rid < end; ++rid) {
     if (MorselInterrupted(stop, req.ctx)) return;
     if (!part.IsLive(rid)) continue;
     ++out->rows_examined;
-    // Fresh row per qualifying slot: columns that are neither checked nor
-    // emitted stay null, exactly as in the serial loop's scratch row.
-    Row row(static_cast<size_t>(ncols));
     for (int c = 0; c < ncols; ++c) {
       if (checked[static_cast<size_t>(c)]) row[static_cast<size_t>(c)] = part.Get(rid, c);
     }
     if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
     if (!MatchesConstraints(row, req)) continue;
-    for (int c = 0; c < ncols; ++c) {
-      if (emit_col[static_cast<size_t>(c)] && !checked[static_cast<size_t>(c)]) {
-        row[static_cast<size_t>(c)] = part.Get(rid, c);
-      }
-    }
-    out->rows.push_back(std::move(row));
+    out->rids.push_back(rid);
     out->examined_at.push_back(out->rows_examined);
   }
 }
@@ -334,8 +328,18 @@ void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
         plan, part.SlotCount(), req.ctx,
         [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
             MorselOutput* out) {
-          ScanMorsel(part, req, tc, now, ncols, checked, emit_col, begin, end,
-                     stop, out);
+          ScanMorsel(part, req, tc, now, ncols, checked, begin, end, stop,
+                     out);
+        },
+        // Columns that are neither checked nor emitted stay null, exactly
+        // as in the serial loop's scratch row.
+        [&](uint64_t rid, Row* row) -> const Row& {
+          row->resize(static_cast<size_t>(ncols));
+          for (int c = 0; c < ncols; ++c) {
+            const size_t i = static_cast<size_t>(c);
+            if (checked[i] || emit_col[i]) (*row)[i] = part.Get(rid, c);
+          }
+          return *row;
         },
         &stats->rows_examined, &stats->rows_output, stopped, cb);
     return;

@@ -261,35 +261,15 @@ void SystemDEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
         ResolveScanPlan(req.exec);
     if (plan.Engage(t->data.SlotCount())) {
       bool stopped = false;
-      ParallelScanPartition(
-          plan, t->data.SlotCount(), req.ctx,
-          [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-              MorselOutput* out) {
-            ScanMorsel(t->data, req, tc, now, begin, end, stop, out);
-          },
-          &stats->rows_examined, &stats->rows_output, &stopped, cb);
+      ParallelRowScan(
+          plan, t->data,
+          [t](uint64_t rid, Row*) -> const Row& { return t->data.Get(rid); },
+          req, tc, now, stats, &stopped, cb);
     } else {
       t->data.Scan([&](RowId, const Row& row) { return consider(row); });
     }
   }
   if (req.stats == nullptr) PublishStats(local);
-}
-
-void SystemDEngine::ScanMorsel(const RowTable& part, const ScanRequest& req,
-                               const TemporalCols& tc, int64_t now,
-                               uint64_t begin, uint64_t end,
-                               const std::atomic<bool>& stop,
-                               MorselOutput* out) const {
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!part.IsLive(rid)) continue;
-    ++out->rows_examined;
-    const Row& row = part.Get(rid);
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rows.push_back(row);
-    out->examined_at.push_back(out->rows_examined);
-  }
 }
 
 std::vector<std::string> SystemDEngine::ListTables() const {

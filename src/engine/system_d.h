@@ -86,14 +86,6 @@ class SystemDEngine : public TemporalEngine {
                         int period_index, const Period& period,
                         const std::vector<ColumnAssignment>& set, int mode);
 
-  // Morsel-range entry point of the all-versions table scan: filters slots
-  // [begin, end) of `part` into `out`. Thread-safe for concurrent morsels
-  // (pure reads).
-  void ScanMorsel(const RowTable& part, const ScanRequest& req,
-                  const TemporalCols& tc, int64_t now, uint64_t begin,
-                  uint64_t end, const std::atomic<bool>& stop,
-                  MorselOutput* out) const;
-
   std::unordered_map<std::string, Table> tables_;
 };
 

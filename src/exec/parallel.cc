@@ -80,7 +80,7 @@ void RunMorsels(ParallelJob* job) {
     const uint64_t end = std::min(begin + job->morsel_size, job->slot_count);
     job->body(begin, end, job->stop, &job->outputs[m]);
     // Release pairs with the coordinator's acquire load: once it sees
-    // done[m], the morsel's rows and counters are fully visible.
+    // done[m], the morsel's row ids and counters are fully visible.
     job->done[m].store(true, std::memory_order_release);
   }
 }
@@ -112,12 +112,21 @@ ScanScheduler* ScanScheduler::Default() {
 }
 
 void ScanScheduler::Launch(const std::shared_ptr<ParallelJob>& job) {
+  // Wake only as many sleepers as the job accepts helpers: a 2-thread scan
+  // on an 8-thread pool wakes one, not seven that would find the quota
+  // taken and go back to sleep. A helper left asleep still sees job_seq_
+  // moved when it next wakes and simply takes whatever job is posted then.
+  const int quota = job->helper_slots.load(std::memory_order_relaxed);
   {
     MutexLock lock(mu_);
     board_ = job;
     ++job_seq_;
   }
-  cv_.NotifyAll();
+  if (quota >= num_workers()) {
+    cv_.NotifyAll();
+  } else {
+    for (int i = 0; i < quota; ++i) cv_.NotifyOne();
+  }
 }
 
 void ScanScheduler::Retire(const std::shared_ptr<ParallelJob>& job) {
@@ -189,8 +198,8 @@ ParallelScanPlan ResolveScanPlan(int requested_threads,
 
 void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
                            QueryContext* ctx, const MorselScanFn& body,
-                           uint64_t* rows_examined, uint64_t* rows_output,
-                           bool* stopped,
+                           const MorselRowFn& row_of, uint64_t* rows_examined,
+                           uint64_t* rows_output, bool* stopped,
                            const std::function<bool(const Row&)>& emit) {
   auto job = std::make_shared<ParallelJob>();
   job->body = body;
@@ -207,7 +216,8 @@ void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
   plan.scheduler->Launch(job);
 
   bool tripped = false;    // QueryContext said stop (deadline/cancel)
-  bool emit_stop = false;  // the consumer said stop (Top-N)
+  bool emit_stop = false;  // the consumer said stop (LIMIT, Top-N)
+  Row scratch;             // every emitted row is built here, in turn
   uint64_t cursor = 0;     // next morsel to emit, in order
   while (cursor < job->num_morsels) {
     if (!job->done[cursor].load(std::memory_order_acquire)) {
@@ -252,14 +262,14 @@ void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
     }
 
     MorselOutput& out = job->outputs[cursor];
-    for (size_t j = 0; j < out.rows.size(); ++j) {
+    for (size_t j = 0; j < out.rids.size(); ++j) {
       // Same per-emitted-row discipline as the serial loops.
       if (ctx != nullptr && !ctx->KeepGoing()) {
         tripped = true;
         break;
       }
       ++*rows_output;
-      if (!emit(out.rows[j])) {
+      if (!emit(row_of(out.rids[j], &scratch))) {
         emit_stop = true;
         // The serial scan would have stopped mid-morsel: count exactly the
         // rows it would have examined up to this emission.
@@ -269,9 +279,9 @@ void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
     }
     if (tripped || emit_stop) break;
     *rows_examined += out.rows_examined;
-    // Free emitted buffers eagerly; a wide scan should hold at most the
-    // in-flight morsels, not the whole result set twice.
-    std::vector<Row>().swap(out.rows);
+    // Release emitted id buffers eagerly (two flat vectors per morsel), so
+    // a wide scan holds only its in-flight morsels' hits.
+    std::vector<uint64_t>().swap(out.rids);
     std::vector<uint64_t>().swap(out.examined_at);
     ++cursor;
   }

@@ -22,11 +22,16 @@ namespace bih {
 // Shape: a partition of N slots is cut into fixed-size row-id ranges
 // ("morsels"). Workers claim morsels with one atomic fetch_add, run the
 // engine's existing per-row temporal/predicate filters over their range and
-// park the qualifying rows in a per-morsel buffer. The coordinating query
-// thread participates too (so a scan makes progress even when every helper
-// is busy elsewhere) and *emits* buffers strictly in morsel order — slot
-// order inside a morsel is preserved by construction, so the merged output
-// is byte-identical to the serial scan, including under Top-N early stop.
+// record the *row ids* of the qualifying slots in a per-morsel buffer —
+// workers never build output rows. The coordinating query thread
+// participates too (so a scan makes progress even when every helper is busy
+// elsewhere) and *emits* morsels strictly in morsel order, materializing
+// each hit into one coordinator-owned scratch row through the engine's
+// MorselRowFn just before handing it to the consumer. Slot order inside a
+// morsel is preserved by construction, so the merged output is
+// byte-identical to the serial scan, including under early stop (LIMIT,
+// Top-N); and since every row is built, consumed and overwritten on one
+// thread, nothing is allocated per row or freed on another thread.
 //
 // Index access paths stay serial: they are already selective (Section
 // 5.3.3's observation), so the scan loops are the only place the threads
@@ -49,23 +54,32 @@ int DefaultScanThreads();
 // scaling sweeps.
 void SetDefaultScanThreads(int threads);
 
-// Qualifying rows of one morsel, in slot order. `examined_at[j]` is the
-// number of rows the morsel had examined when rows[j] was produced, so a
-// consumer that stops at rows[j] can reconstruct the exact rows_examined
-// count the serial scan would have reported at that point.
+// Qualifying slots of one morsel, ascending. `examined_at[j]` is the number
+// of rows the morsel had examined when slot rids[j] qualified, so a consumer
+// that stops at rids[j] can reconstruct the exact rows_examined count the
+// serial scan would have reported at that point.
 struct MorselOutput {
-  std::vector<Row> rows;
+  std::vector<uint64_t> rids;
   std::vector<uint64_t> examined_at;
   uint64_t rows_examined = 0;
 };
 
-// Scans slots [begin, end) of a partition, appending qualifying rows to
-// `out`. Must poll `stop` (and its QueryContext, if any) between rows and
-// return early when either trips; partial output of an interrupted morsel
-// is discarded by the coordinator, never emitted.
+// Scans slots [begin, end) of a partition, appending the row ids of
+// qualifying slots to `out`. Must poll `stop` (and its QueryContext, if any)
+// between rows and return early when either trips; partial output of an
+// interrupted morsel is discarded by the coordinator, never emitted.
 using MorselScanFn = std::function<void(
     uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
     MorselOutput* out)>;
+
+// Materializes qualifying slot `rid` for emission, exactly as the serial
+// scan loop would have shaped it. Returns either a row the partition
+// already stores (row stores) or `*scratch` after filling it (column and
+// reconstructed layouts); the reference is valid until the next call with
+// the same scratch. ParallelScanPartition calls it on the coordinator with
+// one scratch row for the whole scan; it must only read shared state, so
+// morsel bodies may reuse it with scratch rows of their own.
+using MorselRowFn = std::function<const Row&(uint64_t rid, Row* scratch)>;
 
 // Per-row interruption poll for morsel bodies: the job's stop flag (set on
 // coordinator early-exit and teardown) or an external Cancel() on the
@@ -154,18 +168,20 @@ inline ParallelScanPlan ResolveScanPlan(const ExecOptions& opts) {
 }
 
 // Runs `body` over every morsel of a `slot_count`-slot partition using the
-// plan's pool, emitting qualifying rows through `emit` in exact serial
-// order. Counters accumulate into *rows_examined / *rows_output with the
-// same values the serial loop would produce, including when `emit` returns
-// false (Top-N early stop) or `ctx` trips mid-scan; *stopped is set (never
-// cleared) when the scan ended early for either reason. The coordinator
-// checks `ctx` per claimed morsel and per emitted row; workers poll the
-// job's stop flag and the context's cancel flag per row. On return, no
-// worker is still touching this scan's state.
+// plan's pool and emits the qualifying slots, materialized through `row_of`,
+// through `emit` in exact serial order. Emission runs on the calling thread
+// (the coordinator), so `emit` may run arbitrary operator code without
+// synchronization. Counters accumulate into *rows_examined / *rows_output
+// with the same values the serial loop would produce, including when `emit`
+// returns false (early stop) or `ctx` trips mid-scan; *stopped is set
+// (never cleared) when the scan ended early for either reason. The
+// coordinator checks `ctx` per claimed morsel and per emitted row; workers
+// poll the job's stop flag and the context's cancel flag per row. On
+// return, no worker is still touching this scan's state.
 void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
                            QueryContext* ctx, const MorselScanFn& body,
-                           uint64_t* rows_examined, uint64_t* rows_output,
-                           bool* stopped,
+                           const MorselRowFn& row_of, uint64_t* rows_examined,
+                           uint64_t* rows_output, bool* stopped,
                            const std::function<bool(const Row&)>& emit);
 
 // How many morsels the plan cuts an `item_count`-item range into. Callers

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/json.h"
@@ -179,11 +180,37 @@ struct RowKeyEq {
   }
 };
 
-Row KeyOf(const Row& row, const std::vector<int>& cols) {
-  Row key;
-  key.reserve(cols.size());
-  for (int c : cols) key.push_back(row[static_cast<size_t>(c)]);
-  return key;
+// The scratch-row helpers below assign cell by cell into the previous
+// row's slots: the row keeps its storage and same-typed cells are simply
+// overwritten, where rebuilding the row would destroy and re-create them.
+
+// Overwrites *key with the `cols` columns of `row`. Returns false when any
+// of them is NULL (NULL never matches in equi-joins; as a group key it is
+// an ordinary value).
+bool KeyInto(const Row& row, const std::vector<int>& cols, Row* key) {
+  key->resize(cols.size());
+  bool has_null = false;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    const Value& v = row[static_cast<size_t>(cols[i])];
+    has_null |= v.is_null();
+    (*key)[i] = v;
+  }
+  return !has_null;
+}
+
+// Overwrites *out with left ++ right.
+void ConcatInto(const Row& left, const Row& right, Row* out) {
+  out->resize(left.size() + right.size());
+  std::copy(right.begin(), right.end(),
+            std::copy(left.begin(), left.end(), out->begin()));
+}
+
+// Overwrites *out with `left` followed by `width` NULLs (the unmatched side
+// of a left outer join).
+void PadInto(const Row& left, size_t width, Row* out) {
+  out->resize(left.size() + width);
+  std::fill(std::copy(left.begin(), left.end(), out->begin()), out->end(),
+            Value::Null());
 }
 
 int CompareKeyCols(const Row& a, const std::vector<int>& acols, const Row& b,
@@ -194,69 +221,6 @@ int CompareKeyCols(const Row& a, const std::vector<int>& acols, const Row& b,
     if (c != 0) return c;
   }
   return 0;
-}
-
-Rows FilterKernel(const Rows& in, const ExprPtr& pred, QueryContext* ctx) {
-  Rows out;
-  for (const Row& row : in) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return out;
-    if (pred->Test(row)) out.push_back(row);
-  }
-  return out;
-}
-
-Rows ProjectKernel(const Rows& in, const std::vector<ExprPtr>& exprs,
-                   QueryContext* ctx) {
-  Rows out;
-  out.reserve(in.size());
-  for (const Row& row : in) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return out;
-    Row r;
-    r.reserve(exprs.size());
-    for (const ExprPtr& e : exprs) r.push_back(e->Eval(row));
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
-Rows HashJoinKernel(const Rows& left, const Rows& right,
-                    const std::vector<int>& left_keys,
-                    const std::vector<int>& right_keys, size_t right_width,
-                    JoinType type, const ExprPtr& residual, QueryContext* ctx) {
-  std::unordered_map<Row, std::vector<const Row*>, RowKeyHash, RowKeyEq> ht;
-  ht.reserve(right.size());
-  for (const Row& r : right) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return {};
-    Row key = KeyOf(r, right_keys);
-    bool null_key = false;
-    for (const Value& v : key) null_key |= v.is_null();
-    if (null_key) continue;  // NULL never matches in equi-joins
-    ht[std::move(key)].push_back(&r);
-  }
-  Rows out;
-  for (const Row& l : left) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return out;
-    Row key = KeyOf(l, left_keys);
-    bool null_key = false;
-    for (const Value& v : key) null_key |= v.is_null();
-    auto it = null_key ? ht.end() : ht.find(key);
-    bool matched = false;
-    if (it != ht.end()) {
-      for (const Row* r : it->second) {
-        Row joined = l;
-        joined.insert(joined.end(), r->begin(), r->end());
-        if (residual != nullptr && !residual->Test(joined)) continue;
-        matched = true;
-        out.push_back(std::move(joined));
-      }
-    }
-    if (!matched && type == JoinType::kLeftOuter) {
-      Row joined = l;
-      joined.resize(joined.size() + right_width, Value::Null());
-      out.push_back(std::move(joined));
-    }
-  }
-  return out;
 }
 
 // Sorts `order` (a permutation of input positions) by (key columns, input
@@ -423,106 +387,19 @@ Rows MergeJoinKernel(const Rows& left, const Rows& right,
   return out;
 }
 
+// Running state of one aggregate in one group.
 struct AggState {
   double sum = 0.0;
   int64_t count = 0;
   bool has = false;
   Value min, max;
   std::set<std::string> distinct;
+
+  void AddNumber(double v) {
+    sum += v;
+    ++count;
+  }
 };
-
-void FinishAggregate(
-    const std::vector<Row>& group_order,
-    std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq>&
-        groups,
-    const std::vector<AggSpec>& aggs, Rows* out) {
-  out->reserve(group_order.size());
-  for (const Row& key : group_order) {
-    const std::vector<AggState>& st = groups[key];
-    Row r = key;
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      const AggState& s = st[i];
-      switch (aggs[i].kind) {
-        case AggKind::kSum:
-          r.push_back(s.count == 0 ? Value::Null() : Value(s.sum));
-          break;
-        case AggKind::kAvg:
-          r.push_back(s.count == 0
-                          ? Value::Null()
-                          : Value(s.sum / static_cast<double>(s.count)));
-          break;
-        case AggKind::kCount:
-          r.push_back(Value(s.count));
-          break;
-        case AggKind::kMin:
-          r.push_back(s.has ? s.min : Value::Null());
-          break;
-        case AggKind::kMax:
-          r.push_back(s.has ? s.max : Value::Null());
-          break;
-        case AggKind::kCountDistinct:
-          r.push_back(Value(static_cast<int64_t>(s.distinct.size())));
-          break;
-      }
-    }
-    out->push_back(std::move(r));
-  }
-}
-
-Rows SerialAggregateKernel(const Rows& in, const std::vector<int>& group_cols,
-                           const std::vector<AggSpec>& aggs,
-                           QueryContext* ctx) {
-  std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq> groups;
-  std::vector<Row> group_order;  // deterministic output order (first seen)
-  for (const Row& row : in) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return {};
-    Row key = KeyOf(row, group_cols);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      it = groups.emplace(key, std::vector<AggState>(aggs.size())).first;
-      group_order.push_back(key);
-    }
-    std::vector<AggState>& st = it->second;
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      const AggSpec& a = aggs[i];
-      if (a.kind == AggKind::kCount && a.expr == nullptr) {
-        ++st[i].count;
-        continue;
-      }
-      Value v = a.expr->Eval(row);
-      if (v.is_null()) continue;  // SQL aggregates skip NULLs
-      AggState& s = st[i];
-      switch (a.kind) {
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          s.sum += v.AsDouble();
-          ++s.count;
-          break;
-        case AggKind::kCount:
-          ++s.count;
-          break;
-        case AggKind::kMin:
-          if (!s.has || v.Compare(s.min) < 0) s.min = v;
-          s.has = true;
-          break;
-        case AggKind::kMax:
-          if (!s.has || v.Compare(s.max) > 0) s.max = v;
-          s.has = true;
-          break;
-        case AggKind::kCountDistinct:
-          s.distinct.insert(v.ToString());
-          break;
-      }
-    }
-  }
-  if (group_cols.empty() && groups.empty()) {
-    groups.emplace(Row{}, std::vector<AggState>(aggs.size()));
-    group_order.push_back(Row{});
-  }
-  Rows out;
-  FinishAggregate(group_order, groups, aggs, &out);
-  return out;
-}
 
 // Per-morsel aggregation partial. Floating-point addition is not
 // associative, so kSum/kAvg partials keep the evaluated addends in row
@@ -536,97 +413,108 @@ struct AggPartial {
   Value min, max;
   std::set<std::string> distinct;
   std::vector<double> addends;
+
+  void AddNumber(double v) { addends.push_back(v); }
 };
 
-struct MorselGroups {
-  std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> index;
-  std::vector<Row> keys;  // first-seen order within the morsel
-  std::vector<std::vector<AggPartial>> states;
+// Groups in first-seen order, each with one State per aggregate.
+template <class State>
+class GroupTable {
+ public:
+  explicit GroupTable(size_t num_aggs) : num_aggs_(num_aggs) {}
+
+  std::vector<State>& Find(const Row& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      it = index_.emplace(key, keys_.size()).first;
+      keys_.push_back(key);
+      states_.emplace_back(num_aggs_);
+    }
+    return states_[it->second];
+  }
+
+  size_t size() const { return keys_.size(); }
+  const Row& key(size_t g) const { return keys_[g]; }
+  const std::vector<State>& states(size_t g) const { return states_[g]; }
+
+ private:
+  size_t num_aggs_;
+  std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> index_;
+  std::vector<Row> keys_;
+  std::vector<std::vector<State>> states_;
 };
 
-Rows ParallelAggregateKernel(const Rows& in,
-                             const std::vector<int>& group_cols,
+// Folds one input row into its group's states.
+template <class State>
+void FoldRow(const Row& row, const std::vector<AggSpec>& aggs,
+             std::vector<State>* st) {
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    const AggSpec& a = aggs[i];
+    State& s = (*st)[i];
+    if (a.kind == AggKind::kCount && a.expr == nullptr) {
+      ++s.count;
+      continue;
+    }
+    Value v = a.expr->Eval(row);
+    if (v.is_null()) continue;  // SQL aggregates skip NULLs
+    switch (a.kind) {
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        s.AddNumber(v.AsDouble());
+        break;
+      case AggKind::kCount:
+        ++s.count;
+        break;
+      case AggKind::kMin:
+        if (!s.has || v.Compare(s.min) < 0) s.min = v;
+        s.has = true;
+        break;
+      case AggKind::kMax:
+        if (!s.has || v.Compare(s.max) > 0) s.max = v;
+        s.has = true;
+        break;
+      case AggKind::kCountDistinct:
+        s.distinct.insert(v.ToString());
+        break;
+    }
+  }
+}
+
+// Aggregates a materialized input on the morsel pool into *groups. Returns
+// false when `ctx` tripped first (the groups are then incomplete).
+bool ParallelAggregateKernel(const Rows& in, const std::vector<int>& group_cols,
                              const std::vector<AggSpec>& aggs,
                              QueryContext* ctx, const ParallelScanPlan& plan,
-                             bool* interrupted) {
-  std::vector<MorselGroups> partials(PlanMorselCount(plan, in.size()));
-  if (!ParallelMorselRun(
-          plan, in.size(), ctx,
-          [&](uint64_t m, uint64_t begin, uint64_t end,
-              const std::atomic<bool>& stop) {
-            MorselGroups& mg = partials[m];
-            for (uint64_t r = begin; r < end; ++r) {
-              if (MorselInterrupted(stop, ctx)) return;
-              const Row& row = in[r];
-              Row key = KeyOf(row, group_cols);
-              auto it = mg.index.find(key);
-              if (it == mg.index.end()) {
-                it = mg.index.emplace(key, mg.keys.size()).first;
-                mg.keys.push_back(key);
-                mg.states.emplace_back(aggs.size());
-              }
-              std::vector<AggPartial>& st = mg.states[it->second];
-              for (size_t i = 0; i < aggs.size(); ++i) {
-                const AggSpec& a = aggs[i];
-                if (a.kind == AggKind::kCount && a.expr == nullptr) {
-                  ++st[i].count;
-                  continue;
-                }
-                Value v = a.expr->Eval(row);
-                if (v.is_null()) continue;
-                AggPartial& s = st[i];
-                switch (a.kind) {
-                  case AggKind::kSum:
-                  case AggKind::kAvg:
-                    s.addends.push_back(v.AsDouble());
-                    break;
-                  case AggKind::kCount:
-                    ++s.count;
-                    break;
-                  case AggKind::kMin:
-                    if (!s.has || v.Compare(s.min) < 0) s.min = v;
-                    s.has = true;
-                    break;
-                  case AggKind::kMax:
-                    if (!s.has || v.Compare(s.max) > 0) s.max = v;
-                    s.has = true;
-                    break;
-                  case AggKind::kCountDistinct:
-                    s.distinct.insert(v.ToString());
-                    break;
-                }
-              }
-            }
-          })) {
-    *interrupted = true;
-    return {};
+                             GroupTable<AggState>* groups) {
+  std::vector<GroupTable<AggPartial>> partials(
+      PlanMorselCount(plan, in.size()), GroupTable<AggPartial>(aggs.size()));
+  if (!ParallelMorselRun(plan, in.size(), ctx,
+                         [&](uint64_t m, uint64_t begin, uint64_t end,
+                             const std::atomic<bool>& stop) {
+                           Row key;
+                           for (uint64_t r = begin; r < end; ++r) {
+                             if (MorselInterrupted(stop, ctx)) return;
+                             KeyInto(in[r], group_cols, &key);
+                             FoldRow(in[r], aggs, &partials[m].Find(key));
+                           }
+                         })) {
+    return false;
   }
 
   // Final merge on the coordinator, in morsel order: group discovery order
   // equals the serial first-seen order, and each group's addends fold in
   // the serial row order.
-  std::unordered_map<Row, std::vector<AggState>, RowKeyHash, RowKeyEq> groups;
-  std::vector<Row> group_order;
-  for (const MorselGroups& mg : partials) {
-    for (size_t g = 0; g < mg.keys.size(); ++g) {
-      const Row& key = mg.keys[g];
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        it = groups.emplace(key, std::vector<AggState>(aggs.size())).first;
-        group_order.push_back(key);
-      }
-      std::vector<AggState>& st = it->second;
-      const std::vector<AggPartial>& ps = mg.states[g];
+  for (const GroupTable<AggPartial>& part : partials) {
+    for (size_t g = 0; g < part.size(); ++g) {
+      std::vector<AggState>& st = groups->Find(part.key(g));
+      const std::vector<AggPartial>& ps = part.states(g);
       for (size_t i = 0; i < aggs.size(); ++i) {
         const AggPartial& p = ps[i];
         AggState& s = st[i];
         switch (aggs[i].kind) {
           case AggKind::kSum:
           case AggKind::kAvg:
-            for (double a : p.addends) {
-              s.sum += a;
-              ++s.count;
-            }
+            for (double a : p.addends) s.AddNumber(a);
             break;
           case AggKind::kCount:
             s.count += p.count;
@@ -646,13 +534,39 @@ Rows ParallelAggregateKernel(const Rows& in,
       }
     }
   }
-  if (group_cols.empty() && groups.empty()) {
-    groups.emplace(Row{}, std::vector<AggState>(aggs.size()));
-    group_order.push_back(Row{});
+  return true;
+}
+
+// Output row of group `g`: its key columns, then one value per aggregate.
+void FinishGroup(const GroupTable<AggState>& groups, size_t g,
+                 const std::vector<AggSpec>& aggs, Row* r) {
+  *r = groups.key(g);
+  const std::vector<AggState>& st = groups.states(g);
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    const AggState& s = st[i];
+    switch (aggs[i].kind) {
+      case AggKind::kSum:
+        r->push_back(s.count == 0 ? Value::Null() : Value(s.sum));
+        break;
+      case AggKind::kAvg:
+        r->push_back(s.count == 0
+                         ? Value::Null()
+                         : Value(s.sum / static_cast<double>(s.count)));
+        break;
+      case AggKind::kCount:
+        r->push_back(Value(s.count));
+        break;
+      case AggKind::kMin:
+        r->push_back(s.has ? s.min : Value::Null());
+        break;
+      case AggKind::kMax:
+        r->push_back(s.has ? s.max : Value::Null());
+        break;
+      case AggKind::kCountDistinct:
+        r->push_back(Value(static_cast<int64_t>(s.distinct.size())));
+        break;
+    }
   }
-  Rows out;
-  FinishAggregate(group_order, groups, aggs, &out);
-  return out;
 }
 
 Rows SortKernel(Rows in, const std::vector<SortSpec>& keys,
@@ -681,17 +595,23 @@ Rows SortKernel(Rows in, const std::vector<SortSpec>& keys,
   return in;
 }
 
-Rows DistinctKernel(const Rows& in, QueryContext* ctx) {
-  Rows out;
-  std::unordered_map<Row, bool, RowKeyHash, RowKeyEq> seen;
-  for (const Row& r : in) {
-    if (ctx != nullptr && !ctx->KeepGoing()) return out;
-    if (seen.emplace(r, true).second) out.push_back(r);
-  }
-  return out;
-}
+// ---- Pipelines ----------------------------------------------------------
+//
+// Stream() runs a node and hands each output row to the parent's consumer
+// (a RowCallback) as soon as it exists; Collect() runs a node to completion
+// into Rows. Pipeline breakers compute into Rows and stream from there; all
+// other nodes stream. A consumer's `const Row&` is only valid during the
+// call (producers overwrite one scratch row), so whoever keeps rows copies
+// them. A consumer that returns false stops its producer, and the stop
+// travels down to the engine scan, whose counters then equal a serial scan
+// stopped at that row. An Aggregate folds a streamed input row by row, in
+// serial order; only an input a breaker already materialized is worth
+// partitioning over the morsel pool.
 
-// ---- Tree walker --------------------------------------------------------
+bool IsPipelineBreaker(PlanNode::Kind kind) {
+  return kind == PlanNode::Kind::kMergeJoin ||
+         kind == PlanNode::Kind::kSort || kind == PlanNode::Kind::kDistinct;
+}
 
 struct Executor {
   TemporalEngine& engine;
@@ -702,18 +622,76 @@ struct Executor {
     return ctx != nullptr ? ctx->CheckNow() : Status::OK();
   }
 
-  Status Run(const PlanNode& n, Rows* out) {
-    n.stats = PlanStats{};
+  bool Live() const { return ctx == nullptr || ctx->KeepGoing(); }
+
+  ParallelScanPlan OperatorPlan(const PlanNode& n) const {
+    return ResolveScanPlan(MergeExecOptions(n.scan.exec, opts));
+  }
+
+  // Runs `n` to completion, materializing its output into *out.
+  Status Collect(const PlanNode& n, Rows* out) {
     out->clear();
+    if (!IsPipelineBreaker(n.kind)) {
+      return Stream(n, [out](const Row& row) {
+        out->push_back(row);
+        return true;
+      });
+    }
+    n.stats = PlanStats{};
+    switch (n.kind) {
+      case PlanNode::Kind::kMergeJoin: {
+        Rows left, right;
+        BIH_RETURN_IF_ERROR(Collect(*n.children[0], &left));
+        BIH_RETURN_IF_ERROR(Collect(*n.children[1], &right));
+        bool interrupted = false;
+        *out = MergeJoinKernel(left, right, n.left_keys, n.right_keys,
+                               n.predicate, ctx, OperatorPlan(n),
+                               &interrupted);
+        break;
+      }
+      case PlanNode::Kind::kSort:
+        BIH_RETURN_IF_ERROR(Collect(*n.children[0], out));
+        *out = SortKernel(std::move(*out), n.sort_keys, ctx);
+        break;
+      case PlanNode::Kind::kDistinct: {
+        std::unordered_set<Row, RowKeyHash, RowKeyEq> seen;
+        auto keep_first = [&](const Row& row) {
+          if (seen.insert(row).second) out->push_back(row);
+          return true;
+        };
+        BIH_RETURN_IF_ERROR(Stream(*n.children[0], keep_first));
+        break;
+      }
+      default:
+        break;
+    }
+    n.stats.rows_output = out->size();
+    return Boundary();
+  }
+
+  // Runs `n`, pushing each output row into `sink` until the rows run out or
+  // `sink` returns false.
+  Status Stream(const PlanNode& n, const RowCallback& sink) {
+    if (IsPipelineBreaker(n.kind)) {
+      Rows rows;
+      BIH_RETURN_IF_ERROR(Collect(n, &rows));
+      for (const Row& row : rows) {
+        if (!Live() || !sink(row)) break;
+      }
+      return Boundary();
+    }
+    n.stats = PlanStats{};
+    // Counts one output row of `n` and hands it to the parent.
+    auto push = [&n, &sink](const Row& row) {
+      ++n.stats.rows_output;
+      return sink(row);
+    };
     switch (n.kind) {
       case PlanNode::Kind::kScan: {
         ScanRequest req = n.scan;
         if (req.ctx == nullptr) req.ctx = ctx;
         req.exec = MergeExecOptions(req.exec, opts);
-        engine.Scan(req, [&](const Row& row) {
-          out->push_back(row);
-          return true;
-        });
+        engine.Scan(req, push);
         // A request that redirected its counters keeps them; otherwise the
         // engine published to its shared slot and we copy from there (the
         // pre-existing advisory, last-writer-wins contract).
@@ -722,124 +700,167 @@ struct Executor {
         break;
       }
       case PlanNode::Kind::kValues:
-        *out = n.values;
+        for (const Row& row : n.values) {
+          if (!Live() || !push(row)) break;
+        }
         break;
       case PlanNode::Kind::kFilter: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        *out = FilterKernel(in, n.predicate, ctx);
+        auto filter = [&](const Row& row) {
+          return !n.predicate->Test(row) || push(row);
+        };
+        BIH_RETURN_IF_ERROR(Stream(*n.children[0], filter));
         break;
       }
       case PlanNode::Kind::kProject: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        *out = ProjectKernel(in, n.exprs, ctx);
+        Row projected;
+        auto project = [&](const Row& row) {
+          projected.resize(n.exprs.size());
+          for (size_t i = 0; i < n.exprs.size(); ++i) {
+            projected[i] = n.exprs[i]->Eval(row);
+          }
+          return push(projected);
+        };
+        BIH_RETURN_IF_ERROR(Stream(*n.children[0], project));
         break;
       }
       case PlanNode::Kind::kHashJoin: {
-        Rows left, right;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &left));
-        BIH_RETURN_IF_ERROR(Run(*n.children[1], &right));
-        *out = HashJoinKernel(left, right, n.left_keys, n.right_keys,
-                              n.right_width, n.join_type, n.predicate, ctx);
-        break;
-      }
-      case PlanNode::Kind::kMergeJoin: {
-        Rows left, right;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &left));
-        BIH_RETURN_IF_ERROR(Run(*n.children[1], &right));
-        bool interrupted = false;
-        const ParallelScanPlan plan =
-            ResolveScanPlan(MergeExecOptions(n.scan.exec, opts));
-        *out = MergeJoinKernel(left, right, n.left_keys, n.right_keys,
-                               n.predicate, ctx, plan, &interrupted);
+        Rows build;
+        BIH_RETURN_IF_ERROR(Collect(*n.children[1], &build));
+        std::unordered_map<Row, std::vector<const Row*>, RowKeyHash, RowKeyEq>
+            table;
+        table.reserve(build.size());
+        Row key;
+        for (const Row& r : build) {
+          if (!Live()) return Boundary();
+          if (KeyInto(r, n.right_keys, &key)) table[key].push_back(&r);
+        }
+        Row joined;
+        auto probe = [&](const Row& l) {
+          bool matched = false;
+          if (KeyInto(l, n.left_keys, &key)) {
+            auto it = table.find(key);
+            if (it != table.end()) {
+              for (const Row* r : it->second) {
+                ConcatInto(l, *r, &joined);
+                if (n.predicate != nullptr && !n.predicate->Test(joined)) {
+                  continue;
+                }
+                matched = true;
+                if (!push(joined)) return false;
+              }
+            }
+          }
+          if (matched || n.join_type != JoinType::kLeftOuter) return true;
+          PadInto(l, n.right_width, &joined);
+          return push(joined);
+        };
+        BIH_RETURN_IF_ERROR(Stream(*n.children[0], probe));
         break;
       }
       case PlanNode::Kind::kIndexJoin: {
-        Rows left;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &left));
+        ScanRequest req;
+        req.table = n.index_table;
+        req.temporal = n.index_spec;
+        req.ctx = ctx;
+        req.exec = MergeExecOptions(req.exec, opts);
+        // Inner probes must not clobber the engine's shared last_stats()
+        // slot when running under a concurrent session.
         ExecStats probe_stats;
-        for (const Row& l : left) {
-          if (ctx != nullptr && !ctx->KeepGoing()) break;
-          ScanRequest req;
-          req.table = n.index_table;
-          req.temporal = n.index_spec;
-          req.ctx = ctx;
-          req.exec = MergeExecOptions(req.exec, opts);
-          // Inner probes must not clobber the engine's shared last_stats()
-          // slot when running under a concurrent session.
-          if (ctx != nullptr) req.stats = &probe_stats;
+        if (ctx != nullptr) req.stats = &probe_stats;
+        Row joined;
+        bool stop = false;
+        auto probe = [&](const Row& l) {
+          req.equals.clear();
           bool null_key = false;
           for (size_t i = 0; i < n.left_keys.size(); ++i) {
             const Value& v = l[static_cast<size_t>(n.left_keys[i])];
             null_key |= v.is_null();
             req.equals.emplace_back(n.right_keys[i], v);
           }
-          if (null_key) continue;
+          if (null_key) return true;
           engine.Scan(req, [&](const Row& r) {
-            Row joined = l;
-            joined.insert(joined.end(), r.begin(), r.end());
-            if (n.predicate == nullptr || n.predicate->Test(joined)) {
-              out->push_back(std::move(joined));
+            ConcatInto(l, r, &joined);
+            if (n.predicate != nullptr && !n.predicate->Test(joined)) {
+              return true;
             }
-            return true;
+            stop = !push(joined);
+            return !stop;
           });
-        }
-        n.stats.scan = ctx != nullptr ? probe_stats : engine.last_stats();
+          // The probe's own counters: the left input publishes its scan's
+          // counters only once it finishes, after every probe.
+          if (req.stats == nullptr) n.stats.scan = engine.last_stats();
+          return !stop;
+        };
+        BIH_RETURN_IF_ERROR(Stream(*n.children[0], probe));
+        if (req.stats != nullptr) n.stats.scan = probe_stats;
         break;
       }
       case PlanNode::Kind::kCrossJoin: {
-        Rows left, right;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &left));
-        BIH_RETURN_IF_ERROR(Run(*n.children[1], &right));
-        for (const Row& l : left) {
-          if (ctx != nullptr && !ctx->KeepGoing()) break;
+        Rows right;
+        BIH_RETURN_IF_ERROR(Collect(*n.children[1], &right));
+        Row joined;
+        auto pair_up = [&](const Row& l) {
           for (const Row& r : right) {
-            Row joined = l;
-            joined.insert(joined.end(), r.begin(), r.end());
+            ConcatInto(l, r, &joined);
             if (n.predicate != nullptr && !n.predicate->Test(joined)) {
               continue;
             }
-            out->push_back(std::move(joined));
+            if (!push(joined)) return false;
           }
-        }
+          return true;
+        };
+        BIH_RETURN_IF_ERROR(Stream(*n.children[0], pair_up));
         break;
       }
       case PlanNode::Kind::kAggregate: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        const ParallelScanPlan plan =
-            ResolveScanPlan(MergeExecOptions(n.scan.exec, opts));
-        if (plan.Engage(in.size())) {
-          bool interrupted = false;
-          *out = ParallelAggregateKernel(in, n.group_cols, n.aggs, ctx, plan,
-                                         &interrupted);
+        const PlanNode& child = *n.children[0];
+        GroupTable<AggState> groups(n.aggs.size());
+        Row key;
+        auto fold = [&](const Row& row) {
+          KeyInto(row, n.group_cols, &key);
+          FoldRow(row, n.aggs, &groups.Find(key));
+          return true;
+        };
+        if (IsPipelineBreaker(child.kind)) {
+          Rows in;
+          BIH_RETURN_IF_ERROR(Collect(child, &in));
+          const ParallelScanPlan plan = OperatorPlan(n);
+          if (plan.Engage(in.size())) {
+            if (!ParallelAggregateKernel(in, n.group_cols, n.aggs, ctx, plan,
+                                         &groups)) {
+              return Boundary();
+            }
+          } else {
+            for (const Row& row : in) {
+              if (!Live()) break;
+              fold(row);
+            }
+          }
         } else {
-          *out = SerialAggregateKernel(in, n.group_cols, n.aggs, ctx);
+          BIH_RETURN_IF_ERROR(Stream(child, fold));
+        }
+        BIH_RETURN_IF_ERROR(Boundary());
+        if (n.group_cols.empty() && groups.size() == 0) groups.Find(Row{});
+        Row out;
+        for (size_t g = 0; g < groups.size(); ++g) {
+          FinishGroup(groups, g, n.aggs, &out);
+          if (!push(out)) break;
         }
         break;
       }
-      case PlanNode::Kind::kSort: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        *out = SortKernel(std::move(in), n.sort_keys, ctx);
-        break;
-      }
       case PlanNode::Kind::kLimit: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        *out = std::move(in);
-        if (out->size() > n.limit) out->resize(n.limit);
+        auto take = [&](const Row& row) {
+          if (n.stats.rows_output >= n.limit) return false;
+          return push(row) && n.stats.rows_output < n.limit;
+        };
+        BIH_RETURN_IF_ERROR(Stream(*n.children[0], take));
         break;
       }
-      case PlanNode::Kind::kDistinct: {
-        Rows in;
-        BIH_RETURN_IF_ERROR(Run(*n.children[0], &in));
-        *out = DistinctKernel(in, ctx);
-        break;
-      }
+      case PlanNode::Kind::kMergeJoin:
+      case PlanNode::Kind::kSort:
+      case PlanNode::Kind::kDistinct:
+        break;  // pipeline breakers, handled above
     }
-    n.stats.rows_output = out->size();
     return Boundary();
   }
 };
@@ -854,7 +875,7 @@ bool IsInterrupt(const Status& s) {
 Status Execute(const PlanNode& plan, TemporalEngine& engine,
                const ExecOptions& opts, QueryContext* ctx, Rows* out) {
   Executor exec{engine, opts, ctx};
-  return exec.Run(plan, out);
+  return exec.Collect(plan, out);
 }
 
 Rows RunPlan(const PlanNode& plan, TemporalEngine& engine, QueryContext* ctx,

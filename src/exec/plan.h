@@ -19,13 +19,22 @@ namespace bih {
 // of calling operator kernels directly (the kernels are internal to
 // src/exec — bih_lint enforces the boundary).
 //
-// Operators materialize fully between nodes. Sort-merge join and hash
-// aggregation fan out over the ScanScheduler morsel pool when the resolved
-// ExecOptions ask for more than one thread; their output (rows and
-// per-node counters alike) is byte-identical to serial execution at any
-// thread count — see the morsel-order merge notes in plan.cc.
+// Execution is a set of push-based pipelines. Each node pushes its output
+// rows one at a time into its parent's consumer: Scan, Values, Filter,
+// Project, the probe side of HashJoin, IndexJoin and CrossJoin, Aggregate's
+// fold and Limit run inside the engine's row callback, each reusing one
+// scratch row, and a Limit that is satisfied stops the scan beneath it.
+// Only pipeline breakers hold rows: the hash-join and cross-join build
+// sides, both MergeJoin inputs, Sort, Distinct and the root result.
 //
-// Every looping operator consults the QueryContext passed to Execute. When
+// Parallelism never changes what a consumer sees. Engine scans fan out over
+// the ScanScheduler morsel pool but emit on the calling thread in serial
+// order; sort-merge join and the aggregation of a materialized input (an
+// Aggregate over a breaker) run morsel-parallel and merge in morsel order.
+// Output rows, float sums and per-node counters are byte-identical to
+// serial execution at any thread count — see the notes in plan.cc.
+//
+// Every producing loop consults the QueryContext passed to Execute. When
 // the token trips mid-node, Execute stops and returns the context's status;
 // the partial output is only valid as "the query failed".
 
@@ -51,6 +60,8 @@ struct SortSpec {
 // For kScan and kIndexJoin nodes, `scan` carries the engine-side counters
 // (rows examined, partitions touched, index choice) of the node's last
 // engine access; these match the serial scan exactly at any thread count.
+// A node below a satisfied Limit stops early, and its counters then cover
+// only the rows it produced before the stop.
 struct PlanStats {
   uint64_t rows_output = 0;
   ExecStats scan;
@@ -150,8 +161,8 @@ PlanPtr DistinctPlan(PlanPtr input);
 
 // ---- Execution ----------------------------------------------------------
 
-// Executes the tree bottom-up against `engine`, materializing the root's
-// output into *out and per-node counters into each node's `stats`. `opts`
+// Executes the tree against `engine`, materializing the root's output into
+// *out and per-node counters into each node's `stats`. `opts`
 // supplies parallelism defaults for every scan and parallel operator in the
 // tree (fields a Scan node pinned itself win; whatever is still unset
 // resolves through the process defaults). On interruption, returns the

@@ -8,10 +8,9 @@
 
 namespace bih {
 
-// A fully materialized result set. The benchmark runs single queries over
-// moderate row counts, so full materialization between plan nodes keeps the
-// executor honest and easy to verify; the storage engines carry the
-// architecture-specific costs the paper measures.
+// A fully materialized result set: a query's result, and the input a
+// pipeline breaker (sort, distinct, merge join, hash-join build) holds.
+// Rows flow between all other plan nodes one at a time (exec/plan.h).
 using Rows = std::vector<Row>;
 
 // Pretty-prints rows for the examples and the driver (column names

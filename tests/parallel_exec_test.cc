@@ -2,15 +2,23 @@
 // architecture and query class, the rows AND the per-node counters of a
 // parallel run must be byte-identical to the serial run at any thread
 // count. This is the executable form of the plan.h contract — parallelism
-// is a speed knob, never an observable one.
+// is a speed knob, never an observable one. The streamed shapes (joins,
+// aggregates, filter/project chains and limits that run inside the
+// engine's row callback) get the same check at every morsel size, and the
+// interrupt tests prove a deadline or cancel fired mid-pipeline surfaces as
+// the context's status and leaves the morsel pool drained.
+#include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/query_context.h"
 #include "exec/parallel.h"
 #include "exec/plan.h"
 #include "tpch/schema.h"
@@ -55,8 +63,13 @@ ScanRequest Req(const std::string& table) {
   return req;
 }
 
-// The query classes of the sweep: a scan, the two parallel operators
-// (sort-merge join, hash aggregation) and a composite tree above them.
+// CUSTOMER's scan width (9 user + 2 system columns) and ORDERS' (12 + 2).
+constexpr int kCustomerWidth = 11;
+constexpr int kOrdersWidth = 14;
+
+// The query classes of the sweeps: a scan, the two parallel operators
+// (sort-merge join, hash aggregation), a composite tree above them, and the
+// shapes whose operators stream inside the engine's row callback.
 PlanPtr BuildQuery(const std::string& cls) {
   if (cls == "scan") {
     return ScanPlan(Req("ORDERS"));
@@ -74,6 +87,43 @@ PlanPtr BuildQuery(const std::string& cls) {
                           {AggKind::kCount, nullptr},
                           {AggKind::kCountDistinct, Col(orders::kCustKey)}});
   }
+  if (cls == "hash-join-agg-sort") {
+    // The served AS OF CUSTOMER-ORDERS join by nation.
+    return SortPlan(
+        AggregatePlan(
+            HashJoinPlan(ScanPlan(Req("CUSTOMER")), ScanPlan(Req("ORDERS")),
+                         {customer::kCustKey}, {orders::kCustKey},
+                         kOrdersWidth),
+            {customer::kNationKey},
+            {{AggKind::kCount, nullptr},
+             {AggKind::kSum, Col(kCustomerWidth + orders::kTotalPrice)}}),
+        {SortSpec{Col(0), true}});
+  }
+  if (cls == "left-outer-residual") {
+    return HashJoinPlan(
+        ScanPlan(Req("CUSTOMER")), ScanPlan(Req("ORDERS")),
+        {customer::kCustKey}, {orders::kCustKey}, kOrdersWidth,
+        JoinType::kLeftOuter,
+        Gt(Col(kCustomerWidth + orders::kTotalPrice), Lit(150000.0)));
+  }
+  if (cls == "cross-residual") {
+    return CrossJoinPlan(ScanPlan(Req("CUSTOMER")), ScanPlan(Req("NATION")),
+                         Eq(Col(customer::kNationKey),
+                            Col(kCustomerWidth + nation::kNationKey)));
+  }
+  if (cls == "filter-project") {
+    PlanPtr inner = ProjectPlan(
+        FilterPlan(ScanPlan(Req("ORDERS")),
+                   Gt(Col(orders::kTotalPrice), Lit(50000.0))),
+        {Col(orders::kOrderKey), Col(orders::kTotalPrice),
+         Col(orders::kOrderStatus)});
+    return ProjectPlan(FilterPlan(std::move(inner), Eq(Col(2), Lit("O"))),
+                       {Col(0), Mul(Col(1), Lit(2.0))});
+  }
+  if (cls == "limit-scan") {
+    // Stops the scan early, mid-morsel.
+    return LimitPlan(ScanPlan(Req("ORDERS")), 37);
+  }
   // Composite: join feeds a grouped aggregation feeds a sort, so morsel
   // boundaries of one parallel operator become the input of the next.
   return SortPlan(
@@ -81,8 +131,7 @@ PlanPtr BuildQuery(const std::string& cls) {
           MergeJoinPlan(ScanPlan(Req("CUSTOMER")), ScanPlan(Req("ORDERS")),
                         {customer::kCustKey}, {orders::kCustKey}),
           {customer::kNationKey},
-          // CUSTOMER's scan width is 9 user columns + 2 system columns.
-          {{AggKind::kSum, Col(11 + orders::kTotalPrice)},
+          {{AggKind::kSum, Col(kCustomerWidth + orders::kTotalPrice)},
            {AggKind::kCount, nullptr}}),
       {SortSpec{Col(0), true}});
 }
@@ -198,6 +247,229 @@ TEST(ParallelExecTest, MorselSizeDoesNotChangeOutput) {
     Rows got;
     ASSERT_TRUE(Execute(*plan, eng, opts, nullptr, &got).ok());
     ExpectRowsIdentical(want, got, "morsel=" + std::to_string(morsel));
+  }
+}
+
+// ---- Streamed shapes ------------------------------------------------------
+
+const char* kStreamedShapes[] = {"hash-join-agg-sort", "left-outer-residual",
+                                 "cross-residual", "filter-project",
+                                 "limit-scan"};
+
+TEST(ParallelExecTest, StreamedShapesMatchSerialAtEveryMorselSize) {
+  const uint64_t kWhole = uint64_t{1} << 30;  // one morsel: never engages
+  for (const char* letter : kEngines) {
+    TemporalEngine& eng = Workload(letter).eng();
+    for (const char* shape : kStreamedShapes) {
+      PlanPtr plan = BuildQuery(shape);
+      const std::string label = std::string(letter) + "/" + shape;
+      ExecOptions serial;
+      serial.scan_threads = 1;
+      Rows want;
+      ASSERT_TRUE(Execute(*plan, eng, serial, nullptr, &want).ok()) << label;
+      ASSERT_GT(want.size(), 0u) << label;
+      std::vector<NodeStats> want_stats;
+      CollectStats(*plan, &want_stats);
+
+      for (uint64_t morsel : {uint64_t{1}, uint64_t{7}, uint64_t{64}, kWhole}) {
+        for (int threads : {1, 2, 4, 8}) {
+          const std::string what = label + " morsel=" +
+                                   std::to_string(morsel) +
+                                   " threads=" + std::to_string(threads);
+          ExecOptions opts;
+          opts.scan_threads = threads;
+          opts.morsel_size = morsel;
+          opts.scheduler = &Pool();
+          Rows got;
+          ASSERT_TRUE(Execute(*plan, eng, opts, nullptr, &got).ok()) << what;
+          ExpectRowsIdentical(want, got, what);
+          std::vector<NodeStats> got_stats;
+          CollectStats(*plan, &got_stats);
+          EXPECT_EQ(want_stats, got_stats) << what << ": counters diverged";
+        }
+      }
+    }
+  }
+}
+
+// A satisfied Limit stops the scan beneath it: fewer rows examined than the
+// full scan, and the same number at every thread count.
+TEST(ParallelExecTest, LimitStopsItsScanEarlyWithSerialCounters) {
+  for (const char* letter : kEngines) {
+    TemporalEngine& eng = Workload(letter).eng();
+    PlanPtr full = ScanPlan(Req("ORDERS"));
+    ExecOptions serial;
+    serial.scan_threads = 1;
+    Rows all;
+    ASSERT_TRUE(Execute(*full, eng, serial, nullptr, &all).ok());
+    const uint64_t full_examined = full->stats.scan.rows_examined;
+
+    PlanPtr limited = BuildQuery("limit-scan");
+    Rows want;
+    ASSERT_TRUE(Execute(*limited, eng, serial, nullptr, &want).ok());
+    ASSERT_EQ(37u, want.size()) << letter;
+    const ExecStats& scan = limited->children[0]->stats.scan;
+    EXPECT_LT(scan.rows_examined, full_examined) << letter;
+    EXPECT_EQ(37u, scan.rows_output) << letter;
+    const uint64_t serial_examined = scan.rows_examined;
+    for (int threads : {2, 4, 8}) {
+      ExecOptions opts;
+      opts.scan_threads = threads;
+      opts.morsel_size = 5;
+      opts.scheduler = &Pool();
+      Rows got;
+      ASSERT_TRUE(Execute(*limited, eng, opts, nullptr, &got).ok());
+      ExpectRowsIdentical(want, got, letter);
+      EXPECT_EQ(serial_examined,
+                limited->children[0]->stats.scan.rows_examined)
+          << letter << " threads=" << threads;
+    }
+  }
+}
+
+// ---- Interrupts inside pipelines -------------------------------------------
+
+// A read-only engine view that runs `trip` on the query's context when the
+// `after`-th row of `table` passes through a scan callback — i.e. inside
+// whatever pipeline consumes that scan, on the emitting thread.
+class TrippingEngine : public TemporalEngine {
+ public:
+  TrippingEngine(TemporalEngine* inner, std::string table, int after,
+                 std::function<void(QueryContext*)> trip)
+      : inner_(inner),
+        table_(std::move(table)),
+        after_(after),
+        trip_(std::move(trip)) {}
+
+  bool tripped() const { return tripped_; }
+
+  std::string name() const override { return inner_->name(); }
+  Status CreateIndex(const IndexSpec&) override { return ReadOnly(); }
+  Status DropIndexes(const std::string&) override { return ReadOnly(); }
+  const TableDef& GetTableDef(const std::string& t) const override {
+    return inner_->GetTableDef(t);
+  }
+  Schema ScanSchema(const std::string& t) const override {
+    return inner_->ScanSchema(t);
+  }
+  bool HasTable(const std::string& t) const override {
+    return inner_->HasTable(t);
+  }
+  std::vector<std::string> ListTables() const override {
+    return inner_->ListTables();
+  }
+  TableStats GetTableStats(const std::string& t) const override {
+    return inner_->GetTableStats(t);
+  }
+  void Scan(const ScanRequest& req, const RowCallback& cb) override {
+    int seen = 0;
+    inner_->Scan(req, [&](const Row& row) {
+      if (req.table == table_ && ++seen == after_) {
+        tripped_ = true;
+        trip_(req.ctx);
+      }
+      return cb(row);
+    });
+  }
+
+ protected:
+  Status DoCreateTable(const TableDef&) override { return ReadOnly(); }
+  Status DoInsert(const std::string&, Row) override { return ReadOnly(); }
+  Status DoUpdateCurrent(const std::string&, const std::vector<Value>&,
+                         const std::vector<ColumnAssignment>&) override {
+    return ReadOnly();
+  }
+  Status DoUpdateSequenced(const std::string&, const std::vector<Value>&, int,
+                           const Period&,
+                           const std::vector<ColumnAssignment>&) override {
+    return ReadOnly();
+  }
+  Status DoUpdateOverwrite(const std::string&, const std::vector<Value>&, int,
+                           const Period&,
+                           const std::vector<ColumnAssignment>&) override {
+    return ReadOnly();
+  }
+  Status DoDeleteCurrent(const std::string&,
+                         const std::vector<Value>&) override {
+    return ReadOnly();
+  }
+  Status DoDeleteSequenced(const std::string&, const std::vector<Value>&, int,
+                           const Period&) override {
+    return ReadOnly();
+  }
+  Status DoInstallVersion(const std::string&, const Row&) override {
+    return ReadOnly();
+  }
+
+ private:
+  static Status ReadOnly() { return Status::Unimplemented("read-only view"); }
+
+  TemporalEngine* inner_;
+  std::string table_;
+  int after_;
+  std::function<void(QueryContext*)> trip_;
+  bool tripped_ = false;
+};
+
+bool PoolDrained() {
+  for (int spin = 0; spin < 2000; ++spin) {
+    if (Pool().idle_workers() == Pool().num_workers()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return Pool().idle_workers() == Pool().num_workers();
+}
+
+// Where the interrupt fires: inside the probe of a HashJoin that feeds an
+// Aggregate (ORDERS is the probe side; the CUSTOMER build is complete by
+// then), or inside a parallel scan's emit loop under a Filter.
+PlanPtr InterruptedPlan(const std::string& where) {
+  if (where == "hash-join-probe") {
+    return AggregatePlan(
+        HashJoinPlan(ScanPlan(Req("ORDERS")), ScanPlan(Req("CUSTOMER")),
+                     {orders::kCustKey}, {customer::kCustKey}, kCustomerWidth),
+        {kOrdersWidth + customer::kNationKey},
+        {{AggKind::kSum, Col(orders::kTotalPrice)}});
+  }
+  return FilterPlan(ScanPlan(Req("ORDERS")),
+                    Gt(Col(orders::kTotalPrice), Lit(0.0)));
+}
+
+TEST(ParallelExecTest, InterruptInsidePipelineReturnsStatusAndDrainsPool) {
+  using Clock = QueryContext::Clock;
+  for (const char* letter : kEngines) {
+    TemporalEngine& inner = Workload(letter).eng();  // built before the clock
+    for (const char* where : {"hash-join-probe", "scan-emit"}) {
+      for (bool cancel : {true, false}) {
+        const std::string label = std::string(letter) + "/" + where +
+                                  (cancel ? "/cancel" : "/deadline");
+        const Clock::time_point deadline =
+            Clock::now() + std::chrono::milliseconds(cancel ? 60000 : 300);
+        QueryContext ctx(deadline);
+        TrippingEngine eng(&inner, "ORDERS", /*after=*/10,
+                           [&](QueryContext* c) {
+                             if (cancel) {
+                               c->Cancel();
+                             } else {
+                               std::this_thread::sleep_until(
+                                   deadline + std::chrono::milliseconds(1));
+                             }
+                           });
+        PlanPtr plan = InterruptedPlan(where);
+        ExecOptions opts;
+        opts.scan_threads = 4;
+        opts.morsel_size = 7;
+        opts.scheduler = &Pool();
+        Rows out;
+        const Status st = Execute(*plan, eng, opts, &ctx, &out);
+        EXPECT_TRUE(eng.tripped()) << label;
+        EXPECT_EQ(cancel ? Status::Code::kCancelled
+                         : Status::Code::kDeadlineExceeded,
+                  st.code())
+            << label << ": " << st.ToString();
+        EXPECT_EQ(st.code(), ctx.status().code()) << label;
+        EXPECT_TRUE(PoolDrained()) << label;
+      }
+    }
   }
 }
 
