@@ -2,6 +2,7 @@
 #define TPCBIH_ENGINE_ENGINE_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -99,6 +100,14 @@ struct TableStats {
 
 using RowCallback = std::function<bool(const Row&)>;
 
+// How a statement changes a key. System B records it per version (its
+// STMT_TYPE history column); the other engines ignore it.
+enum class StmtKind : int64_t { kInsert = 0, kUpdate = 1, kDelete = 2 };
+
+// Opaque handle of one stored version, minted by CurrentVersions and valid
+// until the statement ends (System C's merge relocates versions).
+using VersionRef = uint64_t;
+
 // Abstract bitemporal storage engine. The four implementations reproduce
 // the four anonymized systems of the paper (see DESIGN.md for the mapping).
 //
@@ -106,41 +115,55 @@ using RowCallback = std::function<bool(const Row&)>;
 // definition in order, then SYS_TIME_START and SYS_TIME_END (timestamps).
 // Application-time periods are ordinary user columns per the TableDef.
 //
-// DDL and DML are template methods: the public non-virtual entry points
-// allocate the commit timestamp, dispatch to the per-engine Do* virtuals,
-// and mirror every successful mutation to the attached write-ahead log —
-// so all four architectures gain durability without engine-specific code.
+// Everything that does not differ between the architectures lives here,
+// once: the table registry, the type checks on written values, and all six
+// DML statements. A statement allocates its commit timestamp, plans its
+// version changes against the key's current versions (Snodgrass' sequenced
+// splits for the FOR PORTION OF forms, "close all, insert the modified
+// copies" otherwise), applies them through three per-engine version
+// primitives (CurrentVersions, CloseVersion, OpenVersion) and mirrors the
+// statement to the attached write-ahead log. An engine supplies its
+// physical table, those primitives, its scans and its index handling.
 class TemporalEngine {
  public:
   virtual ~TemporalEngine() = default;
 
   virtual std::string name() const = 0;
 
-  // True when the engine natively supports application-time periods.
-  // Engines without native support (Systems C and D) still store the period
-  // columns as plain data; sequenced DML is then emulated client-side by
-  // the engine wrapper, mirroring how the paper ports the workload.
-  virtual bool native_app_time() const { return true; }
-
   // --- DDL -----------------------------------------------------------
+  // AlreadyExists when a table of that name is registered.
   Status CreateTable(const TableDef& def);
   virtual Status CreateIndex(const IndexSpec& spec) = 0;
   virtual Status DropIndexes(const std::string& table) = 0;
 
-  virtual const TableDef& GetTableDef(const std::string& table) const = 0;
-  virtual Schema ScanSchema(const std::string& table) const = 0;
-  virtual bool HasTable(const std::string& table) const = 0;
+  // GetTableDef and ScanSchema are fatal for an unknown table; callers
+  // check HasTable first.
+  const TableDef& GetTableDef(const std::string& table) const;
+  Schema ScanSchema(const std::string& table) const;
+  bool HasTable(const std::string& table) const {
+    return tables_.count(table) > 0;
+  }
+  // Table names in deterministic (sorted) order; the checkpointer walks
+  // these to snapshot the whole engine.
+  std::vector<std::string> ListTables() const;
 
   // --- Transactions ----------------------------------------------------
   // DML statements outside Begin/Commit auto-commit individually. Batched
-  // statements share one commit timestamp (the Fig. 13 batch-size knob).
-  // With a WAL attached, a batch is durable only once Commit has flushed
-  // its records plus a commit marker; auto-commit statements flush
-  // individually.
+  // statements share one commit timestamp (the Fig. 13 batch-size knob);
+  // a version opened and closed inside one batch was never visible and
+  // leaves no history. With a WAL attached, a batch is durable only once
+  // Commit has flushed its records plus a commit marker; auto-commit
+  // statements flush individually.
   void Begin();
   Status Commit();
 
   // --- DML -------------------------------------------------------------
+  // Every statement consumes a commit tick (outside a batch), including
+  // one that fails; only successful ones are logged. Errors: NotFound for
+  // an unknown table or a key without current versions; InvalidArgument
+  // for a row of the wrong arity, a value the column's type cannot store,
+  // NULL in a key or application-period column, an unknown SET column or
+  // period index.
   Status Insert(const std::string& table, Row row);
 
   // Bulk load with explicit system-time periods appended to each row
@@ -194,21 +217,17 @@ class TemporalEngine {
 
   // Applies one logged mutation at its original commit timestamp, keeping
   // the engine clock ahead of it; crash recovery only (engine/recovery.h).
-  // Never mirrored to an attached WAL.
+  // Runs the same statement code as the live entry points. Never mirrored
+  // to an attached WAL.
   Status ApplyWalRecord(const WalRecord& rec);
 
   // --- Checkpointing ---------------------------------------------------
-  // Table names in deterministic (sorted) order; the checkpointer walks
-  // these to snapshot the whole engine.
-  virtual std::vector<std::string> ListTables() const = 0;
   // Installs one stored version (scan-schema layout: user columns followed
   // by SYS_TIME_START and SYS_TIME_END) directly into the engine's physical
   // partitions — current/delta for an open interval, history for a closed
   // one — bypassing DML semantics and WAL mirroring. Checkpoint restore
   // only: call on a freshly created engine before it serves anything.
-  Status InstallVersion(const std::string& table, const Row& stored) {
-    return DoInstallVersion(table, stored);
-  }
+  Status InstallVersion(const std::string& table, const Row& stored);
 
   // --- Query -----------------------------------------------------------
   virtual void Scan(const ScanRequest& req, const RowCallback& cb) = 0;
@@ -237,36 +256,69 @@ class TemporalEngine {
   Timestamp Now() const { return clock_.Now(); }
 
  protected:
-  // Per-engine implementations of the public template methods above. They
-  // must not allocate commit timestamps themselves: MutationTime() returns
-  // the stamp chosen by the dispatching wrapper (or, during recovery, the
-  // original stamp recorded in the log).
-  virtual Status DoCreateTable(const TableDef& def) = 0;
-  virtual Status DoInsert(const std::string& table, Row row) = 0;
-  virtual Status DoBulkLoad(const std::string& table, std::vector<Row> rows);
-  virtual Status DoUpdateCurrent(const std::string& table,
-                                 const std::vector<Value>& key,
-                                 const std::vector<ColumnAssignment>& set) = 0;
-  virtual Status DoUpdateSequenced(
-      const std::string& table, const std::vector<Value>& key,
-      int period_index, const Period& period,
-      const std::vector<ColumnAssignment>& set) = 0;
-  virtual Status DoUpdateOverwrite(
-      const std::string& table, const std::vector<Value>& key,
-      int period_index, const Period& period,
-      const std::vector<ColumnAssignment>& set) = 0;
-  virtual Status DoDeleteCurrent(const std::string& table,
-                                 const std::vector<Value>& key) = 0;
-  virtual Status DoDeleteSequenced(const std::string& table,
-                                   const std::vector<Value>& key,
-                                   int period_index, const Period& period) = 0;
-  virtual Status DoInstallVersion(const std::string& table,
-                                  const Row& stored) = 0;
+  // What every engine's physical table shares: the logical definition and
+  // the scan schema. Engines derive their table type from this and hand it
+  // out through MakeTable.
+  struct TableBase {
+    // The scan schema appends two system-time columns named `sys_from` and
+    // `sys_to` (System C keeps its own VALID_FROM/VALID_TO names, which
+    // SELECT * headers expose).
+    explicit TableBase(TableDef d, const char* sys_from = "SYS_TIME_START",
+                       const char* sys_to = "SYS_TIME_END");
+    virtual ~TableBase() = default;
 
-  // Commit timestamp for the mutation being executed, as allocated by the
-  // dispatching wrapper: a fresh tick in auto-commit mode, the transaction
-  // stamp inside Begin/Commit, the logged stamp during recovery.
-  Timestamp MutationTime() const { return mutation_time_; }
+    // The primary-key values of a user-layout or scan-layout row.
+    std::vector<Value> KeyOf(const Row& row) const;
+
+    const TableDef def;
+    const Schema scan_schema;
+  };
+
+  // --- Per-engine version store ----------------------------------------
+  // The physical table for a newly registered `def`.
+  virtual std::unique_ptr<TableBase> MakeTable(const TableDef& def) const = 0;
+  // The versions of `key` visible now: one opaque ref and one scan-schema
+  // row (user columns, SYS_TIME_START, SYS_TIME_END) each, in a stable order.
+  virtual void CurrentVersions(TableBase& table, const std::vector<Value>& key,
+                               std::vector<VersionRef>* refs,
+                               std::vector<Row>* rows) = 0;
+  // Ends version `ref` at `ts`. When `ever_visible` is false the version was
+  // opened at `ts` by the same transaction and must vanish without trace.
+  virtual void CloseVersion(TableBase& table, VersionRef ref, Timestamp ts,
+                            StmtKind kind, bool ever_visible) = 0;
+  // Stores a new current version of `user_row` (user columns only) opened
+  // at `ts`.
+  virtual void OpenVersion(TableBase& table, Row user_row, Timestamp ts,
+                           StmtKind kind) = 0;
+  // Runs once a statement has made its last version change: System C's
+  // merge check, which relocates versions and so must not run mid-statement.
+  virtual void EndStatement(TableBase& table) { (void)table; }
+
+  // Checkpoint restore of one stored version; `stored` has the scan
+  // schema's arity (InstallVersion checks it).
+  virtual Status DoInstallVersion(TableBase& table, const Row& stored) = 0;
+  virtual Status DoBulkLoad(const std::string& table, std::vector<Row> rows);
+
+  // --- Registry access for the engines ------------------------------------
+  // The table `name` as the engine's physical type T; NotFound when absent.
+  template <class T>
+  Status FindTable(const std::string& name, T** out) const {
+    auto it = tables_.find(name);
+    if (it == tables_.end()) return Status::NotFound("table " + name);
+    *out = static_cast<T*>(it->second.get());
+    return Status::OK();
+  }
+  // Same, fatal when absent: for callers that have checked HasTable.
+  template <class T>
+  T& TableOf(const std::string& name) const {
+    auto it = tables_.find(name);
+    BIH_CHECK_MSG(it != tables_.end(), "no table " + name);
+    return static_cast<T&>(*it->second);
+  }
+  template <class T, class Fn>
+  void ForEachTable(const Fn& fn) {
+    for (auto& [name, t] : tables_) fn(static_cast<T&>(*t));
+  }
 
   // Engines call this at the end of a Scan whose request left `stats` null.
   // The lock only serializes the publication slot; it is never held while
@@ -288,15 +340,33 @@ class TemporalEngine {
   mutable Mutex stats_mu_;
   mutable ExecStats stats_ GUARDED_BY(stats_mu_);
 
-  // Allocates the stamp MutationTime() hands to the Do* layer.
-  void AllocateMutationTime() {
-    mutation_time_ = in_txn_ ? txn_time_ : clock_.NextCommit();
-  }
+  // One DML statement as an entry point (or WAL replay) received it; the
+  // row of an insert travels beside it. Read in place, so a statement
+  // copies nothing unless a WAL is attached.
+  struct Statement {
+    WalRecord::Kind kind;
+    const std::string& table;
+    const std::vector<Value>& key;
+    const std::vector<ColumnAssignment>& set;
+    int period_index;
+    const Period& period;
+  };
+
+  // Registers `def` without logging it (CreateTable and WAL replay).
+  Status RegisterTable(const TableDef& def);
+  // The live DML entry points: allocates the commit stamp, applies the
+  // statement and mirrors it to the WAL on success.
+  Status Execute(const Statement& stmt, Row row);
+  // The one DML routine: validates `stmt`, plans its version changes and
+  // applies them at `ts` through the version primitives.
+  Status ApplyStatement(const Statement& stmt, Row row, Timestamp ts);
   // Mirrors a successful mutation to the WAL: buffered inside a
   // transaction, appended + flushed immediately in auto-commit mode.
   Status LogMutation(WalRecord rec);
 
-  Timestamp mutation_time_;  // bih-lint: allow(guard-coverage) write path only
+  // Sorted, so ListTables is deterministic. Mutated by DDL only, under the
+  // session layer's exclusive lock. bih-lint: allow(guard-coverage)
+  std::map<std::string, std::unique_ptr<TableBase>> tables_;
   // Shared with the group-commit coordinator (see SharedWal()); the engine
   // is still the writer's home — AttachWal replaces it wholesale.
   std::shared_ptr<WalWriter> wal_;

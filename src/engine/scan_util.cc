@@ -1,5 +1,7 @@
 #include "engine/scan_util.h"
 
+#include <algorithm>
+
 namespace bih {
 
 TemporalCols ResolveTemporalCols(const TableDef& def, int app_period_index) {
@@ -54,6 +56,21 @@ bool MatchesConstraints(const Row& row, const ScanRequest& req) {
     if (!req.range_lo.is_null() && v.Compare(req.range_lo) < 0) return false;
     if (!req.range_hi.is_null() && v.Compare(req.range_hi) > 0) return false;
   }
+  return true;
+}
+
+bool PrimaryKeyLookup(const TableDef& def, const ScanRequest& req,
+                      ExecStats* stats, IndexKey* key) {
+  if (def.primary_key.empty() || req.equals.empty()) return false;
+  key->assign(def.primary_key.size(), Value());
+  for (size_t i = 0; i < def.primary_key.size(); ++i) {
+    auto it = std::find_if(
+        req.equals.begin(), req.equals.end(),
+        [&](const auto& eq) { return eq.first == def.primary_key[i]; });
+    if (it == req.equals.end()) return false;
+    (*key)[i] = it->second;
+  }
+  RecordIndexUse(stats, "pk_current(" + def.name + ")");
   return true;
 }
 

@@ -8,6 +8,7 @@
 #include "common/value.h"
 #include "engine/engine.h"
 #include "exec/parallel.h"
+#include "storage/btree_index.h"
 #include "storage/row_table.h"
 #include "temporal/temporal.h"
 
@@ -51,6 +52,13 @@ inline void RecordIndexUse(ExecStats* stats, const std::string& name) {
   if (!stats->index_name.empty()) stats->index_name += ",";
   stats->index_name += name;
 }
+
+// The system key index access path of the row stores (Systems A and B):
+// true when `req.equals` pins every primary-key column of `def`. `key` then
+// holds the key in key-column order, and the lookup is recorded as a use of
+// the index "pk_current(<table>)".
+bool PrimaryKeyLookup(const TableDef& def, const ScanRequest& req,
+                      ExecStats* stats, IndexKey* key);
 
 // Morsel body of the row-store fallback scans (Systems A, B and D): examines
 // the live slots [begin, end) of `part`, shapes each into the scan-schema

@@ -1,39 +1,10 @@
 #include "engine/system_a.h"
 
-#include <algorithm>
-
 namespace bih {
 
-namespace {
-
-Schema StoredSchema(const TableDef& def) {
-  return def.schema.Extend({{"SYS_TIME_START", ColumnType::kTimestamp},
-                            {"SYS_TIME_END", ColumnType::kTimestamp}});
-}
-
-}  // namespace
-
-SystemAEngine::Table* SystemAEngine::Find(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-const SystemAEngine::Table* SystemAEngine::Find(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-Status SystemAEngine::DoCreateTable(const TableDef& def) {
-  if (tables_.count(def.name)) {
-    return Status::AlreadyExists("table " + def.name);
-  }
-  tables_.emplace(def.name, Table(def, StoredSchema(def)));
-  return Status::OK();
-}
-
 Status SystemAEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = Find(spec.table);
-  if (t == nullptr) return Status::NotFound("table " + spec.table);
+  Table* t = nullptr;
+  BIH_RETURN_IF_ERROR(FindTable(spec.table, &t));
   if (spec.type == IndexType::kRTree) {
     // Architecture A exposes only B-tree (and hash) structures, like the
     // commercial systems in the study (Section 5.2).
@@ -56,167 +27,55 @@ Status SystemAEngine::CreateIndex(const IndexSpec& spec) {
 }
 
 Status SystemAEngine::DropIndexes(const std::string& table) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
+  Table* t = nullptr;
+  BIH_RETURN_IF_ERROR(FindTable(table, &t));
   t->current_indexes.Clear();
   t->history_indexes.Clear();
   return Status::OK();
 }
 
-const TableDef& SystemAEngine::GetTableDef(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->def;
-}
-
-Schema SystemAEngine::ScanSchema(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->stored_schema;
-}
-
-IndexKey SystemAEngine::KeyOf(const Table& t, const Row& stored_row) const {
-  IndexKey key;
-  key.reserve(t.def.primary_key.size());
-  for (int c : t.def.primary_key) {
-    key.push_back(stored_row[static_cast<size_t>(c)]);
-  }
-  return key;
-}
-
-std::vector<RowId> SystemAEngine::CurrentVersionsOf(
-    Table* t, const std::vector<Value>& key) {
-  std::vector<RowId> rids;
-  t->pk_current.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
+void SystemAEngine::CurrentVersions(TableBase& table,
+                                    const std::vector<Value>& key,
+                                    std::vector<VersionRef>* refs,
+                                    std::vector<Row>* rows) {
+  auto& t = static_cast<Table&>(table);
+  t.pk_current.Lookup(key, [&](RowId rid) {
+    refs->push_back(rid);
+    rows->push_back(t.current.Get(rid));
     return true;
   });
-  return rids;
 }
 
-RowId SystemAEngine::InsertCurrent(Table* t, Row user_row, Timestamp ts) {
+void SystemAEngine::OpenVersion(TableBase& table, Row user_row, Timestamp ts,
+                                StmtKind) {
+  auto& t = static_cast<Table&>(table);
   user_row.push_back(Value(ts));
   user_row.push_back(Value(Period::kForever));
-  RowId rid = t->current.Append(std::move(user_row));
-  const Row& stored = t->current.Get(rid);
-  t->pk_current.Insert(KeyOf(*t, stored), rid);
-  t->current_indexes.OnInsert(stored, rid);
-  return rid;
+  AddCurrent(&t, std::move(user_row));
 }
 
-void SystemAEngine::MoveToHistory(Table* t, RowId rid, Timestamp ts) {
-  Row closed = t->current.Get(rid);
-  t->pk_current.Erase(KeyOf(*t, closed), rid);
-  t->current_indexes.OnDelete(closed, rid);
-  t->current.Delete(rid);
-  // A version opened and closed by the same transaction was never visible;
-  // only the transaction's final state is versioned.
-  if (closed[closed.size() - 2].AsInt() == ts.micros()) return;
+void SystemAEngine::AddCurrent(Table* t, Row stored) {
+  RowId rid = t->current.Append(std::move(stored));
+  const Row& row = t->current.Get(rid);
+  t->pk_current.Insert(t->KeyOf(row), rid);
+  t->current_indexes.OnInsert(row, rid);
+}
+
+void SystemAEngine::CloseVersion(TableBase& table, VersionRef ref, Timestamp ts,
+                                 StmtKind, bool ever_visible) {
+  // The move to history: the version leaves the current partition and,
+  // unless it was never visible, lands in history with its system interval
+  // truncated at `ts`.
+  auto& t = static_cast<Table&>(table);
+  const RowId rid = ref;
+  Row closed = t.current.Get(rid);
+  t.pk_current.Erase(t.KeyOf(closed), rid);
+  t.current_indexes.OnDelete(closed, rid);
+  t.current.Delete(rid);
+  if (!ever_visible) return;
   closed[closed.size() - 1] = Value(ts);  // SYS_TIME_END
-  RowId hid = t->history.Append(std::move(closed));
-  t->history_indexes.OnInsert(t->history.Get(hid), hid);
-}
-
-Status SystemAEngine::DoInsert(const std::string& table, Row row) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(row.size()) != t->def.schema.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch for " + table);
-  }
-  InsertCurrent(t, std::move(row), MutationTime());
-  return Status::OK();
-}
-
-Status SystemAEngine::DoUpdateCurrent(const std::string& table,
-                                    const std::vector<Value>& key,
-                                    const std::vector<ColumnAssignment>& set) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids = CurrentVersionsOf(t, key);
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) {
-    Row user_row(t->current.Get(rid).begin(),
-                 t->current.Get(rid).end() - 2);  // strip system columns
-    for (const ColumnAssignment& a : set) {
-      user_row[static_cast<size_t>(a.column)] = a.value;
-    }
-    MoveToHistory(t, rid, ts);
-    InsertCurrent(t, std::move(user_row), ts);
-  }
-  return Status::OK();
-}
-
-Status SystemAEngine::ApplySequenced(const std::string& table,
-                                     const std::vector<Value>& key,
-                                     int period_index, const Period& period,
-                                     const std::vector<ColumnAssignment>& set,
-                                     int mode) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (period_index < 0 ||
-      period_index >= static_cast<int>(t->def.app_periods.size())) {
-    return Status::InvalidArgument("no such application-time period");
-  }
-  const AppPeriodDef& ap =
-      t->def.app_periods[static_cast<size_t>(period_index)];
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids = CurrentVersionsOf(t, key);
-  if (rids.empty()) return Status::NotFound("no current version of key");
-
-  std::vector<Row> versions;
-  versions.reserve(rids.size());
-  for (RowId rid : rids) versions.push_back(t->current.Get(rid));
-
-  SequencedOps ops;
-  switch (mode) {
-    case 0:
-      ops = PlanSequencedUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-    case 1:
-      ops = PlanSequencedDelete(versions, ap.begin_col, ap.end_col, period);
-      break;
-    default:
-      ops = PlanOverwriteUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-  }
-  for (size_t vi : ops.to_close) MoveToHistory(t, rids[vi], ts);
-  for (Row& r : ops.to_insert) {
-    Row user_row(r.begin(), r.end() - 2);
-    InsertCurrent(t, std::move(user_row), ts);
-  }
-  return Status::OK();
-}
-
-Status SystemAEngine::DoUpdateSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 0);
-}
-
-Status SystemAEngine::DoUpdateOverwrite(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 2);
-}
-
-Status SystemAEngine::DoDeleteCurrent(const std::string& table,
-                                    const std::vector<Value>& key) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids = CurrentVersionsOf(t, key);
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) MoveToHistory(t, rid, ts);
-  return Status::OK();
-}
-
-Status SystemAEngine::DoDeleteSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period) {
-  return ApplySequenced(table, key, period_index, period, {}, 1);
+  RowId hid = t.history.Append(std::move(closed));
+  t.history_indexes.OnInsert(t.history.Get(hid), hid);
 }
 
 void SystemAEngine::ScanPartition(const Table& t, bool is_history,
@@ -258,24 +117,11 @@ void SystemAEngine::ScanPartition(const Table& t, bool is_history,
     RecordIndexUse(stats, index_name);
     return;
   }
-  if (!is_history && !req.equals.empty()) {
+  IndexKey key;
+  if (!is_history && PrimaryKeyLookup(t.def, req, stats, &key)) {
     // The system-created key index serves full-key equality on current.
-    IndexKey key(t.def.primary_key.size());
-    size_t matched = 0;
-    for (size_t i = 0; i < t.def.primary_key.size(); ++i) {
-      for (const auto& [c, v] : req.equals) {
-        if (c == t.def.primary_key[i]) {
-          key[i] = v;
-          ++matched;
-          break;
-        }
-      }
-    }
-    if (matched == t.def.primary_key.size() && matched > 0) {
-      RecordIndexUse(stats, "pk_current(" + t.def.name + ")");
-      t.pk_current.Lookup(key, emit_rid);
-      return;
-    }
+    t.pk_current.Lookup(key, emit_rid);
+    return;
   }
   if (plan.Engage(part.SlotCount())) {
     ParallelRowScan(
@@ -288,8 +134,7 @@ void SystemAEngine::ScanPartition(const Table& t, bool is_history,
 }
 
 void SystemAEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
-  Table* t = Find(req.table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
+  Table* t = &TableOf<Table>(req.table);
   ExecStats local;
   ExecStats* stats = req.stats != nullptr ? req.stats : &local;
   *stats = ExecStats{};
@@ -309,40 +154,22 @@ void SystemAEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
   if (req.stats == nullptr) PublishStats(local);
 }
 
-std::vector<std::string> SystemAEngine::ListTables() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, t] : tables_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-Status SystemAEngine::DoInstallVersion(const std::string& table,
-                                       const Row& stored) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(stored.size()) != t->stored_schema.num_columns()) {
-    return Status::InvalidArgument("snapshot row arity mismatch for " + table);
-  }
-  const bool open = stored.back().AsInt() == Period::kForever;
-  if (open) {
-    RowId rid = t->current.Append(stored);
-    const Row& r = t->current.Get(rid);
-    t->pk_current.Insert(KeyOf(*t, r), rid);
-    t->current_indexes.OnInsert(r, rid);
+Status SystemAEngine::DoInstallVersion(TableBase& table, const Row& stored) {
+  auto& t = static_cast<Table&>(table);
+  if (stored.back().AsInt() == Period::kForever) {
+    AddCurrent(&t, stored);
   } else {
-    RowId hid = t->history.Append(stored);
-    t->history_indexes.OnInsert(t->history.Get(hid), hid);
+    RowId hid = t.history.Append(stored);
+    t.history_indexes.OnInsert(t.history.Get(hid), hid);
   }
   return Status::OK();
 }
 
 TableStats SystemAEngine::GetTableStats(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
+  const Table& t = TableOf<const Table>(table);
   TableStats s;
-  s.current_rows = t->current.LiveCount();
-  s.history_rows = t->history.LiveCount();
+  s.current_rows = t.current.LiveCount();
+  s.history_rows = t.history.LiveCount();
   return s;
 }
 

@@ -4,43 +4,16 @@
 
 namespace bih {
 
-namespace {
-
-Schema StoredSchema(const TableDef& def) {
-  return def.schema.Extend({{"SYS_TIME_START", ColumnType::kTimestamp},
-                            {"SYS_TIME_END", ColumnType::kTimestamp}});
-}
-
-Schema HistorySchema(const TableDef& def) {
-  return def.schema.Extend({{"SYS_TIME_START", ColumnType::kTimestamp},
-                            {"SYS_TIME_END", ColumnType::kTimestamp},
-                            {"TXN_ID", ColumnType::kInt},
-                            {"STMT_TYPE", ColumnType::kInt}});
-}
-
-}  // namespace
-
-SystemBEngine::Table* SystemBEngine::Find(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-const SystemBEngine::Table* SystemBEngine::Find(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-Status SystemBEngine::DoCreateTable(const TableDef& def) {
-  if (tables_.count(def.name)) {
-    return Status::AlreadyExists("table " + def.name);
-  }
-  tables_.emplace(def.name, Table(def, StoredSchema(def), HistorySchema(def)));
-  return Status::OK();
-}
+SystemBEngine::Table::Table(const TableDef& d)
+    : TableBase(d),
+      history_schema(scan_schema.Extend({{"TXN_ID", ColumnType::kInt},
+                                         {"STMT_TYPE", ColumnType::kInt}})),
+      current(def.schema),
+      history(history_schema) {}
 
 Status SystemBEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = Find(spec.table);
-  if (t == nullptr) return Status::NotFound("table " + spec.table);
+  Table* t = nullptr;
+  BIH_RETURN_IF_ERROR(FindTable(spec.table, &t));
   if (spec.type == IndexType::kRTree) {
     return Status::Unimplemented("System B supports only B-tree indexes");
   }
@@ -66,30 +39,11 @@ Status SystemBEngine::CreateIndex(const IndexSpec& spec) {
 }
 
 Status SystemBEngine::DropIndexes(const std::string& table) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
+  Table* t = nullptr;
+  BIH_RETURN_IF_ERROR(FindTable(table, &t));
   t->current_indexes.Clear();
   t->history_indexes.Clear();
   return Status::OK();
-}
-
-const TableDef& SystemBEngine::GetTableDef(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->def;
-}
-
-Schema SystemBEngine::ScanSchema(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->stored_schema;
-}
-
-IndexKey SystemBEngine::KeyOf(const Table& t, const Row& user_row) const {
-  IndexKey key;
-  key.reserve(t.def.primary_key.size());
-  for (int c : t.def.primary_key) key.push_back(user_row[static_cast<size_t>(c)]);
-  return key;
 }
 
 Row SystemBEngine::StoredRowOf(const Table& t, RowId rid) const {
@@ -101,51 +55,65 @@ Row SystemBEngine::StoredRowOf(const Table& t, RowId rid) const {
   return row;
 }
 
-RowId SystemBEngine::InsertCurrent(Table* t, Row user_row, Timestamp ts,
-                                   int stmt) {
-  RowId rid = t->current.Append(std::move(user_row));
+void SystemBEngine::CurrentVersions(TableBase& table,
+                                    const std::vector<Value>& key,
+                                    std::vector<VersionRef>* refs,
+                                    std::vector<Row>* rows) {
+  auto& t = static_cast<Table&>(table);
+  t.pk_current.Lookup(key, [&](RowId rid) {
+    refs->push_back(rid);
+    rows->push_back(StoredRowOf(t, rid));
+    return true;
+  });
+}
+
+void SystemBEngine::OpenVersion(TableBase& table, Row user_row, Timestamp ts,
+                                StmtKind kind) {
+  auto& t = static_cast<Table&>(table);
+  // A row planned from a scan-schema version still has room for the two
+  // system-time columns, which this layout keeps in the vertical partition.
+  user_row.shrink_to_fit();
+  RowId rid = t.current.Append(std::move(user_row));
   VersionMeta meta;
   meta.row_ref = rid;
   meta.sys_from = ts.micros();
-  meta.txn_id = next_txn_id_;
-  meta.stmt_type = stmt;
-  t->versions.push_back(meta);
-  t->version_slot[rid] = t->versions.size() - 1;
-  const Row& stored = t->current.Get(rid);
-  t->pk_current.Insert(KeyOf(*t, stored), rid);
-  if (!t->current_indexes.empty()) {
-    t->current_indexes.OnInsert(StoredRowOf(*t, rid), rid);
+  // Commit stamps are unique per transaction, so the stamp is the id.
+  meta.txn_id = ts.micros();
+  meta.stmt_type = static_cast<int64_t>(kind);
+  t.versions.push_back(meta);
+  t.version_slot[rid] = t.versions.size() - 1;
+  t.pk_current.Insert(t.KeyOf(t.current.Get(rid)), rid);
+  if (!t.current_indexes.empty()) {
+    t.current_indexes.OnInsert(StoredRowOf(t, rid), rid);
   }
-  return rid;
 }
 
-void SystemBEngine::CloseVersion(Table* t, RowId rid, Timestamp ts, int stmt) {
-  auto it = t->version_slot.find(rid);
-  BIH_CHECK(it != t->version_slot.end());
-  VersionMeta& meta = t->versions[it->second];
-  // Same-transaction churn is not versioned.
-  const bool visible = meta.sys_from != ts.micros();
-  if (visible) {
-    Row hist = t->current.Get(rid);
-    if (!t->current_indexes.empty()) {
-      t->current_indexes.OnDelete(StoredRowOf(*t, rid), rid);
-    }
+void SystemBEngine::CloseVersion(TableBase& table, VersionRef ref, Timestamp ts,
+                                 StmtKind kind, bool ever_visible) {
+  auto& t = static_cast<Table&>(table);
+  const RowId rid = ref;
+  auto it = t.version_slot.find(rid);
+  BIH_CHECK(it != t.version_slot.end());
+  VersionMeta& meta = t.versions[it->second];
+  if (!t.current_indexes.empty()) {
+    t.current_indexes.OnDelete(StoredRowOf(t, rid), rid);
+  }
+  if (ever_visible) {
+    Row hist = t.current.Get(rid);
     hist.push_back(Value(meta.sys_from));
     hist.push_back(Value(ts));
     hist.push_back(Value(meta.txn_id));
-    hist.push_back(Value(static_cast<int64_t>(stmt)));
-    t->undo_log.push_back(std::move(hist));
-  } else if (!t->current_indexes.empty()) {
-    t->current_indexes.OnDelete(StoredRowOf(*t, rid), rid);
+    hist.push_back(Value(static_cast<int64_t>(kind)));
+    t.undo_log.push_back(std::move(hist));
   }
-  t->pk_current.Erase(KeyOf(*t, t->current.Get(rid)), rid);
-  t->current.Delete(rid);
+  t.pk_current.Erase(t.KeyOf(t.current.Get(rid)), rid);
+  t.current.Delete(rid);
   meta.row_ref = kInvalidRowId;
-  t->version_slot.erase(it);
+  t.version_slot.erase(it);
   // Simulated background writer: drains the undo log once it fills up.
   // The unlucky transaction crossing the threshold pays for the batch,
   // which is what produces the 97th-percentile spikes of Fig. 16.
-  if (t->undo_log.size() >= kUndoFlushThreshold) FlushUndo(t);
+  if (t.undo_log.size() >= kUndoFlushThreshold) FlushUndo(&t);
 }
 
 void SystemBEngine::FlushUndo(Table* t) {
@@ -178,124 +146,6 @@ void SystemBEngine::FlushUndo(Table* t) {
       t->version_slot[t->versions[i].row_ref] = i;
     }
   }
-}
-
-Status SystemBEngine::DoInsert(const std::string& table, Row row) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(row.size()) != t->def.schema.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch for " + table);
-  }
-  ++next_txn_id_;
-  InsertCurrent(t, std::move(row), MutationTime(), 0);
-  return Status::OK();
-}
-
-Status SystemBEngine::DoUpdateCurrent(const std::string& table,
-                                    const std::vector<Value>& key,
-                                    const std::vector<ColumnAssignment>& set) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  ++next_txn_id_;
-  std::vector<RowId> rids;
-  t->pk_current.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) {
-    Row user_row = t->current.Get(rid);
-    for (const ColumnAssignment& a : set) {
-      user_row[static_cast<size_t>(a.column)] = a.value;
-    }
-    CloseVersion(t, rid, ts, 1);
-    InsertCurrent(t, std::move(user_row), ts, 1);
-  }
-  return Status::OK();
-}
-
-Status SystemBEngine::ApplySequenced(const std::string& table,
-                                     const std::vector<Value>& key,
-                                     int period_index, const Period& period,
-                                     const std::vector<ColumnAssignment>& set,
-                                     int mode) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (period_index < 0 ||
-      period_index >= static_cast<int>(t->def.app_periods.size())) {
-    return Status::InvalidArgument("no such application-time period");
-  }
-  const AppPeriodDef& ap =
-      t->def.app_periods[static_cast<size_t>(period_index)];
-  Timestamp ts = MutationTime();
-  ++next_txn_id_;
-  std::vector<RowId> rids;
-  t->pk_current.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-
-  std::vector<Row> versions;
-  versions.reserve(rids.size());
-  for (RowId rid : rids) versions.push_back(t->current.Get(rid));
-
-  SequencedOps ops;
-  switch (mode) {
-    case 0:
-      ops = PlanSequencedUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-    case 1:
-      ops = PlanSequencedDelete(versions, ap.begin_col, ap.end_col, period);
-      break;
-    default:
-      ops = PlanOverwriteUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-  }
-  for (size_t vi : ops.to_close) {
-    CloseVersion(t, rids[vi], ts, mode == 1 ? 2 : 1);
-  }
-  for (Row& r : ops.to_insert) {
-    InsertCurrent(t, std::move(r), ts, 1);
-  }
-  return Status::OK();
-}
-
-Status SystemBEngine::DoUpdateSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 0);
-}
-
-Status SystemBEngine::DoUpdateOverwrite(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 2);
-}
-
-Status SystemBEngine::DoDeleteCurrent(const std::string& table,
-                                    const std::vector<Value>& key) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  ++next_txn_id_;
-  std::vector<RowId> rids;
-  t->pk_current.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) CloseVersion(t, rid, ts, 2);
-  return Status::OK();
-}
-
-Status SystemBEngine::DoDeleteSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period) {
-  return ApplySequenced(table, key, period_index, period, {}, 1);
 }
 
 void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
@@ -371,8 +221,7 @@ void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
 }
 
 void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
-  Table* t = Find(req.table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
+  Table* t = &TableOf<Table>(req.table);
   ExecStats local;
   ExecStats* stats = req.stats != nullptr ? req.stats : &local;
   *stats = ExecStats{};
@@ -411,26 +260,13 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
       if (req.stats == nullptr) PublishStats(local);
       return;
     }
-    if (!req.equals.empty()) {
-      IndexKey key(t->def.primary_key.size());
-      size_t matched = 0;
-      for (size_t i = 0; i < t->def.primary_key.size(); ++i) {
-        for (const auto& [c, v] : req.equals) {
-          if (c == t->def.primary_key[i]) {
-            key[i] = v;
-            ++matched;
-            break;
-          }
-        }
-      }
-      if (matched == t->def.primary_key.size() && matched > 0) {
-        RecordIndexUse(stats, "pk_current(" + t->def.name + ")");
-        t->pk_current.Lookup(key, [&](RowId rid) {
-          return consider(rid, t->current.Get(rid));
-        });
-        if (req.stats == nullptr) PublishStats(local);
-        return;
-      }
+    IndexKey key;
+    if (PrimaryKeyLookup(t->def, req, stats, &key)) {
+      t->pk_current.Lookup(key, [&](RowId rid) {
+        return consider(rid, t->current.Get(rid));
+      });
+      if (req.stats == nullptr) PublishStats(local);
+      return;
     }
     if (plan.Engage(t->current.SlotCount())) {
       ParallelRowScan(
@@ -462,7 +298,7 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
   if (!stopped) {
     ++stats->partitions_touched;
     stats->touched_history = true;
-    const int scan_width = t->stored_schema.num_columns();
+    const int scan_width = t->scan_schema.num_columns();
     auto consider_hist = [&](const Row& hist_row) -> bool {
       if (req.ctx != nullptr && !req.ctx->KeepGoing()) return false;
       ++stats->rows_examined;
@@ -499,30 +335,17 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
 }
 
 void SystemBEngine::PrepareForReads() {
-  for (auto& [name, t] : tables_) FlushUndo(&t);
+  ForEachTable<Table>([this](Table& t) { FlushUndo(&t); });
 }
 
-std::vector<std::string> SystemBEngine::ListTables() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, t] : tables_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-Status SystemBEngine::DoInstallVersion(const std::string& table,
-                                       const Row& stored) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(stored.size()) != t->stored_schema.num_columns()) {
-    return Status::InvalidArgument("snapshot row arity mismatch for " + table);
-  }
-  const size_t user_cols = static_cast<size_t>(t->def.schema.num_columns());
+Status SystemBEngine::DoInstallVersion(TableBase& table, const Row& stored) {
+  auto& t = static_cast<Table&>(table);
+  const size_t user_cols = static_cast<size_t>(t.def.schema.num_columns());
   const int64_t sys_from = stored[user_cols].AsInt();
   const int64_t sys_to = stored[user_cols + 1].AsInt();
   if (sys_to == Period::kForever) {
     Row user_row(stored.begin(), stored.begin() + static_cast<long>(user_cols));
-    InsertCurrent(t, std::move(user_row), Timestamp(sys_from), /*stmt=*/0);
+    OpenVersion(t, std::move(user_row), Timestamp(sys_from), StmtKind::kInsert);
   } else {
     // Closed versions go straight to the history partition. The metadata
     // columns are zeroed: a restored store has no live transaction ids, and
@@ -532,21 +355,20 @@ Status SystemBEngine::DoInstallVersion(const std::string& table,
     hist.push_back(Value(sys_to));
     hist.push_back(Value(static_cast<int64_t>(0)));  // TXN_ID
     hist.push_back(Value(static_cast<int64_t>(0)));  // STMT_TYPE
-    RowId hid = t->history.Append(std::move(hist));
-    if (!t->history_indexes.empty()) {
-      t->history_indexes.OnInsert(t->history.Get(hid), hid);
+    RowId hid = t.history.Append(std::move(hist));
+    if (!t.history_indexes.empty()) {
+      t.history_indexes.OnInsert(t.history.Get(hid), hid);
     }
   }
   return Status::OK();
 }
 
 TableStats SystemBEngine::GetTableStats(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
+  const Table& t = TableOf<const Table>(table);
   TableStats s;
-  s.current_rows = t->current.LiveCount();
-  s.history_rows = t->history.LiveCount();
-  s.pending_undo = t->undo_log.size();
+  s.current_rows = t.current.LiveCount();
+  s.history_rows = t.history.LiveCount();
+  s.pending_undo = t.undo_log.size();
   return s;
 }
 

@@ -1,6 +1,7 @@
 #ifndef TPCBIH_ENGINE_SYSTEM_B_H_
 #define TPCBIH_ENGINE_SYSTEM_B_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,34 +37,8 @@ class SystemBEngine : public TemporalEngine {
 
   std::string name() const override { return "SystemB"; }
 
-  Status DoCreateTable(const TableDef& def) override;
   Status CreateIndex(const IndexSpec& spec) override;
   Status DropIndexes(const std::string& table) override;
-  const TableDef& GetTableDef(const std::string& table) const override;
-  Schema ScanSchema(const std::string& table) const override;
-  bool HasTable(const std::string& table) const override {
-    return tables_.count(table) > 0;
-  }
-
-  Status DoInsert(const std::string& table, Row row) override;
-  Status DoUpdateCurrent(const std::string& table, const std::vector<Value>& key,
-                       const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateOverwrite(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoDeleteCurrent(const std::string& table,
-                       const std::vector<Value>& key) override;
-  Status DoDeleteSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period) override;
-
-  std::vector<std::string> ListTables() const override;
-  Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
   void Scan(const ScanRequest& req, const RowCallback& cb) override;
   TableStats GetTableStats(const std::string& table) const override;
@@ -72,18 +47,33 @@ class SystemBEngine : public TemporalEngine {
   // trigger the background-writer simulation from the scan path.
   void PrepareForReads() override;
 
+ protected:
+  std::unique_ptr<TableBase> MakeTable(const TableDef& def) const override {
+    return std::make_unique<Table>(def);
+  }
+  // Refs are row ids in the current partition; the rows are reconstructed
+  // from the vertical partition's start stamps.
+  void CurrentVersions(TableBase& table, const std::vector<Value>& key,
+                       std::vector<VersionRef>* refs,
+                       std::vector<Row>* rows) override;
+  // Buffers the closed version, with its TXN_ID and the statement `kind`
+  // as STMT_TYPE, in the undo log; drains the log at kUndoFlushThreshold.
+  void CloseVersion(TableBase& table, VersionRef ref, Timestamp ts,
+                    StmtKind kind, bool ever_visible) override;
+  void OpenVersion(TableBase& table, Row user_row, Timestamp ts,
+                   StmtKind kind) override;
+  Status DoInstallVersion(TableBase& table, const Row& stored) override;
+
  private:
   // Metadata record of one current row in the vertical partition.
   struct VersionMeta {
     RowId row_ref = kInvalidRowId;
     int64_t sys_from = 0;
     int64_t txn_id = 0;
-    int64_t stmt_type = 0;  // 0=insert 1=update 2=delete
+    int64_t stmt_type = 0;  // StmtKind of the opening statement
   };
 
-  struct Table {
-    TableDef def;
-    Schema stored_schema;   // scan schema: user + sys interval
+  struct Table : TableBase {
     Schema history_schema;  // user + sys interval + txn metadata
     RowTable current;       // user columns only
     // Vertical partition. Kept in *update order*, not row order: every
@@ -97,36 +87,17 @@ class SystemBEngine : public TemporalEngine {
     IndexSet current_indexes;   // indexed over scan-schema rows
     IndexSet history_indexes;
 
-    Table(TableDef d, Schema stored, Schema hist)
-        : def(std::move(d)),
-          stored_schema(stored),
-          history_schema(hist),
-          current(def.schema),
-          history(hist) {}
+    explicit Table(const TableDef& d);
   };
 
-  Table* Find(const std::string& name);
-  const Table* Find(const std::string& name) const;
-
-  IndexKey KeyOf(const Table& t, const Row& user_row) const;
   Row StoredRowOf(const Table& t, RowId rid) const;
-
-  RowId InsertCurrent(Table* t, Row user_row, Timestamp ts, int stmt);
-  void CloseVersion(Table* t, RowId rid, Timestamp ts, int stmt);
   void FlushUndo(Table* t);
-
-  Status ApplySequenced(const std::string& table, const std::vector<Value>& key,
-                        int period_index, const Period& period,
-                        const std::vector<ColumnAssignment>& set, int mode);
 
   void ScanCurrentWithReconstruction(Table* t, const ScanRequest& req,
                                      const TemporalCols& tc,
                                      const ParallelScanPlan& plan,
                                      ExecStats* stats, bool* stopped,
                                      const RowCallback& cb);
-
-  std::unordered_map<std::string, Table> tables_;
-  int64_t next_txn_id_ = 1;
 };
 
 }  // namespace bih

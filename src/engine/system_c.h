@@ -1,6 +1,7 @@
 #ifndef TPCBIH_ENGINE_SYSTEM_C_H_
 #define TPCBIH_ENGINE_SYSTEM_C_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,50 +25,41 @@ namespace bih {
 //  * Execution is scan-based: tuning indexes are accepted but never used,
 //    matching the measurement that B-trees bring System C no benefit.
 //  * Application time has no native support; the period columns are plain
-//    data and the engine wrapper emulates sequenced semantics client-side,
-//    like the paper's "simulated application time".
+//    data, like the paper's "simulated application time". Sequenced DML
+//    runs through the same shared statement code as on every engine.
 class SystemCEngine : public TemporalEngine {
  public:
   // Delta size that triggers an automatic merge.
   static constexpr size_t kMergeThreshold = 1 << 16;
 
   std::string name() const override { return "SystemC"; }
-  bool native_app_time() const override { return false; }
 
-  Status DoCreateTable(const TableDef& def) override;
   Status CreateIndex(const IndexSpec& spec) override;
   Status DropIndexes(const std::string& table) override;
-  const TableDef& GetTableDef(const std::string& table) const override;
-  Schema ScanSchema(const std::string& table) const override;
-  bool HasTable(const std::string& table) const override {
-    return tables_.count(table) > 0;
-  }
-
-  Status DoInsert(const std::string& table, Row row) override;
-  Status DoUpdateCurrent(const std::string& table, const std::vector<Value>& key,
-                       const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoUpdateOverwrite(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period,
-                         const std::vector<ColumnAssignment>& set) override;
-  Status DoDeleteCurrent(const std::string& table,
-                       const std::vector<Value>& key) override;
-  Status DoDeleteSequenced(const std::string& table,
-                         const std::vector<Value>& key, int period_index,
-                         const Period& period) override;
-
-  std::vector<std::string> ListTables() const override;
-  Status DoInstallVersion(const std::string& table, const Row& stored) override;
 
   void Scan(const ScanRequest& req, const RowCallback& cb) override;
   TableStats GetTableStats(const std::string& table) const override;
 
   // Delta->main merge for every table (history relocation included).
   void Maintain() override;
+
+ protected:
+  std::unique_ptr<TableBase> MakeTable(const TableDef& def) const override {
+    return std::make_unique<Table>(def);
+  }
+  // Refs encode a Loc (part and row id), so they go stale at a merge.
+  void CurrentVersions(TableBase& table, const std::vector<Value>& key,
+                       std::vector<VersionRef>* refs,
+                       std::vector<Row>* rows) override;
+  // Sets VALID_TO in place; the next merge relocates the version to history.
+  void CloseVersion(TableBase& table, VersionRef ref, Timestamp ts,
+                    StmtKind kind, bool ever_visible) override;
+  // Appends to the delta.
+  void OpenVersion(TableBase& table, Row user_row, Timestamp ts,
+                   StmtKind kind) override;
+  // The merge check: merges once the delta reaches kMergeThreshold.
+  void EndStatement(TableBase& table) override;
+  Status DoInstallVersion(TableBase& table, const Row& stored) override;
 
  private:
   enum class Part : uint8_t { kDelta = 0, kMain = 1 };
@@ -76,6 +68,14 @@ class SystemCEngine : public TemporalEngine {
     Part part;
     RowId rid;
   };
+  // A version ref packs a Loc: the row id shifted over the part bit.
+  static VersionRef RefOf(const Loc& loc) {
+    return (static_cast<VersionRef>(loc.rid) << 1) |
+           static_cast<VersionRef>(loc.part);
+  }
+  static Loc LocOf(VersionRef ref) {
+    return Loc{static_cast<Part>(ref & 1u), ref >> 1};
+  }
 
   struct KeyHash {
     size_t operator()(const IndexKey& k) const {
@@ -90,9 +90,7 @@ class SystemCEngine : public TemporalEngine {
     }
   };
 
-  struct Table {
-    TableDef def;
-    Schema stored_schema;  // user columns + VALID_FROM + VALID_TO
+  struct Table : TableBase {
     ColumnTable delta;
     ColumnTable main;
     ColumnTable history;
@@ -101,29 +99,20 @@ class SystemCEngine : public TemporalEngine {
     std::unordered_map<IndexKey, std::vector<Loc>, KeyHash, KeyEq> current_by_key;
     std::vector<std::string> ignored_indexes;  // accepted but unused
 
-    Table(TableDef d, Schema stored)
-        : def(std::move(d)), delta(stored), main(stored), history(stored) {
-      stored_schema = stored;
-    }
+    // The hidden system-time columns keep their own names; the scan schema
+    // exposes them at the positions other engines use for SYS_TIME_*.
+    explicit Table(const TableDef& d)
+        : TableBase(d, "VALID_FROM", "VALID_TO"),
+          delta(scan_schema),
+          main(scan_schema),
+          history(scan_schema) {}
   };
 
-  Table* Find(const std::string& name);
-  const Table* Find(const std::string& name) const;
-
-  ColumnTable* PartOf(Table* t, Part p) {
+  static ColumnTable* PartOf(Table* t, Part p) {
     return p == Part::kDelta ? &t->delta : &t->main;
   }
 
-  IndexKey KeyOf(const Table& t, const Row& row) const;
   void MergeTable(Table* t);
-  void MaybeMerge(Table* t);
-
-  Loc AppendVersion(Table* t, Row user_row, Timestamp ts);
-  void InvalidateVersion(Table* t, const Loc& loc, Timestamp ts);
-
-  Status ApplySequenced(const std::string& table, const std::vector<Value>& key,
-                        int period_index, const Period& period,
-                        const std::vector<ColumnAssignment>& set, int mode);
 
   void ScanPartition(const Table& t, const ColumnTable& part, bool is_history,
                      const ScanRequest& req, const TemporalCols& tc,
@@ -139,8 +128,6 @@ class SystemCEngine : public TemporalEngine {
                   const std::vector<uint8_t>& checked, uint64_t begin,
                   uint64_t end, const std::atomic<bool>& stop,
                   MorselOutput* out) const;
-
-  std::unordered_map<std::string, Table> tables_;
 };
 
 }  // namespace bih

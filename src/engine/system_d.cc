@@ -1,39 +1,10 @@
 #include "engine/system_d.h"
 
-#include <algorithm>
-
 namespace bih {
 
-namespace {
-
-Schema StoredSchema(const TableDef& def) {
-  return def.schema.Extend({{"SYS_TIME_START", ColumnType::kTimestamp},
-                            {"SYS_TIME_END", ColumnType::kTimestamp}});
-}
-
-}  // namespace
-
-SystemDEngine::Table* SystemDEngine::Find(const std::string& name) {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-const SystemDEngine::Table* SystemDEngine::Find(const std::string& name) const {
-  auto it = tables_.find(name);
-  return it == tables_.end() ? nullptr : &it->second;
-}
-
-Status SystemDEngine::DoCreateTable(const TableDef& def) {
-  if (tables_.count(def.name)) {
-    return Status::AlreadyExists("table " + def.name);
-  }
-  tables_.emplace(def.name, Table(def, StoredSchema(def)));
-  return Status::OK();
-}
-
 Status SystemDEngine::CreateIndex(const IndexSpec& spec) {
-  Table* t = Find(spec.table);
-  if (t == nullptr) return Status::NotFound("table " + spec.table);
+  Table* t = nullptr;
+  BIH_RETURN_IF_ERROR(FindTable(spec.table, &t));
   // Single partition: both partition selectors address the same table.
   t->indexes.AddIndex(
       spec, [&](const std::function<void(RowId, const Row&)>& fn) {
@@ -46,191 +17,74 @@ Status SystemDEngine::CreateIndex(const IndexSpec& spec) {
 }
 
 Status SystemDEngine::DropIndexes(const std::string& table) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
+  Table* t = nullptr;
+  BIH_RETURN_IF_ERROR(FindTable(table, &t));
   t->indexes.Clear();
   return Status::OK();
 }
 
-const TableDef& SystemDEngine::GetTableDef(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->def;
+void SystemDEngine::CurrentVersions(TableBase& table,
+                                    const std::vector<Value>& key,
+                                    std::vector<VersionRef>* refs,
+                                    std::vector<Row>* rows) {
+  auto& t = static_cast<Table&>(table);
+  t.current_by_key.Lookup(key, [&](RowId rid) {
+    refs->push_back(rid);
+    rows->push_back(t.data.Get(rid));
+    return true;
+  });
 }
 
-Schema SystemDEngine::ScanSchema(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
-  return t->stored_schema;
-}
-
-IndexKey SystemDEngine::KeyOf(const Table& t, const Row& row) const {
-  IndexKey key;
-  key.reserve(t.def.primary_key.size());
-  for (int c : t.def.primary_key) key.push_back(row[static_cast<size_t>(c)]);
-  return key;
-}
-
-RowId SystemDEngine::InsertVersion(Table* t, Row user_row, Timestamp ts) {
+void SystemDEngine::OpenVersion(TableBase& table, Row user_row, Timestamp ts,
+                                StmtKind) {
+  auto& t = static_cast<Table&>(table);
   user_row.push_back(Value(ts));
   user_row.push_back(Value(Period::kForever));
-  RowId rid = t->data.Append(std::move(user_row));
-  const Row& stored = t->data.Get(rid);
-  t->current_by_key.Insert(KeyOf(*t, stored), rid);
-  t->indexes.OnInsert(stored, rid);
-  return rid;
+  AddVersion(&t, std::move(user_row));
 }
 
-void SystemDEngine::CloseVersion(Table* t, RowId rid, Timestamp ts) {
-  Row* row = t->data.GetMutable(rid);
-  t->current_by_key.Erase(KeyOf(*t, *row), rid);
-  if ((*row)[row->size() - 2].AsInt() == ts.micros()) {
-    // Same-transaction churn: the version was never visible; drop it.
-    t->indexes.OnDelete(*row, rid);
-    t->data.Delete(rid);
+void SystemDEngine::CloseVersion(TableBase& table, VersionRef ref, Timestamp ts,
+                                 StmtKind, bool ever_visible) {
+  auto& t = static_cast<Table&>(table);
+  const RowId rid = ref;
+  Row* row = t.data.GetMutable(rid);
+  t.current_by_key.Erase(t.KeyOf(*row), rid);
+  if (!ever_visible) {
+    t.indexes.OnDelete(*row, rid);
+    t.data.Delete(rid);
     return;
   }
   Row old_row = *row;
-  (*row)[row->size() - 1] = Value(ts);
-  t->indexes.OnUpdate(old_row, *row, rid);
+  (*row)[row->size() - 1] = Value(ts);  // SYS_TIME_END
+  t.indexes.OnUpdate(old_row, *row, rid);
 }
 
-Status SystemDEngine::DoInsert(const std::string& table, Row row) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (static_cast<int>(row.size()) != t->def.schema.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch for " + table);
+void SystemDEngine::AddVersion(Table* t, Row stored) {
+  RowId rid = t->data.Append(std::move(stored));
+  const Row& row = t->data.Get(rid);
+  if (row.back().AsInt() == Period::kForever) {
+    t->current_by_key.Insert(t->KeyOf(row), rid);
   }
-  InsertVersion(t, std::move(row), MutationTime());
-  return Status::OK();
+  t->indexes.OnInsert(row, rid);
 }
 
 Status SystemDEngine::DoBulkLoad(const std::string& table,
-                               std::vector<Row> rows) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  const size_t arity = static_cast<size_t>(t->stored_schema.num_columns());
+                                 std::vector<Row> rows) {
+  Table* t = nullptr;
+  BIH_RETURN_IF_ERROR(FindTable(table, &t));
+  const size_t arity = static_cast<size_t>(t->scan_schema.num_columns());
   for (Row& row : rows) {
     if (row.size() != arity) {
       return Status::InvalidArgument(
           "bulk rows must carry explicit system-time columns");
     }
-    RowId rid = t->data.Append(std::move(row));
-    const Row& stored = t->data.Get(rid);
-    if (stored[arity - 1].AsInt() == Period::kForever) {
-      t->current_by_key.Insert(KeyOf(*t, stored), rid);
-    }
-    t->indexes.OnInsert(stored, rid);
+    AddVersion(t, std::move(row));
   }
   return Status::OK();
-}
-
-Status SystemDEngine::DoUpdateCurrent(const std::string& table,
-                                    const std::vector<Value>& key,
-                                    const std::vector<ColumnAssignment>& set) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids;
-  t->current_by_key.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) {
-    Row user_row(t->data.Get(rid).begin(), t->data.Get(rid).end() - 2);
-    for (const ColumnAssignment& a : set) {
-      user_row[static_cast<size_t>(a.column)] = a.value;
-    }
-    CloseVersion(t, rid, ts);
-    InsertVersion(t, std::move(user_row), ts);
-  }
-  return Status::OK();
-}
-
-Status SystemDEngine::ApplySequenced(const std::string& table,
-                                     const std::vector<Value>& key,
-                                     int period_index, const Period& period,
-                                     const std::vector<ColumnAssignment>& set,
-                                     int mode) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  if (period_index < 0 ||
-      period_index >= static_cast<int>(t->def.app_periods.size())) {
-    return Status::InvalidArgument("no such application-time period");
-  }
-  const AppPeriodDef& ap =
-      t->def.app_periods[static_cast<size_t>(period_index)];
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids;
-  t->current_by_key.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-
-  std::vector<Row> versions;
-  versions.reserve(rids.size());
-  for (RowId rid : rids) versions.push_back(t->data.Get(rid));
-
-  SequencedOps ops;
-  switch (mode) {
-    case 0:
-      ops = PlanSequencedUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-    case 1:
-      ops = PlanSequencedDelete(versions, ap.begin_col, ap.end_col, period);
-      break;
-    default:
-      ops = PlanOverwriteUpdate(versions, ap.begin_col, ap.end_col, period, set);
-      break;
-  }
-  for (size_t vi : ops.to_close) CloseVersion(t, rids[vi], ts);
-  for (Row& r : ops.to_insert) {
-    Row user_row(r.begin(), r.end() - 2);
-    InsertVersion(t, std::move(user_row), ts);
-  }
-  return Status::OK();
-}
-
-Status SystemDEngine::DoUpdateSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 0);
-}
-
-Status SystemDEngine::DoUpdateOverwrite(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period,
-                                      const std::vector<ColumnAssignment>& set) {
-  return ApplySequenced(table, key, period_index, period, set, 2);
-}
-
-Status SystemDEngine::DoDeleteCurrent(const std::string& table,
-                                    const std::vector<Value>& key) {
-  Table* t = Find(table);
-  if (t == nullptr) return Status::NotFound("table " + table);
-  Timestamp ts = MutationTime();
-  std::vector<RowId> rids;
-  t->current_by_key.Lookup(key, [&](RowId rid) {
-    rids.push_back(rid);
-    return true;
-  });
-  if (rids.empty()) return Status::NotFound("no current version of key");
-  for (RowId rid : rids) CloseVersion(t, rid, ts);
-  return Status::OK();
-}
-
-Status SystemDEngine::DoDeleteSequenced(const std::string& table,
-                                      const std::vector<Value>& key,
-                                      int period_index, const Period& period) {
-  return ApplySequenced(table, key, period_index, period, {}, 1);
 }
 
 void SystemDEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
-  Table* t = Find(req.table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + req.table);
+  Table* t = &TableOf<Table>(req.table);
   ExecStats local;
   ExecStats* stats = req.stats != nullptr ? req.stats : &local;
   *stats = ExecStats{};
@@ -272,27 +126,18 @@ void SystemDEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
   if (req.stats == nullptr) PublishStats(local);
 }
 
-std::vector<std::string> SystemDEngine::ListTables() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, t] : tables_) names.push_back(name);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-Status SystemDEngine::DoInstallVersion(const std::string& table,
-                                       const Row& stored) {
+Status SystemDEngine::DoInstallVersion(TableBase& table, const Row& stored) {
   // The single-table layout stores scan-schema rows verbatim; installing a
   // snapshot version is exactly a one-row bulk load.
-  return DoBulkLoad(table, {stored});
+  AddVersion(&static_cast<Table&>(table), stored);
+  return Status::OK();
 }
 
 TableStats SystemDEngine::GetTableStats(const std::string& table) const {
-  const Table* t = Find(table);
-  BIH_CHECK_MSG(t != nullptr, "no table " + table);
+  const Table& t = TableOf<const Table>(table);
   TableStats s;
-  s.current_rows = t->current_by_key.size();
-  s.history_rows = t->data.LiveCount() - t->current_by_key.size();
+  s.current_rows = t.current_by_key.size();
+  s.history_rows = t.data.LiveCount() - t.current_by_key.size();
   return s;
 }
 

@@ -90,15 +90,18 @@ std::vector<Op> BuildOps(uint64_t seed, Model* model,
           break;
         case 6:
           op.kind = Op::kSeqUpdate;
-          op.expect_ok = model->Sequenced(op.id, op.window, op.set, 0, ts);
+          op.expect_ok = model->Sequenced(op.id, op.window, op.set,
+                                          SequencedOp::kUpdate, ts);
           break;
         case 7:
           op.kind = Op::kOverwrite;
-          op.expect_ok = model->Sequenced(op.id, op.window, op.set, 2, ts);
+          op.expect_ok = model->Sequenced(op.id, op.window, op.set,
+                                          SequencedOp::kOverwrite, ts);
           break;
         case 8:
           op.kind = Op::kSeqDelete;
-          op.expect_ok = model->Sequenced(op.id, op.window, {}, 1, ts);
+          op.expect_ok = model->Sequenced(op.id, op.window, {},
+                                          SequencedOp::kDelete, ts);
           break;
         default:
           op.kind = Op::kDeleteCurrent;
@@ -478,13 +481,16 @@ TEST_P(ConcurrentFuzzTest, MultiWriterDisjointRangesMatchSerializedModel) {
           model_ok = model.UpdateCurrent(op.id, op.set, trace.ts);
           break;
         case Op::kSeqUpdate:
-          model_ok = model.Sequenced(op.id, op.window, op.set, 0, trace.ts);
+          model_ok = model.Sequenced(op.id, op.window, op.set,
+                                     SequencedOp::kUpdate, trace.ts);
           break;
         case Op::kOverwrite:
-          model_ok = model.Sequenced(op.id, op.window, op.set, 2, trace.ts);
+          model_ok = model.Sequenced(op.id, op.window, op.set,
+                                     SequencedOp::kOverwrite, trace.ts);
           break;
         case Op::kSeqDelete:
-          model_ok = model.Sequenced(op.id, op.window, {}, 1, trace.ts);
+          model_ok = model.Sequenced(op.id, op.window, {},
+                                     SequencedOp::kDelete, trace.ts);
           break;
         case Op::kDeleteCurrent:
           model_ok = model.DeleteCurrent(op.id, trace.ts);

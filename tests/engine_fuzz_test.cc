@@ -43,10 +43,24 @@ TEST_P(EngineFuzzTest, EnginesMatchModelUnderRandomOps) {
   std::vector<int64_t> interesting_sys;  // timestamps to time travel to
   interesting_sys.push_back(model_clock.Now().micros());
 
+  // Some steps run in Begin/Commit batches of 2-5 statements sharing one
+  // commit stamp. Half of a batch's statements revisit the key its previous
+  // statement touched, so versions opened and closed inside one batch (never
+  // visible, never recorded) are exercised, and the WAL carries in-batch
+  // records for the replay comparison below.
+  int batch_left = 0;
+  int64_t batch_ts = 0;
+  int64_t batch_key = -1;
   const int kOps = 400;
   for (int step = 0; step < kOps; ++step) {
+    if (batch_left == 0 && rng.Bernoulli(0.15)) {
+      batch_left = static_cast<int>(rng.UniformInt(2, 5));
+      batch_ts = model_clock.NextCommit().micros();
+      batch_key = -1;
+      for (auto& e : engines) e->Begin();
+    }
     int choice = static_cast<int>(rng.UniformInt(0, 9));
-    int64_t ts = model_clock.NextCommit().micros();
+    int64_t ts = batch_left > 0 ? batch_ts : model_clock.NextCommit().micros();
     // Build the op deterministically, apply to model + every engine.
     if (choice <= 3 || keys.empty()) {
       // Insert a fresh key with a random validity period.
@@ -59,9 +73,14 @@ TEST_P(EngineFuzzTest, EnginesMatchModelUnderRandomOps) {
       model.Insert(row, ts);
       for (auto& e : engines) ASSERT_TRUE(e->Insert("ITEM", row).ok());
       keys.push_back(id);
+      batch_key = id;
     } else {
       int64_t id = keys[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(keys.size()) - 1))];
+      if (batch_left > 0 && batch_key >= 0 && rng.Bernoulli(0.5)) {
+        id = batch_key;
+      }
+      batch_key = id;
       std::vector<ColumnAssignment> set{
           {1, Value(double(rng.UniformInt(1, 1000)))}};
       int64_t wb = rng.UniformInt(0, 400);
@@ -79,21 +98,23 @@ TEST_P(EngineFuzzTest, EnginesMatchModelUnderRandomOps) {
           }
           break;
         case 6:
-          model_did = model.Sequenced(id, window, set, 0, ts);
+          model_did =
+              model.Sequenced(id, window, set, SequencedOp::kUpdate, ts);
           for (auto& e : engines) {
             Status st = e->UpdateSequenced("ITEM", {Value(id)}, 0, window, set);
             ASSERT_EQ(model_did, st.ok()) << e->name() << " step " << step;
           }
           break;
         case 7:
-          model_did = model.Sequenced(id, window, set, 2, ts);
+          model_did =
+              model.Sequenced(id, window, set, SequencedOp::kOverwrite, ts);
           for (auto& e : engines) {
             Status st = e->UpdateOverwrite("ITEM", {Value(id)}, 0, window, set);
             ASSERT_EQ(model_did, st.ok()) << e->name() << " step " << step;
           }
           break;
         case 8:
-          model_did = model.Sequenced(id, window, {}, 1, ts);
+          model_did = model.Sequenced(id, window, {}, SequencedOp::kDelete, ts);
           for (auto& e : engines) {
             Status st = e->DeleteSequenced("ITEM", {Value(id)}, 0, window);
             ASSERT_EQ(model_did, st.ok()) << e->name() << " step " << step;
@@ -107,6 +128,10 @@ TEST_P(EngineFuzzTest, EnginesMatchModelUnderRandomOps) {
           }
           break;
       }
+    }
+    if (batch_left > 0 && (--batch_left == 0 || step == kOps - 1)) {
+      batch_left = 0;
+      for (auto& e : engines) ASSERT_TRUE(e->Commit().ok()) << e->name();
     }
     if (step % 37 == 0) interesting_sys.push_back(ts);
     // Occasionally run maintenance (System C merge) mid-stream.

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdio>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -430,11 +431,137 @@ TEST_P(EngineTest, UnknownTableErrors) {
             engine_->Insert("NOPE", {}).code());
   EXPECT_EQ(Status::Code::kAlreadyExists,
             engine_->CreateTable(AccountDef()).code());
+  ASSERT_TRUE(engine_->Insert("ACCOUNT", Account(1, "ann", 100.0, 0,
+                                                 Period::kForever)).ok());
+  const std::string wal_path =
+      ::testing::TempDir() + "/unknown_table_errors_" + GetParam() + ".wal";
+  ASSERT_TRUE(engine_->EnableWal(wal_path).ok());
+
+  const std::vector<Value> key{Value(int64_t{1})};
+  const std::vector<Value> missing{Value(int64_t{42})};
+  const std::vector<ColumnAssignment> set{{2, Value(1.0)}};
+  const Period window(10, 20);
+  // The three sequenced statements, then all five keyed statements, against
+  // `table` / `k`.
+  auto sequenced = [&](const std::string& table, const std::vector<Value>& k,
+                       int period_index) {
+    return std::vector<Status>{
+        engine_->UpdateSequenced(table, k, period_index, window, set),
+        engine_->UpdateOverwrite(table, k, period_index, window, set),
+        engine_->DeleteSequenced(table, k, period_index, window)};
+  };
+  auto keyed = [&](const std::string& table, const std::vector<Value>& k) {
+    std::vector<Status> got = sequenced(table, k, 0);
+    got.push_back(engine_->UpdateCurrent(table, k, set));
+    got.push_back(engine_->DeleteCurrent(table, k));
+    return got;
+  };
+  for (const Status& st : keyed("NOPE", key)) {
+    EXPECT_EQ(Status::Code::kNotFound, st.code()) << st.ToString();
+  }
+  for (const Status& st : keyed("ACCOUNT", missing)) {
+    EXPECT_EQ(Status::Code::kNotFound, st.code()) << st.ToString();
+  }
+  // A bad period index is rejected before the key is looked up.
+  for (int bad_period : {-1, 1}) {
+    for (const std::vector<Value>& k : {key, missing}) {
+      for (const Status& st : sequenced("ACCOUNT", k, bad_period)) {
+        EXPECT_EQ(Status::Code::kInvalidArgument, st.code()) << bad_period;
+      }
+    }
+  }
+
+  // Every failed statement consumed a commit tick, and none was logged.
+  const Timestamp before = engine_->Now();
+  EXPECT_EQ(Status::Code::kNotFound,
+            engine_->DeleteCurrent("ACCOUNT", missing).code());
+  EXPECT_LT(before.micros(), engine_->Now().micros());
+  EXPECT_EQ(0u, engine_->wal()->records_written());
+  // The key is untouched.
+  Rows cur = ScanWith(TemporalScanSpec::Current());
+  ASSERT_EQ(1u, cur.size());
+  EXPECT_DOUBLE_EQ(100.0, cur[0][2].AsDouble());
+  std::remove(wal_path.c_str());
 }
 
 TEST_P(EngineTest, ArityMismatchRejected) {
   Status st = engine_->Insert("ACCOUNT", {Value(int64_t{1})});
   EXPECT_EQ(Status::Code::kInvalidArgument, st.code());
+
+  // Values the column's type cannot store, and NULL in key or period
+  // columns, are rejected with a message naming table and column.
+  struct BadRow {
+    Row row;
+    const char* column;
+  };
+  const std::vector<BadRow> bad_rows = {
+      {{Value("1"), Value("ann"), Value(1.0), Value(int64_t{0}),
+        Value(int64_t{9})},
+       "ID"},
+      {{Value(int64_t{1}), Value(int64_t{5}), Value(1.0), Value(int64_t{0}),
+        Value(int64_t{9})},
+       "OWNER"},
+      {{Value(int64_t{1}), Value("ann"), Value("rich"), Value(int64_t{0}),
+        Value(int64_t{9})},
+       "BALANCE"},
+      {{Value(int64_t{1}), Value("ann"), Value(1.0), Value(1.5),
+        Value(int64_t{9})},
+       "VALID_BEGIN"},
+      {{Value(int64_t{1}), Value("ann"), Value(1.0), Value(int64_t{0}),
+        Value("x")},
+       "VALID_END"},
+      {{Value(), Value("ann"), Value(1.0), Value(int64_t{0}),
+        Value(int64_t{9})},
+       "ID"},
+      {{Value(int64_t{1}), Value("ann"), Value(1.0), Value(),
+        Value(int64_t{9})},
+       "VALID_BEGIN"},
+  };
+  for (const BadRow& bad : bad_rows) {
+    st = engine_->Insert("ACCOUNT", bad.row);
+    EXPECT_EQ(Status::Code::kInvalidArgument, st.code()) << bad.column;
+    EXPECT_NE(std::string::npos, st.message().find("ACCOUNT")) << st.message();
+    EXPECT_NE(std::string::npos, st.message().find(bad.column))
+        << st.message();
+  }
+  EXPECT_TRUE(ScanWith(TemporalScanSpec::Current()).empty());
+
+  // A double column takes an int (the core stores it unchanged; System C's
+  // typed column widens it); a non-key, non-period column takes NULL.
+  ASSERT_TRUE(engine_->Insert("ACCOUNT", {Value(int64_t{1}), Value(),
+                                          Value(int64_t{7}), Value(int64_t{0}),
+                                          Value(int64_t{100})})
+                  .ok());
+  Rows cur = ScanWith(TemporalScanSpec::Current());
+  ASSERT_EQ(1u, cur.size());
+  EXPECT_TRUE(cur[0][1].is_null());
+  EXPECT_DOUBLE_EQ(7.0, cur[0][2].AsDouble());
+
+  // SET values are checked the same way on every keyed update form.
+  const std::vector<Value> key{Value(int64_t{1})};
+  const Period window(10, 20);
+  const std::vector<std::vector<ColumnAssignment>> bad_sets = {
+      {{3, Value("x")}},
+      {{4, Value()}},
+      {{0, Value()}},
+      {{1, Value(2.5)}},
+      {{5, Value(int64_t{1})}},
+      {{-1, Value(int64_t{1})}},
+  };
+  for (const std::vector<ColumnAssignment>& set : bad_sets) {
+    EXPECT_EQ(Status::Code::kInvalidArgument,
+              engine_->UpdateCurrent("ACCOUNT", key, set).code());
+    EXPECT_EQ(Status::Code::kInvalidArgument,
+              engine_->UpdateSequenced("ACCOUNT", key, 0, window, set).code());
+    EXPECT_EQ(Status::Code::kInvalidArgument,
+              engine_->UpdateOverwrite("ACCOUNT", key, 0, window, set).code());
+  }
+  // The rejected SETs left the key intact, so a sequenced update over it
+  // still plans against well-formed periods.
+  ASSERT_TRUE(engine_->UpdateSequenced("ACCOUNT", key, 0, window,
+                                       {{2, Value(1.0)}})
+                  .ok());
+  EXPECT_EQ(3u, ScanWith(TemporalScanSpec::Current()).size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,

@@ -613,6 +613,42 @@ TEST(NetChaosTest, GarbageBytesKillOnlyTheirOwnConnection) {
   EXPECT_EQ(ExpectedPayload(qc, reply.request_id), reply.raw_payload);
 }
 
+// A write whose value the column cannot store (a string in a date period
+// column) is a client error: it comes back as a structured error frame,
+// nothing is written, and the server keeps serving — the sequenced update
+// of the same key that follows succeeds on the same connection, and an
+// unrelated connection never notices.
+TEST(NetChaosTest, MistypedWriteGetsAnErrorFrameAndTheServerStaysUp) {
+  Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(BuildFixture(&fx, 40));
+  SessionManager session(fx.engine.get(), SessionConfig{});
+  Server server(&session, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  Client writer;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", server.port(), "writer").ok());
+  Client bystander;
+  ASSERT_TRUE(bystander.Connect("127.0.0.1", server.port(), "bystander").ok());
+
+  QueryReply bad;
+  Status s = writer.Query("UPDATE ITEM SET VB = 'x' WHERE ID = 1", 2000, &bad);
+  EXPECT_EQ(Status::Code::kInvalidArgument, s.code()) << s.ToString();
+  EXPECT_FALSE(bad.raw_payload.empty()) << "the error must ride a frame";
+
+  QueryReply good;
+  s = writer.Query("UPDATE ITEM FOR PORTION OF BUSINESS_TIME FROM 0 TO 5 "
+                   "SET PRICE = 1.0 WHERE ID = 1",
+                   2000, &good);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(1u, good.rows.size());
+  EXPECT_EQ(1, good.rows[0][0].AsInt());
+
+  const QueryCase& qc = fx.queries[1];
+  QueryReply reply;
+  ASSERT_TRUE(bystander.Query(qc.sql, 2000, &reply).ok());
+  EXPECT_EQ(ExpectedPayload(qc, reply.request_id), reply.raw_payload);
+  server.Drain();
+}
+
 TEST(NetChaosTest, DeadWalSurfacesOverTheWireAndCheckpointRevives) {
   auto engine = MakeEngine("A");
   FaultInjector fi = FaultInjector::FailSyncNth(5);

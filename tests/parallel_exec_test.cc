@@ -331,7 +331,9 @@ TEST(ParallelExecTest, LimitStopsItsScanEarlyWithSerialCounters) {
 
 // A read-only engine view that runs `trip` on the query's context when the
 // `after`-th row of `table` passes through a scan callback — i.e. inside
-// whatever pipeline consumes that scan, on the emitting thread.
+// whatever pipeline consumes that scan, on the emitting thread. The view
+// registers the inner engine's table definitions so the executor resolves
+// schemas through it; every row comes from the inner engine.
 class TrippingEngine : public TemporalEngine {
  public:
   TrippingEngine(TemporalEngine* inner, std::string table, int after,
@@ -339,25 +341,17 @@ class TrippingEngine : public TemporalEngine {
       : inner_(inner),
         table_(std::move(table)),
         after_(after),
-        trip_(std::move(trip)) {}
+        trip_(std::move(trip)) {
+    for (const std::string& t : inner_->ListTables()) {
+      EXPECT_TRUE(CreateTable(inner_->GetTableDef(t)).ok());
+    }
+  }
 
   bool tripped() const { return tripped_; }
 
   std::string name() const override { return inner_->name(); }
   Status CreateIndex(const IndexSpec&) override { return ReadOnly(); }
   Status DropIndexes(const std::string&) override { return ReadOnly(); }
-  const TableDef& GetTableDef(const std::string& t) const override {
-    return inner_->GetTableDef(t);
-  }
-  Schema ScanSchema(const std::string& t) const override {
-    return inner_->ScanSchema(t);
-  }
-  bool HasTable(const std::string& t) const override {
-    return inner_->HasTable(t);
-  }
-  std::vector<std::string> ListTables() const override {
-    return inner_->ListTables();
-  }
   TableStats GetTableStats(const std::string& t) const override {
     return inner_->GetTableStats(t);
   }
@@ -373,31 +367,21 @@ class TrippingEngine : public TemporalEngine {
   }
 
  protected:
-  Status DoCreateTable(const TableDef&) override { return ReadOnly(); }
-  Status DoInsert(const std::string&, Row) override { return ReadOnly(); }
-  Status DoUpdateCurrent(const std::string&, const std::vector<Value>&,
-                         const std::vector<ColumnAssignment>&) override {
-    return ReadOnly();
+  std::unique_ptr<TableBase> MakeTable(const TableDef& def) const override {
+    return std::make_unique<TableBase>(def);
   }
-  Status DoUpdateSequenced(const std::string&, const std::vector<Value>&, int,
-                           const Period&,
-                           const std::vector<ColumnAssignment>&) override {
-    return ReadOnly();
+  // No key has a current version here, so no update or delete reaches the
+  // version store; an insert would, and must not happen.
+  void CurrentVersions(TableBase&, const std::vector<Value>&,
+                       std::vector<VersionRef>*, std::vector<Row>*) override {}
+  void CloseVersion(TableBase&, VersionRef, Timestamp, StmtKind,
+                    bool) override {
+    ADD_FAILURE() << "write through a read-only view";
   }
-  Status DoUpdateOverwrite(const std::string&, const std::vector<Value>&, int,
-                           const Period&,
-                           const std::vector<ColumnAssignment>&) override {
-    return ReadOnly();
+  void OpenVersion(TableBase&, Row, Timestamp, StmtKind) override {
+    ADD_FAILURE() << "write through a read-only view";
   }
-  Status DoDeleteCurrent(const std::string&,
-                         const std::vector<Value>&) override {
-    return ReadOnly();
-  }
-  Status DoDeleteSequenced(const std::string&, const std::vector<Value>&, int,
-                           const Period&) override {
-    return ReadOnly();
-  }
-  Status DoInstallVersion(const std::string&, const Row&) override {
+  Status DoInstallVersion(TableBase&, const Row&) override {
     return ReadOnly();
   }
 

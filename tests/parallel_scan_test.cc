@@ -81,15 +81,18 @@ Loaded BuildLoadedEngine(const std::string& letter, uint64_t seed,
           st = l.engine->UpdateCurrent("ITEM", {Value(id)}, set);
           break;
         case 6:
-          expect_ok = l.model.Sequenced(id, window, set, 0, ts);
+          expect_ok = l.model.Sequenced(id, window, set,
+                                        SequencedOp::kUpdate, ts);
           st = l.engine->UpdateSequenced("ITEM", {Value(id)}, 0, window, set);
           break;
         case 7:
-          expect_ok = l.model.Sequenced(id, window, set, 2, ts);
+          expect_ok = l.model.Sequenced(id, window, set,
+                                        SequencedOp::kOverwrite, ts);
           st = l.engine->UpdateOverwrite("ITEM", {Value(id)}, 0, window, set);
           break;
         case 8:
-          expect_ok = l.model.Sequenced(id, window, {}, 1, ts);
+          expect_ok = l.model.Sequenced(id, window, {},
+                                        SequencedOp::kDelete, ts);
           st = l.engine->DeleteSequenced("ITEM", {Value(id)}, 0, window);
           break;
         default:

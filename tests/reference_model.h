@@ -40,6 +40,9 @@ struct ModelVersion {
   int64_t sys_to;   // Period::kForever while visible
 };
 
+// The three application-time statements (FOR PORTION OF forms).
+enum class SequencedOp { kUpdate, kDelete, kOverwrite };
+
 class Model {
  public:
   void Insert(Row row, int64_t ts) {
@@ -69,25 +72,26 @@ class Model {
       versions_[i].sys_to = ts;
       versions_.push_back({std::move(next), ts, Period::kForever});
     }
+    DropUnseen();
     return true;
   }
 
   bool Sequenced(int64_t id, const Period& window,
-                 const std::vector<ColumnAssignment>& set, int mode,
+                 const std::vector<ColumnAssignment>& set, SequencedOp op,
                  int64_t ts) {
     std::vector<size_t> cur = CurrentOf(id);
     if (cur.empty()) return false;
     std::vector<Row> rows;
     for (size_t i : cur) rows.push_back(versions_[i].row);
     SequencedOps ops;
-    switch (mode) {
-      case 0:
+    switch (op) {
+      case SequencedOp::kUpdate:
         ops = PlanSequencedUpdate(rows, 3, 4, window, set);
         break;
-      case 1:
+      case SequencedOp::kDelete:
         ops = PlanSequencedDelete(rows, 3, 4, window);
         break;
-      default:
+      case SequencedOp::kOverwrite:
         ops = PlanOverwriteUpdate(rows, 3, 4, window, set);
         break;
     }
@@ -95,6 +99,7 @@ class Model {
     for (Row& r : ops.to_insert) {
       versions_.push_back({std::move(r), ts, Period::kForever});
     }
+    DropUnseen();
     return true;
   }
 
@@ -102,6 +107,7 @@ class Model {
     std::vector<size_t> cur = CurrentOf(id);
     if (cur.empty()) return false;
     for (size_t i : cur) versions_[i].sys_to = ts;
+    DropUnseen();
     return true;
   }
 
@@ -127,6 +133,17 @@ class Model {
   }
 
  private:
+  // A version opened and closed at the same stamp (by one batch of
+  // statements sharing a commit timestamp) was never visible: no record of
+  // it remains.
+  void DropUnseen() {
+    versions_.erase(std::remove_if(versions_.begin(), versions_.end(),
+                                   [](const ModelVersion& v) {
+                                     return v.sys_from == v.sys_to;
+                                   }),
+                    versions_.end());
+  }
+
   std::vector<ModelVersion> versions_;
 };
 

@@ -353,6 +353,18 @@ TEST_F(SqlExecTest, DmlErrors) {
                           "FROM 1 TO 2 SET REGION = 'x'",
                           &result)
                    .ok());  // table has no application time
+  // A value the column cannot store is refused before anything is written,
+  // so the sequenced update that follows still finds a well-formed period.
+  Status st = ExecuteSql(*engine_, "UPDATE ACCOUNT SET VB = 'x' WHERE ID = 1",
+                         &result);
+  EXPECT_EQ(Status::Code::kInvalidArgument, st.code()) << st.ToString();
+  st = ExecuteSql(*engine_, "INSERT INTO ACCOUNT VALUES (9, 'x', 'y', 0, 9)",
+                  &result);
+  EXPECT_EQ(Status::Code::kInvalidArgument, st.code()) << st.ToString();
+  Rows r = Run("UPDATE ACCOUNT FOR PORTION OF BUSINESS_TIME FROM 0 TO 5 "
+               "SET BALANCE = 1.0 WHERE ID = 1");
+  EXPECT_EQ(1, r[0][0].AsInt());
+  EXPECT_EQ(2u, Run("SELECT ID FROM ACCOUNT WHERE ID = 1").size());
 }
 
 TEST_F(SqlExecTest, SameAnswerOnAllEngines) {
