@@ -41,10 +41,18 @@ int main() {
                 v[customer::kAcctBal].AsDouble(),
                 v[static_cast<size_t>(sys_from)].AsTimestamp().ToString().c_str());
   }
-  std::printf("(index used: %s)\n\n",
-              db.last_stats().index_name.empty()
-                  ? "none"
-                  : db.last_stats().index_name.c_str());
+  // The access path behind K1: issue its key scan directly, pointing the
+  // request at our own counters.
+  ScanRequest key_scan;
+  key_scan.table = "CUSTOMER";
+  key_scan.temporal = full;
+  key_scan.equals = {{customer::kCustKey, Value(ctx.hot_custkey)}};
+  ExecStats stats;
+  key_scan.stats = &stats;
+  db.Scan(key_scan, [](const Row&) { return true; });
+  std::printf("(index used: %s; %llu rows examined)\n\n",
+              stats.used_index ? stats.index_name.c_str() : "none",
+              static_cast<unsigned long long>(stats.rows_examined));
 
   // The latest three versions (K4) — "who changed this last?"
   Rows latest = K4(db, ctx.hot_custkey, full, 3);

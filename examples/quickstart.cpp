@@ -94,10 +94,13 @@ int main() {
   req.temporal = everything;
   Show(*engine, "complete bitemporal history", req);
 
-  // Plan introspection: the scan statistics show which partitions a query
-  // touched and whether an index served it.
-  const ExecStats& stats = engine->last_stats();
-  std::printf("\nlast scan: %llu rows examined, %d partitions, history=%s\n",
+  // Plan introspection: a scan writes its counters into the ExecStats its
+  // request points at, showing which partitions it touched and whether an
+  // index served it.
+  ExecStats stats;
+  req.stats = &stats;
+  engine->Scan(req, [](const Row&) { return true; });
+  std::printf("\nhistory scan: %llu rows examined, %d partitions, history=%s\n",
               static_cast<unsigned long long>(stats.rows_examined),
               stats.partitions_touched, stats.touched_history ? "yes" : "no");
   return 0;

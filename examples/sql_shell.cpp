@@ -13,6 +13,8 @@
 //     LIMIT 5;
 //   SELECT O_ORDERKEY FROM ORDERS FOR BUSINESS_TIME RECEIVABLE_TIME
 //     AS OF DATE '1997-01-01' LIMIT 5;
+// Prefix a SELECT with EXPLAIN for its plan tree with per-node counters
+// (rows examined, partitions touched, index used).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -55,14 +57,9 @@ int main(int argc, char** argv) {
       std::printf("error: %s\n", st.ToString().c_str());
       continue;
     }
-    std::printf("%s(%zu rows; %llu rows examined, index: %s)\n\n",
+    std::printf("%s(%zu rows)\n\n",
                 FormatRows(result.rows, result.columns, 25).c_str(),
-                result.rows.size(),
-                static_cast<unsigned long long>(
-                    ctx.eng().last_stats().rows_examined),
-                ctx.eng().last_stats().used_index
-                    ? ctx.eng().last_stats().index_name.c_str()
-                    : "none");
+                result.rows.size());
   }
   return 0;
 }

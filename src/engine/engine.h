@@ -11,7 +11,6 @@
 #include "catalog/schema.h"
 #include "common/chrono.h"
 #include "common/query_context.h"
-#include "common/thread_annotations.h"
 #include "common/value.h"
 #include "durability/wal.h"
 #include "exec/exec_options.h"
@@ -42,9 +41,10 @@ struct IndexSpec {
   std::string name;
 };
 
-// Execution counters for the last Scan; the tests assert plan shape (which
-// partitions were touched, whether an index was chosen) and the benches
-// report them next to timings.
+// Execution counters of one Scan, written to the request's
+// ScanRequest::stats; the tests assert plan shape (which partitions were
+// touched, whether an index was chosen) and the benches report them next to
+// timings.
 struct ExecStats {
   uint64_t rows_examined = 0;
   uint64_t rows_output = 0;
@@ -77,11 +77,9 @@ struct ScanRequest {
   // then carries kDeadlineExceeded or kCancelled. Engine state is never
   // touched by an interrupted read.
   QueryContext* ctx = nullptr;
-  // When set, the scan's counters are written here instead of the engine's
-  // last_stats() slot. Publication to the shared slot is serialized (no
-  // data race), but concurrent scans overwrite each other's counters
-  // last-writer-wins — a caller that needs the counters of *its own* scan
-  // (the morsel scheduler, join probes, the server layer) sets this.
+  // When set, the scan resets *stats and writes its counters there; this is
+  // the only way counters leave an engine, and a scan without it discards
+  // them. A plan node points it at its own PlanStats::scan.
   ExecStats* stats = nullptr;
   // Consolidated intra-query parallelism knobs (threads, morsel size, worker
   // pool). Unset fields resolve through the session's ExecOptions and then
@@ -232,14 +230,6 @@ class TemporalEngine {
   // --- Query -----------------------------------------------------------
   virtual void Scan(const ScanRequest& req, const RowCallback& cb) = 0;
 
-  // Counters of the most recently completed Scan that did not redirect them
-  // via ScanRequest::stats. Publication is serialized, so concurrent readers
-  // are race-free, but which scan "wins" the slot is last-writer-wins —
-  // callers that need their own scan's counters pass ScanRequest::stats.
-  ExecStats last_stats() const {
-    MutexLock lock(stats_mu_);
-    return stats_;
-  }
   virtual TableStats GetTableStats(const std::string& table) const = 0;
 
   // Engine-maintenance hook: System C's delta->main merge; no-op elsewhere.
@@ -320,26 +310,14 @@ class TemporalEngine {
     for (auto& [name, t] : tables_) fn(static_cast<T&>(*t));
   }
 
-  // Engines call this at the end of a Scan whose request left `stats` null.
-  // The lock only serializes the publication slot; it is never held while
-  // scanning, so concurrent readers contend for nanoseconds per query.
-  void PublishStats(const ExecStats& s) const {
-    MutexLock lock(stats_mu_);
-    stats_ = s;
-  }
-
   // The engine is externally synchronized: every mutation (and so every
   // touch of the transaction state below) runs under the session layer's
-  // exclusive rw_mu_. stats_mu_ exists only for the PublishStats slot,
-  // which concurrent readers hit; it guards nothing else in this class.
-  CommitClock clock_;    // bih-lint: allow(guard-coverage)
-  bool in_txn_ = false;  // bih-lint: allow(guard-coverage)
-  Timestamp txn_time_;   // bih-lint: allow(guard-coverage)
+  // exclusive rw_mu_.
+  CommitClock clock_;
+  bool in_txn_ = false;
+  Timestamp txn_time_;
 
  private:
-  mutable Mutex stats_mu_;
-  mutable ExecStats stats_ GUARDED_BY(stats_mu_);
-
   // One DML statement as an entry point (or WAL replay) received it; the
   // row of an insert travels beside it. Read in place, so a statement
   // copies nothing unless a WAL is attached.
@@ -365,12 +343,12 @@ class TemporalEngine {
   Status LogMutation(WalRecord rec);
 
   // Sorted, so ListTables is deterministic. Mutated by DDL only, under the
-  // session layer's exclusive lock. bih-lint: allow(guard-coverage)
+  // session layer's exclusive lock.
   std::map<std::string, std::unique_ptr<TableBase>> tables_;
   // Shared with the group-commit coordinator (see SharedWal()); the engine
   // is still the writer's home — AttachWal replaces it wholesale.
   std::shared_ptr<WalWriter> wal_;
-  std::vector<WalRecord> txn_wal_;  // bih-lint: allow(guard-coverage) write path only
+  std::vector<WalRecord> txn_wal_;  // write path only
 };
 
 // Factory: engines named "A".."D" (architecture letter as in the paper).

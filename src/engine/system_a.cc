@@ -151,7 +151,6 @@ void SystemAEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
     ScanPartition(*t, /*is_history=*/true, req, tc, t->history_indexes, plan,
                   stats, &stopped, cb);
   }
-  if (req.stats == nullptr) PublishStats(local);
 }
 
 Status SystemAEngine::DoInstallVersion(TableBase& table, const Row& stored) {

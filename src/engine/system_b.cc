@@ -257,7 +257,6 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
               return consider(rid, t->current.Get(rid));
             })) {
       RecordIndexUse(stats, index_name);
-      if (req.stats == nullptr) PublishStats(local);
       return;
     }
     IndexKey key;
@@ -265,7 +264,6 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
       t->pk_current.Lookup(key, [&](RowId rid) {
         return consider(rid, t->current.Get(rid));
       });
-      if (req.stats == nullptr) PublishStats(local);
       return;
     }
     if (plan.Engage(t->current.SlotCount())) {
@@ -284,7 +282,6 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
       t->current.Scan(
           [&](RowId rid, const Row& row) { return consider(rid, row); });
     }
-    if (req.stats == nullptr) PublishStats(local);
     return;
   }
 
@@ -331,7 +328,6 @@ void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
           [&](RowId, const Row& row) { return consider_hist(row); });
     }
   }
-  if (req.stats == nullptr) PublishStats(local);
 }
 
 void SystemBEngine::PrepareForReads() {

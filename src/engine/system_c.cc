@@ -242,7 +242,6 @@ void SystemCEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
     ScanPartition(*t, t->history, /*is_history=*/true, req, tc, plan, stats,
                   &stopped, cb);
   }
-  if (req.stats == nullptr) PublishStats(local);
 }
 
 Status SystemCEngine::DoInstallVersion(TableBase& table, const Row& stored) {

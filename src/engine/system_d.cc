@@ -123,7 +123,6 @@ void SystemDEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
       t->data.Scan([&](RowId, const Row& row) { return consider(row); });
     }
   }
-  if (req.stats == nullptr) PublishStats(local);
 }
 
 Status SystemDEngine::DoInstallVersion(TableBase& table, const Row& stored) {

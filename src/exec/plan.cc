@@ -691,12 +691,8 @@ struct Executor {
         ScanRequest req = n.scan;
         if (req.ctx == nullptr) req.ctx = ctx;
         req.exec = MergeExecOptions(req.exec, opts);
+        req.stats = &n.stats.scan;
         engine.Scan(req, push);
-        // A request that redirected its counters keeps them; otherwise the
-        // engine published to its shared slot and we copy from there (the
-        // pre-existing advisory, last-writer-wins contract).
-        n.stats.scan =
-            req.stats != nullptr ? *req.stats : engine.last_stats();
         break;
       }
       case PlanNode::Kind::kValues:
@@ -763,10 +759,8 @@ struct Executor {
         req.temporal = n.index_spec;
         req.ctx = ctx;
         req.exec = MergeExecOptions(req.exec, opts);
-        // Inner probes must not clobber the engine's shared last_stats()
-        // slot when running under a concurrent session.
-        ExecStats probe_stats;
-        if (ctx != nullptr) req.stats = &probe_stats;
+        // Each probe resets the counters, so the node keeps the last probe's.
+        req.stats = &n.stats.scan;
         Row joined;
         bool stop = false;
         auto probe = [&](const Row& l) {
@@ -786,13 +780,9 @@ struct Executor {
             stop = !push(joined);
             return !stop;
           });
-          // The probe's own counters: the left input publishes its scan's
-          // counters only once it finishes, after every probe.
-          if (req.stats == nullptr) n.stats.scan = engine.last_stats();
           return !stop;
         };
         BIH_RETURN_IF_ERROR(Stream(*n.children[0], probe));
-        if (req.stats != nullptr) n.stats.scan = probe_stats;
         break;
       }
       case PlanNode::Kind::kCrossJoin: {

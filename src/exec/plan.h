@@ -59,7 +59,8 @@ struct SortSpec {
 // Per-node execution counters, reset and refilled by every Execute run.
 // For kScan and kIndexJoin nodes, `scan` carries the engine-side counters
 // (rows examined, partitions touched, index choice) of the node's last
-// engine access; these match the serial scan exactly at any thread count.
+// engine access, written here through ScanRequest::stats; these match the
+// serial scan exactly at any thread count.
 // A node below a satisfied Limit stops early, and its counters then cover
 // only the rows it produced before the stop.
 struct PlanStats {

@@ -198,8 +198,6 @@ Status SessionManager::DoRead(Snapshot snap, ScanRequest& req,
     // (the scan drains its morsels before returning), so parallel reads
     // see the same pinned snapshot as serial ones.
     req.exec = MergeExecOptions(req.exec, exec_options());
-    ExecStats stats;  // keep concurrent scans off the shared stats slot
-    req.stats = &stats;
     engine_->Scan(req, [&](const Row& row) {
       out->push_back(row);
       // A version still open at the snapshot may have been closed by a

@@ -300,7 +300,8 @@ class SessionManager {
   // The stable kUnavailable writes receive while degraded.
   Status ReadOnlyStatus() const;
 
-  std::unique_ptr<TemporalEngine> owned_engine_;
+  // Set by the owning constructor, null for a borrowed engine.
+  const std::unique_ptr<TemporalEngine> owned_engine_;
   // The pointer is set once in the constructor and never reassigned; the
   // *pointee* is the shared state: readers scan it under the shared side
   // of rw_mu_, writers mutate it under the exclusive side.

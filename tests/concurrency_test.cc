@@ -18,6 +18,7 @@
 #include "common/query_context.h"
 #include "common/rng.h"
 #include "engine/engine.h"
+#include "exec/plan.h"
 #include "reference_model.h"
 #include "server/session.h"
 
@@ -291,6 +292,93 @@ TEST(SessionTest, OverloadShedsInsteadOfQueueingUnboundedly) {
   EXPECT_EQ(kReaders, ok.load() + shed.load());
   EXPECT_EQ(static_cast<uint64_t>(shed.load()),
             server.GetStats().admission.shed);
+}
+
+// Every counter of every node of `plan`, in pre-order.
+std::string NodeCounters(const PlanNode& plan) {
+  const ExecStats& s = plan.stats.scan;
+  std::string out = std::string(plan.KindName()) + " out=" +
+                    std::to_string(plan.stats.rows_output) +
+                    " examined=" + std::to_string(s.rows_examined) +
+                    " emitted=" + std::to_string(s.rows_output) +
+                    " partitions=" + std::to_string(s.partitions_touched) +
+                    " index=" + (s.used_index ? s.index_name : "-") +
+                    " history=" + (s.touched_history ? "y" : "n") + "\n";
+  for (const PlanPtr& child : plan.children) out += NodeCounters(*child);
+  return out;
+}
+
+// Readers sharing one session run different plans through ReadTxn, as
+// EXPLAIN does over the wire. Each node's counters describe its own query's
+// scans, so every run must report exactly what its serial run reported.
+TEST_P(PerEngineTest, PlanCountersArePerQueryUnderConcurrentReaders) {
+  SessionManager server(MakeLoadedEngine(GetParam(), 200));
+  for (int i = 1; i <= 50; ++i) {
+    ASSERT_TRUE(server
+                    .UpdateCurrent("ITEM", {Value(int64_t{i})},
+                                   {{1, Value(double(1000 + i))}})
+                    .ok());
+  }
+  auto make_plan = [](int which) -> PlanPtr {
+    if (which == 0) return ScanPlan(FullHistoryScan());
+    if (which == 1) {
+      ScanRequest key;
+      key.table = "ITEM";
+      key.equals = {{0, Value(int64_t{7})}};
+      return ScanPlan(std::move(key));
+    }
+    Rows keys{{Value(int64_t{3})}, {Value(int64_t{120})},
+              {Value(int64_t{999})}};
+    return IndexJoinPlan(ValuesPlan(std::move(keys)), {0}, "ITEM", {0},
+                         TemporalScanSpec::Current());
+  };
+  auto run = [&server](const PlanNode& plan, Rows* out) {
+    QueryContext ctx;
+    return server.ReadTxn(&ctx, [&](TemporalEngine& eng) {
+      out->clear();
+      return Execute(plan, eng, ExecOptions{}, &ctx, out);
+    });
+  };
+
+  constexpr int kPlans = 3;
+  std::vector<std::string> serial(kPlans);
+  std::vector<size_t> serial_rows(kPlans);
+  for (int p = 0; p < kPlans; ++p) {
+    PlanPtr plan = make_plan(p);
+    Rows rows;
+    ASSERT_TRUE(run(*plan, &rows).ok());
+    serial[p] = NodeCounters(*plan);
+    serial_rows[p] = rows.size();
+    // The full-history scan reads all 200 + 50 versions.
+    if (p == 0) EXPECT_EQ(250u, plan->stats.scan.rows_examined);
+  }
+
+  constexpr int kThreadsPerPlan = 2;
+  constexpr int kIterations = 300;
+  std::atomic<bool> go{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kPlans * kThreadsPerPlan; ++t) {
+    readers.emplace_back([&, p = t % kPlans] {
+      PlanPtr plan = make_plan(p);
+      Rows rows;
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kIterations; ++i) {
+        Status st = run(*plan, &rows);
+        const std::string got = NodeCounters(*plan);
+        if (!st.ok() || rows.size() != serial_rows[p] || got != serial[p]) {
+          if (mismatches.fetch_add(1) == 0) {
+            ADD_FAILURE() << "plan " << p << " iteration " << i << ": "
+                          << st.ToString() << "\nexpected:\n"
+                          << serial[p] << "got:\n" << got;
+          }
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(0, mismatches.load());
 }
 
 // The soak: concurrent readers (random deadlines, self-cancellations,

@@ -52,10 +52,11 @@ class EngineTest : public ::testing::TestWithParam<std::string> {
     return out;
   }
 
-  Rows ScanWith(const TemporalScanSpec& spec) {
+  Rows ScanWith(const TemporalScanSpec& spec, ExecStats* stats = nullptr) {
     ScanRequest req;
     req.table = "ACCOUNT";
     req.temporal = spec;
+    req.stats = stats;
     Rows rows = Collect(req);
     std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
       for (size_t i = 0; i < a.size(); ++i) {
@@ -259,10 +260,10 @@ TEST_P(EngineTest, ImplicitCurrentAvoidsHistoryExplicitDoesNot) {
   // them to the history partition; force the merge so the partitions are in
   // their steady state.
   engine_->Maintain();
-  ScanWith(TemporalScanSpec::Current());
-  ExecStats implicit_stats = engine_->last_stats();
-  ScanWith(TemporalScanSpec::SystemAsOf(engine_->Now().micros()));
-  ExecStats explicit_stats = engine_->last_stats();
+  ExecStats implicit_stats, explicit_stats;
+  ScanWith(TemporalScanSpec::Current(), &implicit_stats);
+  ScanWith(TemporalScanSpec::SystemAsOf(engine_->Now().micros()),
+           &explicit_stats);
   if (GetParam() == "D") {
     // No current/history split: both plans scan the single table.
     EXPECT_EQ(implicit_stats.rows_examined, explicit_stats.rows_examined);

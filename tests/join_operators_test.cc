@@ -79,16 +79,26 @@ TEST(IndexJoinPlanTest, ProbesEngineWithKeyLookups) {
   }
   Rows probes{R({Value(int64_t{3})}), R({Value(int64_t{42})}),
               R({Value(int64_t{99})}), R({Value::Null()})};
-  Rows out = RunPlan(*IndexJoinPlan(ValuesPlan(probes), {0}, "T", {0},
-                                    TemporalScanSpec::Current()),
-                     *engine);
-  ASSERT_EQ(2u, out.size());  // 99 misses, NULL skipped
-  std::set<int64_t> keys{out[0][0].AsInt(), out[1][0].AsInt()};
-  EXPECT_EQ((std::set<int64_t>{3, 42}), keys);
-  EXPECT_DOUBLE_EQ(out[0][0].AsInt() == 3 ? 30.0 : 420.0,
-                   out[0][2].AsDouble());
-  // The engine's key index served the probes.
-  EXPECT_TRUE(engine->last_stats().used_index);
+  // The node reports its own probes' counters with or without a context.
+  QueryContext query_ctx;
+  for (QueryContext* ctx : {static_cast<QueryContext*>(nullptr), &query_ctx}) {
+    SCOPED_TRACE(ctx == nullptr ? "no context" : "with context");
+    PlanPtr plan = IndexJoinPlan(ValuesPlan(probes), {0}, "T", {0},
+                                 TemporalScanSpec::Current());
+    Rows out = RunPlan(*plan, *engine, ctx);
+    ASSERT_EQ(2u, out.size());  // 99 misses, NULL skipped
+    std::set<int64_t> keys{out[0][0].AsInt(), out[1][0].AsInt()};
+    EXPECT_EQ((std::set<int64_t>{3, 42}), keys);
+    EXPECT_DOUBLE_EQ(out[0][0].AsInt() == 3 ? 30.0 : 420.0,
+                     out[0][2].AsDouble());
+    // The engine's key index served the probes; the node keeps the last
+    // probe's counters, the key-99 miss (the NULL key is never probed).
+    const ExecStats& last = plan->stats.scan;
+    EXPECT_TRUE(last.used_index);
+    EXPECT_EQ("pk_current(T)", last.index_name);
+    EXPECT_EQ(0u, last.rows_examined);
+    EXPECT_EQ(0u, last.rows_output);
+  }
 }
 
 // Golden-answer tests: a fixed tiny workload where the expected values are

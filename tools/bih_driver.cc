@@ -563,9 +563,8 @@ int RunSuites(const Args& args) {
               args.m, args.engine.c_str());
   WorkloadContext ctx = BuildWorkload(cfg);
   TemporalEngine& e = ctx.eng();
-  auto report = [&](const char* name, double ms) {
-    std::printf("  %-34s %10.3f ms  (%llu rows examined)\n", name, ms,
-                static_cast<unsigned long long>(e.last_stats().rows_examined));
+  auto report = [](const char* name, double ms) {
+    std::printf("  %-34s %10.3f ms\n", name, ms);
   };
   bool all = args.suite == "all";
   if (all || args.suite == "T") {
