@@ -855,11 +855,6 @@ struct Executor {
   }
 };
 
-bool IsInterrupt(const Status& s) {
-  return s.code() == Status::Code::kCancelled ||
-         s.code() == Status::Code::kDeadlineExceeded;
-}
-
 }  // namespace
 
 Status Execute(const PlanNode& plan, TemporalEngine& engine,
@@ -868,11 +863,10 @@ Status Execute(const PlanNode& plan, TemporalEngine& engine,
   return exec.Collect(plan, out);
 }
 
-Rows RunPlan(const PlanNode& plan, TemporalEngine& engine, QueryContext* ctx,
-             const ExecOptions& opts) {
+Rows RunPlan(const PlanNode& plan, TemporalEngine& engine) {
   Rows out;
-  Status st = Execute(plan, engine, opts, ctx, &out);
-  BIH_CHECK_MSG(st.ok() || IsInterrupt(st), st.ToString());
+  Status st = Execute(plan, engine, ExecOptions{}, /*ctx=*/nullptr, &out);
+  BIH_CHECK_MSG(st.ok(), st.ToString());
   return out;
 }
 

@@ -171,12 +171,11 @@ PlanPtr DistinctPlan(PlanPtr input);
 Status Execute(const PlanNode& plan, TemporalEngine& engine,
                const ExecOptions& opts, QueryContext* ctx, Rows* out);
 
-// Convenience wrapper for callers that treat plan failure the way the old
-// free-function operators did: returns whatever rows were produced; an
-// interrupt (cancel/deadline) surfaces through ctx->status() and yields the
-// partial result, while any other failure aborts (BIH_CHECK).
-Rows RunPlan(const PlanNode& plan, TemporalEngine& engine,
-             QueryContext* ctx = nullptr, const ExecOptions& opts = {});
+// Runs a fixed in-process plan (the workload queries, benches and tests)
+// with default options and no context, and returns its rows. Such a plan
+// cannot fail on its input, so any failure aborts (BIH_CHECK); callers
+// with a context, options or client-supplied input use Execute().
+Rows RunPlan(const PlanNode& plan, TemporalEngine& engine);
 
 // Stable JSON rendering of the tree with per-node stats from the latest
 // Execute run — the payload of EXPLAIN. Key order is fixed; strings go

@@ -294,13 +294,14 @@ ExecOptions Server::QueryExecOptions(const Connection& conn) const {
   return opts;
 }
 
-void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
+bool Server::RunRequest(Connection& conn, const Message& in, Message* reply,
+                        const std::function<Status(QueryContext*)>& body) {
   BumpStat(&NetServerStats::queries);
   reply->type = MsgType::kError;
   if (conn.tenant == nullptr) {
     reply->status_code = static_cast<uint8_t>(Status::Code::kInvalidArgument);
     reply->text = "no session: send Hello first";
-    return;
+    return false;
   }
   QueryContext ctx =
       in.deadline_ms > 0
@@ -314,27 +315,12 @@ void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
     conn.active = &ctx;
     conn.active_request_id = in.request_id;
   }
-  sql::SqlResult result;
   // Tenant quota first (bounded queue, fail-fast shedding), then the
-  // session's global admission inside ReadTxn. The wait in either queue
+  // session's global admission inside the body. The wait in either queue
   // honours ctx, so a cancel or deadline never leaves a thread parked.
   Status s = conn.tenant->admission().Admit(&ctx);
   if (s.ok()) {
-    if (sql::LooksLikeDml(in.text)) {
-      // Writes serialize on the session's writer lock and do not carry a
-      // context inside; check the budget at the last gate before queueing.
-      s = ctx.CheckNow();
-      if (s.ok()) {
-        s = session_->Write([&](TemporalEngine& eng) {
-          return sql::ExecuteSql(eng, in.text, &result, &ctx);
-        });
-      }
-    } else {
-      const ExecOptions opts = QueryExecOptions(conn);
-      s = session_->ReadTxn(&ctx, [&](TemporalEngine& eng) {
-        return sql::ExecuteSql(eng, in.text, &result, &ctx, opts);
-      });
-    }
+    s = body(&ctx);
     conn.tenant->admission().Release();
   }
   {
@@ -343,62 +329,48 @@ void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
     conn.active_request_id = 0;
   }
   conn.tenant->Account(s);
-  if (s.ok()) {
-    reply->type = MsgType::kResult;
-    reply->columns = std::move(result.columns);
-    reply->rows = std::move(result.rows);
-    return;
-  }
-  reply->type = MsgType::kError;
+  if (s.ok()) return true;
   reply->status_code = static_cast<uint8_t>(s.code());
   reply->text = s.message();
   reply->retry_hint = s.retry_hint();
   reply->retry_after_ms = AdmissionController::RetryAfterMs(s);
+  return false;
+}
+
+void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
+  sql::SqlResult result;
+  const bool ok = RunRequest(conn, in, reply, [&](QueryContext* ctx) {
+    if (sql::LooksLikeDml(in.text)) {
+      // Writes serialize on the session's writer lock and do not carry a
+      // context inside; check the budget at the last gate before queueing.
+      BIH_RETURN_IF_ERROR(ctx->CheckNow());
+      return session_->Write([&](TemporalEngine& eng) {
+        return sql::ExecuteSql(eng, in.text, &result, ctx);
+      });
+    }
+    const ExecOptions opts = QueryExecOptions(conn);
+    return session_->ReadTxn(ctx, [&](TemporalEngine& eng) {
+      return sql::ExecuteSql(eng, in.text, &result, ctx, opts);
+    });
+  });
+  if (!ok) return;
+  reply->type = MsgType::kResult;
+  reply->columns = std::move(result.columns);
+  reply->rows = std::move(result.rows);
 }
 
 void Server::HandleExplain(Connection& conn, const Message& in,
                            Message* reply) {
-  BumpStat(&NetServerStats::queries);
-  reply->type = MsgType::kError;
-  if (conn.tenant == nullptr) {
-    reply->status_code = static_cast<uint8_t>(Status::Code::kInvalidArgument);
-    reply->text = "no session: send Hello first";
-    return;
-  }
-  QueryContext ctx =
-      in.deadline_ms > 0
-          ? QueryContext::WithTimeout(std::chrono::milliseconds(in.deadline_ms))
-          : QueryContext();
-  {
-    MutexLock lock(conn.mu);
-    conn.active = &ctx;
-    conn.active_request_id = in.request_id;
-  }
   std::string json;
-  Status s = conn.tenant->admission().Admit(&ctx);
-  if (s.ok()) {
+  const bool ok = RunRequest(conn, in, reply, [&](QueryContext* ctx) {
     const ExecOptions opts = QueryExecOptions(conn);
-    s = session_->ReadTxn(&ctx, [&](TemporalEngine& eng) {
-      return sql::Explain(eng, in.text, &json, &ctx, opts);
+    return session_->ReadTxn(ctx, [&](TemporalEngine& eng) {
+      return sql::Explain(eng, in.text, &json, ctx, opts);
     });
-    conn.tenant->admission().Release();
-  }
-  {
-    MutexLock lock(conn.mu);
-    conn.active = nullptr;
-    conn.active_request_id = 0;
-  }
-  conn.tenant->Account(s);
-  if (s.ok()) {
-    reply->type = MsgType::kExplainReply;
-    reply->text = std::move(json);
-    return;
-  }
-  reply->type = MsgType::kError;
-  reply->status_code = static_cast<uint8_t>(s.code());
-  reply->text = s.message();
-  reply->retry_hint = s.retry_hint();
-  reply->retry_after_ms = AdmissionController::RetryAfterMs(s);
+  });
+  if (!ok) return;
+  reply->type = MsgType::kExplainReply;
+  reply->text = std::move(json);
 }
 
 void Server::HandleCancel(const Message& in) {

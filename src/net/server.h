@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -133,6 +134,13 @@ class Server {
   // Dispatches one decoded request. Returns false when the connection
   // should close (goodbye, protocol violation, injected drop).
   bool HandleMessage(Connection& conn, const Message& in);
+  // The skeleton every kQuery/kExplain request runs through: a context
+  // carrying the wire deadline, published on conn.active for kCancel,
+  // tenant admission around `body`, the tenant's accounting and the error
+  // reply. Returns true when `body` succeeded and the caller should fill
+  // in its success reply.
+  bool RunRequest(Connection& conn, const Message& in, Message* reply,
+                  const std::function<Status(QueryContext*)>& body);
   void HandleQuery(Connection& conn, const Message& in, Message* reply);
   void HandleExplain(Connection& conn, const Message& in, Message* reply);
   void HandleCancel(const Message& in);

@@ -30,8 +30,8 @@ void SessionManager::Init(SessionConfig cfg) {
     // Anything loaded before the session layer took over (bulk load, WAL
     // recovery) becomes the base snapshot.
     engine_->PrepareForReads();
-    PublishWatermark();
-    if (cfg.group_commit && engine_->wal() != nullptr) {
+    watermark_.store(engine_->Now().micros(), std::memory_order_release);
+    if (engine_->wal() != nullptr) {
       group_ = std::make_shared<GroupCommit>(engine_->SharedWal(), &staging_);
     }
   }
@@ -56,10 +56,6 @@ SessionManager::~SessionManager() {
     watchdog_cv_.NotifyAll();
     watchdog_.join();
   }
-}
-
-void SessionManager::PublishWatermark() {
-  watermark_.store(engine_->Now().micros(), std::memory_order_release);
 }
 
 void SessionManager::AdvanceWatermark(int64_t commit_ts) {
@@ -130,17 +126,68 @@ Status SessionManager::Read(ScanRequest req, QueryContext* ctx,
 Status SessionManager::ReadAt(Snapshot snap, ScanRequest req,
                               QueryContext* ctx, std::vector<Row>* out) {
   out->clear();
-  Status s = DoRead(snap, req, ctx, out);
-  AccountRead(s);
+  req.temporal.system_time =
+      ClampToWatermark(req.temporal.system_time, snap.watermark);
+  req.ctx = ctx;
+  // Intra-query parallelism: reads that do not choose a width inherit the
+  // manager's; workers run strictly within ReadTxn's shared-lock scope (the
+  // scan drains its morsels before returning), so parallel reads see the
+  // same pinned snapshot as serial ones.
+  req.exec = MergeExecOptions(req.exec, exec_options());
+  Status s = ReadTxn(ctx, [&](TemporalEngine& eng) {
+    eng.Scan(req, [&](const Row& row) {
+      out->push_back(row);
+      // A version still open at the snapshot may have been closed by a
+      // later write before this scan ran; its stored SYS_TIME_END is then
+      // past the watermark. Rewriting it to forever makes reads against
+      // the same snapshot byte-identical no matter how writes interleave.
+      Row& r = out->back();
+      if (!r.empty() && r.back().is_int() &&
+          r.back().AsInt() > snap.watermark) {
+        r.back() = Value(Period::kForever);
+      }
+      return true;
+    });
+    return Status::OK();
+  });
   if (!s.ok()) out->clear();
   return s;
 }
 
 Status SessionManager::ReadTxn(
     QueryContext* ctx, const std::function<Status(TemporalEngine&)>& fn) {
-  Status s = DoReadTxn(ctx, fn);
-  AccountRead(s);
-  return s;
+  Status result = Status::OK();
+  if (ctx != nullptr) result = ctx->CheckNow();
+  if (result.ok()) result = admission_.Admit(ctx);
+  if (!result.ok()) {
+    AccountRead(result);
+    return result;
+  }
+
+  if (ctx != nullptr) {
+    MutexLock reg(inflight_mu_);
+    inflight_.insert(ctx);
+  }
+
+  if (PollLockShared(ctx, &result)) {
+    result = fn(*engine_);
+    // A deadline or cancellation that fired mid-callback wins over whatever
+    // the callback returned: an interrupted composite read must not be
+    // reported as a clean success (or as a confusing secondary error).
+    if (ctx != nullptr) {
+      Status interrupted = ctx->status();
+      if (!interrupted.ok()) result = interrupted;
+    }
+    rw_mu_.unlock_shared();
+  }
+
+  if (ctx != nullptr) {
+    MutexLock reg(inflight_mu_);
+    inflight_.erase(ctx);
+  }
+  admission_.Release();
+  AccountRead(result);
+  return result;
 }
 
 void SessionManager::AccountRead(const Status& s) {
@@ -172,90 +219,6 @@ bool SessionManager::PollLockShared(QueryContext* ctx, Status* why) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   return true;
-}
-
-Status SessionManager::DoRead(Snapshot snap, ScanRequest& req,
-                              QueryContext* ctx, std::vector<Row>* out) {
-  if (ctx != nullptr) {
-    Status s = ctx->CheckNow();
-    if (!s.ok()) return s;
-  }
-  Status admitted = admission_.Admit(ctx);
-  if (!admitted.ok()) return admitted;
-
-  if (ctx != nullptr) {
-    MutexLock reg(inflight_mu_);
-    inflight_.insert(ctx);
-  }
-
-  Status result = Status::OK();
-  if (PollLockShared(ctx, &result)) {
-    req.temporal.system_time =
-        ClampToWatermark(req.temporal.system_time, snap.watermark);
-    req.ctx = ctx;
-    // Intra-query parallelism: reads that do not choose a width inherit
-    // the manager's; workers run strictly within this shared-lock scope
-    // (the scan drains its morsels before returning), so parallel reads
-    // see the same pinned snapshot as serial ones.
-    req.exec = MergeExecOptions(req.exec, exec_options());
-    engine_->Scan(req, [&](const Row& row) {
-      out->push_back(row);
-      // A version still open at the snapshot may have been closed by a
-      // later write before this scan ran; its stored SYS_TIME_END is then
-      // past the watermark. Rewriting it to forever makes reads against
-      // the same snapshot byte-identical no matter how writes interleave.
-      Row& r = out->back();
-      if (!r.empty() && r.back().is_int() &&
-          r.back().AsInt() > snap.watermark) {
-        r.back() = Value(Period::kForever);
-      }
-      return true;
-    });
-    if (ctx != nullptr) result = ctx->status();
-    rw_mu_.unlock_shared();
-  }
-
-  if (ctx != nullptr) {
-    MutexLock reg(inflight_mu_);
-    inflight_.erase(ctx);
-  }
-  admission_.Release();
-  return result;
-}
-
-Status SessionManager::DoReadTxn(
-    QueryContext* ctx, const std::function<Status(TemporalEngine&)>& fn) {
-  if (ctx != nullptr) {
-    Status s = ctx->CheckNow();
-    if (!s.ok()) return s;
-  }
-  Status admitted = admission_.Admit(ctx);
-  if (!admitted.ok()) return admitted;
-
-  if (ctx != nullptr) {
-    MutexLock reg(inflight_mu_);
-    inflight_.insert(ctx);
-  }
-
-  Status result = Status::OK();
-  if (PollLockShared(ctx, &result)) {
-    result = fn(*engine_);
-    // A deadline or cancellation that fired mid-callback wins over whatever
-    // the callback returned: an interrupted composite read must not be
-    // reported as a clean success (or as a confusing secondary error).
-    if (ctx != nullptr) {
-      Status interrupted = ctx->status();
-      if (!interrupted.ok()) result = interrupted;
-    }
-    rw_mu_.unlock_shared();
-  }
-
-  if (ctx != nullptr) {
-    MutexLock reg(inflight_mu_);
-    inflight_.erase(ctx);
-  }
-  admission_.Release();
-  return result;
 }
 
 void SessionManager::DegradeIfWalDead() {
@@ -349,10 +312,10 @@ Status SessionManager::DoWrite(
     return ReadOnlyStatus();
   }
 
-  // Group mode hands the durability wait a snapshot of the coordinator
-  // (shared_ptr: a revive may swap in a fresh one while we wait) plus the
-  // write's ticket and commit timestamp, all captured under the exclusive
-  // lock where LSN order and commit order are the same order.
+  // The durability wait gets a snapshot of the coordinator (shared_ptr: a
+  // revive may swap in a fresh one while we wait) plus the write's ticket
+  // and commit timestamp, all captured under the exclusive lock where LSN
+  // order and commit order are the same order.
   std::shared_ptr<GroupCommit> group;
   GroupCommit::Ticket ticket;
   int64_t commit_ts = 0;
@@ -371,24 +334,17 @@ Status SessionManager::DoWrite(
     // Publish deferred engine state (System B's undo log) while we still
     // hold the writer side, so subsequent scans are pure reads.
     engine_->PrepareForReads();
+    // Taken even when fn failed: a failed statement may sit inside a batch
+    // whose earlier statements committed.
+    commit_ts = engine_->Now().micros();
     if (group_ != nullptr) {
       group = group_;
       ticket.lsn = group->wal()->appended_lsn();
-      commit_ts = engine_->Now().micros();
-      // An append failure (as opposed to a sync failure) kills the WAL
-      // while we still hold the lock; degrade here as before.
-      DegradeIfWalDead();
-    } else {
-      // Single-lane path: the engine synced inside fn, so completion and
-      // durability coincide and the watermark can advance immediately. It
-      // moves even on failure: a failed statement may sit inside a batch
-      // whose earlier statements committed.
-      PublishWatermark();
-      // A write that killed the WAL leaves durable state behind in-memory
-      // state; from here on the session serves the pinned snapshots but
-      // accepts no further writes.
-      DegradeIfWalDead();
     }
+    // An append failure (as opposed to a sync failure) kills the WAL while
+    // we still hold the lock; from here on the session serves the pinned
+    // snapshots but accepts no further writes.
+    DegradeIfWalDead();
     staging_.fetch_sub(1, std::memory_order_release);
     {
       MutexLock st(stats_mu_);
@@ -396,23 +352,22 @@ Status SessionManager::DoWrite(
     }
   }
 
-  if (group != nullptr) {
-    // The exclusive lock is gone: readers and other shards proceed while
-    // we wait for the device. The coordinator batches every waiter that
-    // piles up here into one fdatasync.
-    Status durable = group->WaitDurable(ticket);
-    if (durable.ok()) {
-      // Acknowledged. Only now may readers pin this commit: timestamps
-      // reach the watermark in durability order, which equals commit
-      // order, so a pinned snapshot never spans a half-durable suffix.
-      AdvanceWatermark(commit_ts);
-    } else {
-      // Never acknowledged — the commit may not survive a crash, so its
-      // timestamp must never reach the watermark. Degrade without the
-      // lock (read_only_ only ever flips false -> true outside a revive).
-      DegradeNow();
-      if (s.ok()) s = durable;
-    }
+  // The exclusive lock is gone: readers and other shards proceed while we
+  // wait for the device. The coordinator batches every waiter that piles up
+  // here into one fdatasync.
+  Status durable = group != nullptr ? group->WaitDurable(ticket) : Status::OK();
+  if (durable.ok()) {
+    // Acknowledged (or nothing to wait on). Only now may readers pin this
+    // commit: timestamps reach the watermark in durability order, which
+    // equals commit order, so a pinned snapshot never spans a half-durable
+    // suffix.
+    AdvanceWatermark(commit_ts);
+  } else {
+    // Never acknowledged — the commit may not survive a crash, so its
+    // timestamp must never reach the watermark. Degrade without the lock
+    // (read_only_ only ever flips false -> true outside a revive).
+    DegradeNow();
+    if (s.ok()) s = durable;
   }
   UnlockShards(shard);
   return s;

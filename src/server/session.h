@@ -29,12 +29,6 @@ struct SessionConfig {
   // every read serial. When > 1, the manager owns a ScanScheduler sized
   // for this width and injects it into reads that do not bring their own.
   int scan_threads = 0;
-  // Group commit: when true and the engine carries a WAL, the manager owns
-  // durability through a GroupCommit coordinator — per-DML Flush() stages
-  // instead of syncing, the exclusive engine lock is released before the
-  // device wait, and concurrent commits share one fdatasync. False keeps
-  // the single-lane sync-per-commit path (useful as a bench baseline).
-  bool group_commit = true;
   // Write-admission shards (clamped to >= 1). Keyed writes (Insert/
   // UpdateCurrent/DeleteCurrent) serialize per shard — hash of (table,
   // first key value) — instead of against every other writer, so
@@ -48,27 +42,32 @@ struct SessionConfig {
 // Concurrent front door for a TemporalEngine. The engines themselves are
 // single-threaded; this layer adds the discipline a server needs:
 //
-//  * Reads run concurrently under a shared lock against a *pinned
-//    snapshot*: the system-time watermark published by the last completed
+//  * Read()/ReadAt() run concurrently under a shared lock against a
+//    *pinned snapshot*: the system-time watermark of the last durable
 //    write. Because the bitemporal stores never destroy versions, clamping
 //    a query's system-time selector to the watermark yields exactly the
 //    state at that commit, so a reader never observes half of a later
-//    batch no matter how writes interleave.
+//    batch no matter how writes interleave. ReadTxn() (the SQL path) runs
+//    under the same lock but does not pin: see its comment.
 //  * Writes pass shard admission first (keyed writes serialize per
 //    (table, key)-hash shard; generic writes barrier on all shards), then
 //    take the exclusive side of the lock for the in-memory apply and WAL
 //    append, reusing the engines' existing WAL-mirrored DML path
 //    unchanged; after each write the engine publishes deferred state
 //    (System B's undo log) so subsequent scans are pure reads.
-//  * With group commit enabled (the default when the engine has a WAL),
-//    the exclusive lock is released *before* the device sync: the write
-//    takes a durability ticket at its append LSN and waits on the
-//    GroupCommit coordinator, so concurrent writers on different shards
-//    share one fdatasync. The watermark advances only after the ticket is
-//    acknowledged durable — readers can never pin a commit that a crash
-//    could still lose, and because commit timestamps and LSNs are issued
-//    in the same order under the exclusive lock, watermark publication in
-//    durability order equals publication in commit order.
+//  * Every write ends the same way. When the engine carries a WAL at
+//    construction, the manager owns durability through a GroupCommit
+//    coordinator: the write takes a durability ticket at its append LSN
+//    under the exclusive lock, releases the lock *before* the device sync
+//    and waits on the coordinator, so concurrent writers on different
+//    shards share one fdatasync. The watermark advances only after the
+//    ticket is acknowledged durable — Read() can never pin a commit that a
+//    crash could still lose, and because commit timestamps and LSNs are
+//    issued in the same order under the exclusive lock, watermark
+//    publication in durability order equals publication in commit order.
+//    Without a coordinator (no WAL, or one attached after construction,
+//    which syncs inside the apply) there is no ticket to wait on and the
+//    watermark advances as soon as the lock is released.
 //  * Every read passes admission control first (bounded queue + load
 //    shedding) and carries an optional QueryContext checked per row; a
 //    background watchdog cancels queries that outlive their deadline even
@@ -89,10 +88,10 @@ struct SessionConfig {
 // in that order after watchdog_mu_ by the watchdog sweep. The GroupCommit
 // coordinator's internal mutex is only ever taken with no session lock
 // held (durability waits happen after rw_mu_ is released). The watermark
-// is the one deliberate lock-free handoff: stored under rw_mu_ exclusively
-// in the legacy path (PublishWatermark) or by CAS-max after durability in
-// the group path (AdvanceWatermark); either way the release-store pairs
-// with the acquire-load in OpenSnapshot.
+// is the one deliberate lock-free handoff: stored once by Init, then
+// advanced by CAS-max after the write's lock is released
+// (AdvanceWatermark); the release-store pairs with the acquire-load in
+// OpenSnapshot.
 class SessionManager {
  public:
   // Serves an engine owned by someone else (e.g. a WorkloadContext).
@@ -111,8 +110,8 @@ class SessionManager {
     int64_t watermark = 0;
   };
 
-  // Pins the current watermark (the last completed write). Lock-free: the
-  // acquire-load pairs with PublishWatermark's release-store under rw_mu_.
+  // Pins the current watermark (the last durable write). Lock-free: the
+  // acquire-load pairs with AdvanceWatermark's release CAS.
   Snapshot OpenSnapshot() const {
     return Snapshot{watermark_.load(std::memory_order_acquire)};
   }
@@ -126,11 +125,14 @@ class SessionManager {
                 std::vector<Row>* out);
 
   // Runs `fn` on the engine under the shared (reader) side of the lock,
-  // with the same admission control, in-flight registration and watchdog
-  // coverage as Read(). This is how composite read-only work (the SQL
-  // front end's scans, joins and aggregations) runs against a consistent
-  // engine: writers are excluded for the duration, and a deadline or
-  // cancellation that fires mid-callback overrides fn's own status. The
+  // behind admission control, in-flight registration and watchdog
+  // coverage; Read()/ReadAt() are callbacks of this core. This is how
+  // composite read-only work (the SQL front end's scans, joins and
+  // aggregations) runs against a consistent engine: writers are excluded
+  // for the duration, and a deadline or cancellation that fires
+  // mid-callback overrides fn's own status. The callback sees the engine's
+  // applied state, including commits still waiting on their durability
+  // ticket; it does not pin the watermark — only Read()/ReadAt() do. The
   // callback must not mutate the engine.
   Status ReadTxn(QueryContext* ctx,
                  const std::function<Status(TemporalEngine&)>& fn);
@@ -168,8 +170,8 @@ class SessionManager {
   // fresh WAL writer is opened at the segment after the dead one, the
   // checkpoint folds the entire in-memory state into a snapshot covering
   // every earlier segment, and — only if both steps succeed and the fresh
-  // writer is still healthy — writes are re-enabled (and, under group
-  // commit, a fresh coordinator is armed over the fresh writer). A failed
+  // writer is still healthy — writes are re-enabled (and, if the session
+  // has a coordinator, a fresh one is armed over the fresh writer). A failed
   // revive leaves the session read-only: recovery then still lands on the
   // pre-failure durable state, never on a hole.
   Status RunCheckpoint(Checkpointer* cp, CheckpointInfo* info);
@@ -192,8 +194,8 @@ class SessionManager {
   };
   ServerStats GetStats() const;
 
-  // Group-commit counters (zeroes when group commit is off or the engine
-  // has no WAL). groups < acks is the amortization working: several
+  // Group-commit counters (zeroes when the engine had no WAL when the
+  // session was built). groups < acks is the amortization working: several
   // acknowledged commits shared one device sync. Takes the reader side of
   // the engine lock (the coordinator handle lives under it).
   GroupCommit::Stats GetGroupCommitStats();
@@ -237,9 +239,9 @@ class SessionManager {
 
   // The single writer core. `shard` >= 0 holds that one admission shard;
   // kAllShards barriers on every shard in ascending index order. Inside:
-  // exclusive rw_mu_ for fn + commit bookkeeping, then (group mode) the
-  // lock is dropped and the write waits on its durability ticket before
-  // the watermark advances.
+  // exclusive rw_mu_ for fn + commit bookkeeping, then the lock is dropped,
+  // the write waits on its durability ticket (if it took one) and the
+  // watermark advances.
   static constexpr int kAllShards = -1;
   Status DoWrite(int shard, const std::function<Status(TemporalEngine&)>& fn);
 
@@ -260,10 +262,6 @@ class SessionManager {
   // bih-analyze: releases(shard_mu_)
   void UnlockShards(int shard) NO_THREAD_SAFETY_ANALYSIS;
 
-  Status DoRead(Snapshot snap, ScanRequest& req, QueryContext* ctx,
-                std::vector<Row>* out);
-  Status DoReadTxn(QueryContext* ctx,
-                   const std::function<Status(TemporalEngine&)>& fn);
   // Folds one finished read's outcome into the per-code counters.
   void AccountRead(const Status& s);
 
@@ -274,26 +272,20 @@ class SessionManager {
   bool PollLockShared(QueryContext* ctx, Status* why)
       TRY_ACQUIRE_SHARED(true, rw_mu_);
 
-  // Publishes the snapshot readers pin. The release-store pairs with the
-  // acquire-load in OpenSnapshot; requiring the writer lock here is what
-  // makes the handoff an annotated acquire/release pair instead of a bare
-  // atomic store racing half-finished writes. Used by the legacy
-  // (sync-per-commit) path, where completion and durability coincide.
-  void PublishWatermark() REQUIRES(rw_mu_);
-
-  // Group-mode watermark publication, called *after* rw_mu_ is released
-  // once the write's durability ticket is acknowledged. CAS-max with
-  // release ordering: ticket acknowledgments arrive in LSN (= commit)
-  // order from the coordinator, but the waiters themselves race to store,
-  // so the max keeps a straggler from moving the snapshot backwards.
+  // Watermark publication, called *after* rw_mu_ is released once the
+  // write is durable (its ticket acknowledged, or no ticket to wait on).
+  // CAS-max with release ordering: ticket acknowledgments arrive in LSN
+  // (= commit) order from the coordinator, but the waiters themselves race
+  // to store, so the max keeps a straggler from moving the snapshot
+  // backwards.
   void AdvanceWatermark(int64_t commit_ts);
 
   // Flips to read-only if the engine's WAL has died. Called after every
   // write/checkpoint while still holding the exclusive lock.
   void DegradeIfWalDead() REQUIRES(rw_mu_);
-  // Lock-free degrade for the group path, where the durability failure
-  // surfaces after rw_mu_ is already released. read_only_ only ever goes
-  // false -> true, so the bare store cannot lose a revive (revives happen
+  // Lock-free degrade for a failed durability wait, which surfaces after
+  // rw_mu_ is already released. read_only_ only ever goes false -> true,
+  // so the bare store cannot lose a revive (revives happen
   // under the exclusive lock in RunCheckpoint, which observes the flag
   // again before re-enabling).
   void DegradeNow();
@@ -318,23 +310,22 @@ class SessionManager {
   // timed rwlock acquisition compiles to pthread_rwlock_clockrdlock, which
   // TSan does not intercept, and this layer must stay TSan-clean.)
   // Ordering: after the admission shards (writers admit, then lock), and
-  // before the legacy WAL writer's mutex (DoWrite appends and
-  // DegradeIfWalDead polls dead() under the exclusive lock). String args:
+  // before the WAL writer's mutex (DoWrite appends and DegradeIfWalDead
+  // polls dead() under the exclusive lock). String args:
   // the shard vector and the cross-class WalWriter member cannot be named
   // by the C++ attribute grammar here.
   SharedMutex rw_mu_ ACQUIRED_AFTER("SessionManager::shard_mu_")
       ACQUIRED_BEFORE("WalWriter::mu_");
 
-  // System time of the last *durable* write; readers pin this. Advanced by
-  // PublishWatermark() under rw_mu_ (legacy path) or by AdvanceWatermark()
-  // CAS-max after durability (group path); read lock-free in
-  // OpenSnapshot().
+  // System time of the last *durable* write; Read() pins this. Stored once
+  // by Init, then advanced by AdvanceWatermark() CAS-max after each write's
+  // lock is released; read lock-free in OpenSnapshot().
   std::atomic<int64_t> watermark_{0};
 
   // Flips once (false -> true) when the WAL dies; checked lock-free on the
   // write fast path so rejected writes never queue behind the writer lock.
   // Set under rw_mu_ by DegradeIfWalDead, or lock-free by DegradeNow when
-  // a group durability wait fails after the lock is gone. Cleared (revive)
+  // a durability wait fails after the lock is gone. Cleared (revive)
   // only under rw_mu_ in RunCheckpoint.
   std::atomic<bool> read_only_{false};
 
@@ -343,11 +334,11 @@ class SessionManager {
   // them. Always acquired in ascending index order, always before rw_mu_.
   std::vector<std::unique_ptr<Mutex>> shard_mu_;
 
-  // Durability coordinator; non-null iff group commit is enabled and the
-  // engine carries a WAL. Re-armed (fresh coordinator over the fresh
-  // writer) by RunCheckpoint's revive path. Guarded by rw_mu_: the group
-  // path snapshots the shared_ptr under the exclusive lock, and waiters
-  // keep their snapshot alive across a revive swap.
+  // Durability coordinator; non-null iff the engine carried a WAL when the
+  // session was built. Re-armed (fresh coordinator over the fresh writer)
+  // by RunCheckpoint's revive path. Guarded by rw_mu_: DoWrite snapshots
+  // the shared_ptr under the exclusive lock, and waiters keep their
+  // snapshot alive across a revive swap.
   std::shared_ptr<GroupCommit> group_ GUARDED_BY(rw_mu_);
 
   // Writers between write admission and staging (records appended, ticket

@@ -615,7 +615,7 @@ GroupRun RunGroupScenario(const std::string& letter,
   }
   SessionConfig cfg;
   cfg.watchdog_period = std::chrono::milliseconds(0);
-  cfg.write_shards = 4;  // group_commit defaults on
+  cfg.write_shards = 4;  // the WAL is attached: group commit is armed
   SessionManager mgr(engine.get(), cfg);
   CommitClock model_clock;
   for (const std::vector<ChaosStep>& batch : batches) {

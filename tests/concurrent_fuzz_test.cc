@@ -394,7 +394,7 @@ TEST_P(ConcurrentFuzzTest, MultiWriterDisjointRangesMatchSerializedModel) {
     ASSERT_TRUE(engine->CreateTable(FuzzItemDef()).ok());
     SessionConfig scfg;
     scfg.scan_threads = 2;
-    scfg.write_shards = 8;  // group_commit defaults on: production path
+    scfg.write_shards = 8;  // the WAL is attached: group commit is armed
     SessionManager server(engine.get(), scfg);
 
     std::vector<std::vector<OpTrace>> traces(kWriters);

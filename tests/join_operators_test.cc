@@ -85,7 +85,8 @@ TEST(IndexJoinPlanTest, ProbesEngineWithKeyLookups) {
     SCOPED_TRACE(ctx == nullptr ? "no context" : "with context");
     PlanPtr plan = IndexJoinPlan(ValuesPlan(probes), {0}, "T", {0},
                                  TemporalScanSpec::Current());
-    Rows out = RunPlan(*plan, *engine, ctx);
+    Rows out;
+    ASSERT_TRUE(Execute(*plan, *engine, ExecOptions{}, ctx, &out).ok());
     ASSERT_EQ(2u, out.size());  // 99 misses, NULL skipped
     std::set<int64_t> keys{out[0][0].AsInt(), out[1][0].AsInt()};
     EXPECT_EQ((std::set<int64_t>{3, 42}), keys);

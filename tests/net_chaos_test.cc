@@ -649,6 +649,71 @@ TEST(NetChaosTest, MistypedWriteGetsAnErrorFrameAndTheServerStaysUp) {
   server.Drain();
 }
 
+// EXPLAIN rides the same request skeleton as a query: on a quiescent
+// server the wire JSON is byte-identical to in-process sql::Explain at the
+// same scan width, a bad statement gets an error frame with the in-process
+// status code and leaves the connection serving, and the tenant's counters
+// move exactly as they do for the same outcomes through kQuery.
+TEST(NetChaosTest, ExplainOverTheWireMatchesInProcess) {
+  Fixture fx;
+  ASSERT_NO_FATAL_FAILURE(BuildFixture(&fx, 40));
+  SessionManager session(fx.engine.get(), SessionConfig{});
+  Server server(&session, ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  constexpr int kScanThreads = 2;
+  Client explainer, querier;
+  ASSERT_TRUE(explainer
+                  .Connect("127.0.0.1", server.port(), "explain", kScanThreads)
+                  .ok());
+  ASSERT_TRUE(
+      querier.Connect("127.0.0.1", server.port(), "query", kScanThreads).ok());
+
+  ExecOptions opts;
+  opts.scan_threads = kScanThreads;
+  const std::string good_sql =
+      "SELECT ID, NOTE FROM ITEM WHERE PRICE > 10.0 ORDER BY ID";
+  std::string want;
+  ASSERT_TRUE(sql::Explain(*fx.engine, good_sql, &want, nullptr, opts).ok());
+  std::string got;
+  Status s = explainer.Explain(good_sql, 2000, &got);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(want, got);
+
+  const std::string bad_sql = "SELECT ID FROM NO_SUCH_TABLE";
+  std::string unused;
+  const Status in_process =
+      sql::Explain(*fx.engine, bad_sql, &unused, nullptr, opts);
+  ASSERT_FALSE(in_process.ok());
+  s = explainer.Explain(bad_sql, 2000, &got);
+  EXPECT_EQ(in_process.code(), s.code()) << s.ToString();
+  EXPECT_TRUE(explainer.connected());
+  const QueryCase& qc = fx.queries[0];
+  QueryReply reply;
+  ASSERT_TRUE(explainer.Query(qc.sql, 2000, &reply).ok());
+  EXPECT_EQ(ExpectedPayload(qc, reply.request_id), reply.raw_payload);
+
+  // The same three outcomes through kQuery on a second tenant.
+  QueryReply q;
+  ASSERT_TRUE(querier.Query(good_sql, 2000, &q).ok());
+  EXPECT_EQ(in_process.code(), querier.Query(bad_sql, 2000, &q).code());
+  ASSERT_TRUE(querier.Query(qc.sql, 2000, &q).ok());
+
+  const TenantStats e = server.tenants().GetOrCreate("explain")->GetStats();
+  const TenantStats k = server.tenants().GetOrCreate("query")->GetStats();
+  EXPECT_EQ(3u, e.queries);
+  EXPECT_EQ(2u, e.ok);
+  EXPECT_EQ(1u, e.errors);
+  EXPECT_EQ(k.queries, e.queries);
+  EXPECT_EQ(k.ok, e.ok);
+  EXPECT_EQ(k.errors, e.errors);
+  EXPECT_EQ(k.shed, e.shed);
+  EXPECT_EQ(k.cancelled, e.cancelled);
+  EXPECT_EQ(k.deadline, e.deadline);
+  EXPECT_EQ(k.unavailable, e.unavailable);
+  EXPECT_EQ(6u, server.GetStats().queries);
+  server.Drain();
+}
+
 TEST(NetChaosTest, DeadWalSurfacesOverTheWireAndCheckpointRevives) {
   auto engine = MakeEngine("A");
   FaultInjector fi = FaultInjector::FailSyncNth(5);

@@ -615,8 +615,8 @@ TEST_P(ParallelScanTest, RetireDrainsAfterDeadlineAbandonment) {
 
 // Lock-discipline regression (SessionManager watermark publication): the
 // watermark a reader acquires from OpenSnapshot must never lag a write that
-// already returned — PublishWatermark's release store under the exclusive
-// lock pairs with the acquire load in OpenSnapshot. A stale watermark would
+// already returned — the write's AdvanceWatermark release CAS, made before
+// it returns, pairs with the acquire load in OpenSnapshot. A stale watermark would
 // make the pinned snapshot silently exclude the freshest committed rows.
 TEST_P(ParallelScanTest, WatermarkPublicationCoversCompletedWrites) {
   Loaded l = BuildLoadedEngine(GetParam(), /*seed=*/43, /*num_ops=*/200);
