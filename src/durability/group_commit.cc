@@ -15,13 +15,10 @@ constexpr std::chrono::microseconds kCollectDeadline{120};
 
 }  // namespace
 
-GroupCommit::GroupCommit(std::shared_ptr<WalWriter> wal,
-                         const std::atomic<int>* staging)
-    : wal_(std::move(wal)), staging_(staging) {
-  wal_->SetDeferredSync(true);
-}
+GroupCommit::GroupCommit(std::shared_ptr<WalWriter> wal)
+    : wal_(std::move(wal)) {}
 
-Status GroupCommit::WaitDurable(Ticket t) {
+Status GroupCommit::WaitDurable(Ticket t, const std::atomic<int>* staging) {
   mu_.lock();
   while (durable_lsn_ < t.lsn) {
     if (dead_) {
@@ -58,15 +55,15 @@ Status GroupCommit::WaitDurable(Ticket t) {
     // device wait two orders of magnitude larger. A stuck staging writer
     // costs at most kCollectDeadline, strictly less than the sync it
     // would save.
-    if (staging_ != nullptr) {
+    if (staging != nullptr) {
       std::this_thread::yield();
       std::this_thread::yield();
     }
-    if (staging_ != nullptr &&
-        staging_->load(std::memory_order_acquire) > 0) {
+    if (staging != nullptr &&
+        staging->load(std::memory_order_acquire) > 0) {
       const auto deadline =
           std::chrono::steady_clock::now() + kCollectDeadline;
-      while (staging_->load(std::memory_order_acquire) > 0 &&
+      while (staging->load(std::memory_order_acquire) > 0 &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::yield();
       }
@@ -95,11 +92,6 @@ Status GroupCommit::WaitDurable(Ticket t) {
   ++stats_.acks;
   mu_.unlock();
   return Status::OK();
-}
-
-uint64_t GroupCommit::durable_lsn() const {
-  MutexLock lock(mu_);
-  return durable_lsn_;
 }
 
 GroupCommit::Stats GroupCommit::GetStats() const {

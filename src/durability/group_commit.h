@@ -11,15 +11,18 @@
 
 namespace bih {
 
-// Leader-elected group commit over one WalWriter in deferred-sync mode.
+// Leader-elected group commit over one WalWriter: the only way a commit
+// becomes durable. Every engine with a WAL owns one coordinator
+// (TemporalEngine::AttachWal builds it); a commit with nobody else in
+// flight is simply a group of one.
 //
-// A transaction appends its records (serialized by the session's exclusive
-// engine lock), takes a Ticket at the writer's current append LSN, releases
-// the engine lock, and calls WaitDurable. The first uncovered waiter with
-// no sync in flight elects itself leader, optionally holds the group open
-// for writers that announced themselves but have not yet staged (the
-// collect phase), then runs one WalWriter::SyncGroup, which makes every
-// record staged so far durable in a single fdatasync. Everyone whose
+// A transaction appends and stages its records (serialized by the session's
+// exclusive engine lock), takes a Ticket at the writer's current append
+// LSN, releases the engine lock, and calls WaitDurable. The first uncovered
+// waiter with no sync in flight elects itself leader, optionally holds the
+// group open for writers that announced themselves but have not yet staged
+// (the collect phase), then runs one WalWriter::SyncGroup, which makes
+// every record staged so far durable in a single fdatasync. Everyone whose
 // ticket the advanced durable LSN covers piggybacks, so N concurrent
 // commits pay ~1 device sync instead of N. The leader holds no lock during
 // the device wait: transactions keep appending while the sync is in flight
@@ -38,7 +41,7 @@ namespace bih {
 // (and every later one) get the failure status, mirroring the writer's own
 // dead-state discipline. The coordinator co-owns the writer so a waiter
 // blocked in SyncGroup can never outlive the FILE* it is syncing, even if
-// the session swaps in a fresh writer (revive path) meanwhile.
+// the engine swaps in a fresh writer (and coordinator) meanwhile.
 class GroupCommit {
  public:
   // "Make everything up to this LSN durable." Obtained from
@@ -53,18 +56,7 @@ class GroupCommit {
     uint64_t max_group = 0;  // largest LSN advance one sync paid for
   };
 
-  // Flips the writer into deferred-sync mode: from here on Flush() stages
-  // and SyncGroup() (driven by WaitDurable) is the only durability point.
-  //
-  // `staging` (optional) is a counter of writers that have entered the
-  // write path but not yet appended their records — the session increments
-  // it before taking the engine lock and decrements after staging. A leader
-  // about to sync collects: it waits (bounded) for the counter to drain so
-  // the group covers writers already committed to joining it, instead of
-  // leaving each to pay its own sync one device-wait later. The counter is
-  // a scheduling hint only; correctness never depends on it.
-  explicit GroupCommit(std::shared_ptr<WalWriter> wal,
-                       const std::atomic<int>* staging = nullptr);
+  explicit GroupCommit(std::shared_ptr<WalWriter> wal);
 
   GroupCommit(const GroupCommit&) = delete;
   GroupCommit& operator=(const GroupCommit&) = delete;
@@ -74,18 +66,23 @@ class GroupCommit {
   // are on the device; any failure means the transaction was never
   // acknowledged (the session degrades to read-only on that signal). A
   // ticket at LSN 0 (transaction appended nothing) returns OK immediately.
-  Status WaitDurable(Ticket t) EXCLUDES(mu_);
+  //
+  // `staging` (optional) counts writers that have entered the write path
+  // but not yet appended their records — the session increments it before
+  // taking the engine lock and decrements after staging. A leader about to
+  // sync collects: it waits (bounded) for the counter to drain so the group
+  // covers writers already committed to joining it, instead of leaving
+  // each to pay its own sync one device-wait later. The counter is a
+  // scheduling hint only; correctness never depends on it.
+  Status WaitDurable(Ticket t, const std::atomic<int>* staging = nullptr)
+      EXCLUDES(mu_);
 
-  uint64_t durable_lsn() const EXCLUDES(mu_);
   Stats GetStats() const EXCLUDES(mu_);
-  WalWriter* wal() const { return wal_.get(); }
 
  private:
   // Co-owned (engine + coordinator): waiters blocked in SyncGroup keep the
-  // writer alive across a session-level writer swap.
+  // writer alive across an engine-level writer swap.
   const std::shared_ptr<WalWriter> wal_;
-  // Owned by the session (outlives the coordinator); see constructor note.
-  const std::atomic<int>* const staging_;
 
   mutable Mutex mu_;
   // True while a leader is between electing itself and publishing its

@@ -20,8 +20,8 @@ namespace {
 // Backoff before retry `attempt` (1-based attempt that just failed):
 // 1ms, 2ms, 4ms, ... Bounded by kMaxWriteAttempts so the worst case adds
 // single-digit milliseconds to a commit.
-void BackoffAfterAttempt(int attempt) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(1ll << (attempt - 1)));
+std::chrono::milliseconds BackoffDelay(int attempt) {
+  return std::chrono::milliseconds(1ll << (attempt - 1));
 }
 
 // --- primitive encoders --------------------------------------------------
@@ -572,42 +572,26 @@ Status WalWriter::DeadStatus() const {
                          " is dead; writes are rejected until recovery");
 }
 
+void WalWriter::BackoffLocked(int attempt) {
+  const auto until = std::chrono::steady_clock::now() + BackoffDelay(attempt);
+  while (std::chrono::steady_clock::now() < until) {
+    backoff_cv_.WaitFor(mu_, until - std::chrono::steady_clock::now());
+  }
+}
+
 Status WalWriter::FlushLocked() {
   // fflush failures (EINTR, momentary ENOSPC) leave the stream buffer
-  // intact, so the flush can simply be retried.
+  // intact, so the flush can simply be retried. The backoff drops mu_, so
+  // re-check for a writer killed meanwhile.
   for (int attempt = 1; std::fflush(file_) != 0; ++attempt) {
     if (attempt >= kMaxWriteAttempts) {
       return MarkDead("wal flush failed for " + path_ + ": " +
                       std::strerror(errno));
     }
-    BackoffAfterAttempt(attempt);
+    BackoffLocked(attempt);
+    if (dead_) return DeadStatus();
   }
   return Status::OK();
-}
-
-Status WalWriter::SyncLocked() {
-  const uint64_t sync_index = syncs_ + 1;
-  for (int attempt = 1;; ++attempt) {
-    std::string cause;
-    if (fault_ != nullptr && fault_->OnSync(sync_index).fail) {
-      cause = "injected sync failure at sync point " +
-              std::to_string(sync_index);
-    } else {
-      Status st = SyncFileNow(file_, path_);
-      if (!st.ok()) cause = st.message();
-    }
-    if (cause.empty()) {
-      ++syncs_;
-      return Status::OK();
-    }
-    // A failed fdatasync leaves the durable prefix unknown but the stream
-    // intact; retrying the sync is safe (it either completes, proving the
-    // full prefix durable, or the writer dies here).
-    if (attempt >= kMaxWriteAttempts) {
-      return MarkDead("wal sync failed for " + path_ + " (" + cause + ")");
-    }
-    BackoffAfterAttempt(attempt);
-  }
 }
 
 Status WalWriter::Append(const WalRecord& rec) {
@@ -635,7 +619,7 @@ Status WalWriter::Append(const WalRecord& rec) {
         // frame is safe. Transient errors pass on a later attempt; a
         // crashed injector keeps failing until the attempts run out.
         if (attempt < kMaxWriteAttempts) {
-          BackoffAfterAttempt(attempt);
+          std::this_thread::sleep_for(BackoffDelay(attempt));
           continue;
         }
         return MarkDead("injected write failure on wal record " +
@@ -665,16 +649,7 @@ Status WalWriter::Append(const WalRecord& rec) {
 Status WalWriter::Flush() {
   MutexLock lock(mu_);
   if (dead_) return DeadStatus();
-  BIH_RETURN_IF_ERROR(FlushLocked());
-  // Deferred mode: the record is staged in the OS; the group-commit leader
-  // pays the device sync for the whole batch in SyncGroup().
-  if (deferred_sync_) return Status::OK();
-  return SyncLocked();
-}
-
-void WalWriter::SetDeferredSync(bool deferred) {
-  MutexLock lock(mu_);
-  deferred_sync_ = deferred;
+  return FlushLocked();
 }
 
 uint64_t WalWriter::appended_lsn() const {
@@ -683,18 +658,21 @@ uint64_t WalWriter::appended_lsn() const {
 }
 
 Status WalWriter::SyncGroup(uint64_t* durable_upto) {
+  return SyncDevice(/*group_flush=*/true, durable_upto);
+}
+
+Status WalWriter::SyncDevice(bool group_flush, uint64_t* durable_upto) {
   mu_.lock();
-  // A previous group's device sync may still be in flight (another leader,
-  // or a rotation); the FILE* must stay stable for the wait below.
+  // One device sync at a time, on a FILE* that stays put: from here until
+  // the flag clears, Rotate and the destructor leave file_ alone.
   while (sync_inflight_) sync_cv_.Wait(mu_);
-  if (dead_) {
-    Status dead = DeadStatus();
-    mu_.unlock();
-    return dead;
-  }
-  Status st = FlushLocked();
+  Status st = dead_ ? DeadStatus() : Status::OK();
   if (st.ok()) {
-    const uint64_t group_index = group_syncs_ + 1;
+    sync_inflight_ = true;
+    st = FlushLocked();
+  }
+  if (st.ok() && group_flush) {
+    const uint64_t group_index = ++group_syncs_;
     if (fault_ != nullptr && fault_->OnGroupFlush(group_index).fail) {
       // Crash between staging the group and its device sync: the batch sits
       // in the page cache, no transaction in it was ever acknowledged.
@@ -702,24 +680,17 @@ Status WalWriter::SyncGroup(uint64_t* durable_upto) {
                     std::to_string(group_index) + " of " + path_);
     }
   }
-  if (!st.ok()) {
-    mu_.unlock();
-    return st;
-  }
   // Everything appended up to here is staged; that is what this sync makes
-  // durable. Appends that land during the device wait ride the next group.
+  // durable. Appends that land during the device wait ride the next sync.
   const uint64_t target = records_written_;
-  ++group_syncs_;
-  sync_inflight_ = true;
-  for (int attempt = 1;; ++attempt) {
+  for (int attempt = 1; st.ok(); ++attempt) {
     const uint64_t sync_index = syncs_ + 1;
     const bool injected =
         fault_ != nullptr && fault_->OnSync(sync_index).fail;
-    std::FILE* f = file_;  // stable: rotation waits for !sync_inflight_
+    std::FILE* f = file_;
     mu_.unlock();
     // The device wait runs unlocked — this is the commit pipeline: later
-    // transactions append (and even fflush) into the stream while the
-    // group's fdatasync is in flight.
+    // transactions append (and even fflush) into the stream meanwhile.
     std::string cause;
     if (injected) {
       cause =
@@ -733,28 +704,43 @@ Status WalWriter::SyncGroup(uint64_t* durable_upto) {
       ++syncs_;
       break;
     }
+    // A failed fdatasync leaves the durable prefix unknown but the stream
+    // intact; retrying the sync is safe (it either completes, proving the
+    // full prefix durable, or the writer dies here).
     if (attempt >= kMaxWriteAttempts) {
       st = MarkDead("wal sync failed for " + path_ + " (" + cause + ")");
       break;
     }
-    BackoffAfterAttempt(attempt);
+    BackoffLocked(attempt);
   }
   sync_inflight_ = false;
   sync_cv_.NotifyAll();
-  if (st.ok() && durable_upto != nullptr) *durable_upto = target;
   mu_.unlock();
+  if (st.ok() && durable_upto != nullptr) *durable_upto = target;
   return st;
 }
 
 Status WalWriter::Rotate() {
-  MutexLock lock(mu_);
-  // Never swap the FILE* from under an in-flight group sync.
-  while (sync_inflight_) sync_cv_.Wait(mu_);
-  if (dead_) return DeadStatus();
   // Finish the outgoing segment first: rotation must never leave synced
-  // and unsynced bytes on different sides of the boundary.
-  BIH_RETURN_IF_ERROR(FlushLocked());
-  BIH_RETURN_IF_ERROR(SyncLocked());
+  // and unsynced bytes on different sides of the boundary. The sync's
+  // device wait runs unlocked, so a record appended meanwhile is synced by
+  // another round before the swap.
+  uint64_t synced = 0;
+  Status st = SyncDevice(/*group_flush=*/false, &synced);
+  mu_.lock();
+  for (;;) {
+    while (sync_inflight_) sync_cv_.Wait(mu_);
+    if (!st.ok() || records_written_ == synced) break;
+    mu_.unlock();
+    st = SyncDevice(/*group_flush=*/false, &synced);
+    mu_.lock();
+  }
+  if (st.ok()) st = dead_ ? DeadStatus() : StartNextSegment();
+  mu_.unlock();
+  return st;
+}
+
+Status WalWriter::StartNextSegment() {
   const uint64_t rotate_index = rotations_ + 1;
   if (fault_ != nullptr && fault_->OnRotate(rotate_index).fail) {
     return MarkDead("injected rotation failure at rotation " +

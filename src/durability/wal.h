@@ -128,24 +128,25 @@ Status DecodeWalRecord(const uint8_t* data, size_t n, WalRecord* out);
 // FaultInjector. Clean failures (an injected EIO before any byte landed,
 // or a failed fflush/fdatasync) are retried with bounded exponential
 // backoff before giving up; a short physical write is never retried,
-// because the on-disk state is unknown. Once an append, flush or rotation
-// has definitively failed, the writer is dead: dead_reason() keeps the one
-// actionable first error and every further call returns the same terse
-// kIoError referencing it (the in-memory engine state is then ahead of the
-// durable state, exactly like a real crash — the session layer reacts by
-// degrading to read-only).
+// because the on-disk state is unknown. Once an append, flush, sync or
+// rotation has definitively failed, the writer is dead: dead_reason()
+// keeps the one actionable first error and every further call returns the
+// same terse kIoError referencing it (the in-memory engine state is then
+// ahead of the durable state, exactly like a real crash — the session
+// layer reacts by degrading to read-only).
 //
-// Flush() is the durability point of a commit: it pushes buffered bytes to
-// the OS and then fdatasyncs the segment (unless BIH_NO_FSYNC is set).
+// Staging and durability are separate steps. Flush() only pushes buffered
+// bytes to the OS. SyncGroup() is the one durability point of a commit: it
+// flushes the stream, captures the append LSN and pays one fdatasync for
+// every record appended so far. The group-commit coordinator
+// (durability/group_commit.h) elects the caller; a writer used without a
+// session still commits through it, as a group of one.
 //
-// Group commit: SetDeferredSync(true) turns Flush() into a stage-only
-// operation (fflush to the OS, no device sync); durability then comes from
-// SyncGroup(), which flushes the stream, captures the append LSN, and pays
-// one fdatasync for every record appended so far — with the writer's mutex
-// released during the device wait, so later transactions keep appending
-// into the stream while the sync is in flight (commit pipelining). The
-// group-commit coordinator (durability/group_commit.h) elects the leader
-// that calls it.
+// One retry loop owns the device: SyncGroup and Rotate's segment finish
+// both go through it. The writer's mutex is released during every device
+// wait and every flush or sync backoff, so later transactions keep
+// appending into the stream while a sync is in flight (commit pipelining);
+// sync_inflight_ pins the FILE* meanwhile.
 //
 // Thread safety: the writer carries its own mutex, so Append/Flush/Rotate
 // are safe from any thread. In the session layer all writes already arrive
@@ -180,31 +181,24 @@ class WalWriter {
                        FaultInjector* fault, std::unique_ptr<WalWriter>* out);
 
   Status Append(const WalRecord& rec) EXCLUDES(mu_);
-  // Pushes buffered bytes to the OS and syncs the device (the durability
-  // point of a commit). In deferred-sync mode the device sync is skipped:
-  // the record is staged and SyncGroup() pays for it later.
+  // Stages buffered bytes in the OS (fflush). Never syncs the device: a
+  // staged record is durable only once a SyncGroup covers it.
   Status Flush() EXCLUDES(mu_);
   // Finishes the current segment (flush + sync) and starts the next one.
   // Called by the checkpointer at the checkpoint watermark so the snapshot
-  // covers exactly the finished segments. Rotation always syncs the device,
-  // deferred mode or not: a segment boundary is a durability boundary.
+  // covers exactly the finished segments. Rotation always syncs the device:
+  // a segment boundary is a durability boundary.
   Status Rotate() EXCLUDES(mu_);
 
-  // --- group commit ------------------------------------------------------
-  // Switches Flush() between sync-per-commit (false, the default) and
-  // stage-only (true). The session layer flips this once when it takes
-  // ownership of durability via a GroupCommit coordinator.
-  void SetDeferredSync(bool deferred) EXCLUDES(mu_);
   // Records appended so far across segments — the LSN ticket a transaction
   // hands to the group-commit coordinator ("make everything up to here
   // durable").
   uint64_t appended_lsn() const EXCLUDES(mu_);
   // One batched durability point: flush the stream, capture the append
-  // LSN, fdatasync the device (fault-checked per attempt via OnSync, with
-  // the same retry/backoff as the per-commit path; OnGroupFlush fires once
-  // between staging and the sync — the "crash with the group in the page
-  // cache" point). The writer's mutex is RELEASED during the device wait.
-  // On success *durable_upto (optional) is the LSN the sync proved durable.
+  // LSN, fdatasync the device (fault-checked per attempt via OnSync;
+  // OnGroupFlush fires once between staging and the sync — the "crash with
+  // the group in the page cache" point). On success *durable_upto
+  // (optional) is the LSN the sync proved durable.
   Status SyncGroup(uint64_t* durable_upto) EXCLUDES(mu_);
 
   const std::string& path() const { return path_; }
@@ -223,10 +217,6 @@ class WalWriter {
   uint64_t syncs() const {
     MutexLock lock(mu_);
     return syncs_;
-  }
-  uint64_t group_syncs() const {
-    MutexLock lock(mu_);
-    return group_syncs_;
   }
   bool dead() const {
     MutexLock lock(mu_);
@@ -251,10 +241,19 @@ class WalWriter {
   // calls while dead get the same stable terse error from DeadStatus().
   Status MarkDead(std::string reason) REQUIRES(mu_);
   Status DeadStatus() const REQUIRES(mu_);
+  // Sleeps out the backoff after failed attempt `attempt` with mu_
+  // released, so a retrying flush or sync never stalls appenders.
+  void BackoffLocked(int attempt) REQUIRES(mu_);
   // fflush with bounded retries; marks the writer dead on exhaustion.
   Status FlushLocked() REQUIRES(mu_);
-  // One sync point (fault-checked, retried, BIH_NO_FSYNC-gated).
-  Status SyncLocked() REQUIRES(mu_);
+  // The one device-sync loop behind SyncGroup and Rotate: waits out a sync
+  // in flight, flushes, captures the append LSN, then fdatasyncs
+  // (fault-checked and retried per attempt); on success *durable_upto
+  // (optional) is that LSN. `group_flush` also consults the group-flush
+  // crash point. Called without mu_; holds it only between device waits.
+  Status SyncDevice(bool group_flush, uint64_t* durable_upto) EXCLUDES(mu_);
+  // Rotate's tail: opens the next segment and swaps it in.
+  Status StartNextSegment() REQUIRES(mu_);
 
   const std::string path_;  // base path (= segment 1), immutable
 
@@ -270,13 +269,14 @@ class WalWriter {
   uint64_t syncs_ GUARDED_BY(mu_) = 0;
   uint64_t group_syncs_ GUARDED_BY(mu_) = 0;
   uint64_t rotations_ GUARDED_BY(mu_) = 0;
-  // Group-commit state. While a group's device sync is in flight the FILE*
-  // must not be swapped or closed: SyncGroup sets sync_inflight_ and drops
-  // mu_ for the wait; Rotate and the destructor wait on sync_cv_ for the
-  // flag to clear before touching file_.
-  bool deferred_sync_ GUARDED_BY(mu_) = false;
+  // While a device sync is in flight the FILE* must not be swapped or
+  // closed, and no second sync may start: SyncDevice sets sync_inflight_
+  // and drops mu_ for the wait; Rotate, the destructor and the next sync
+  // wait on sync_cv_ for the flag to clear.
   bool sync_inflight_ GUARDED_BY(mu_) = false;
   CondVar sync_cv_;
+  // Never notified: a timed wait on it is BackoffLocked's unlocked sleep.
+  CondVar backoff_cv_;
   bool dead_ GUARDED_BY(mu_) = false;
   std::string dead_reason_ GUARDED_BY(mu_);
   // Scratch space reused across Append calls; at steady state appending a

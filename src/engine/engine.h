@@ -12,6 +12,7 @@
 #include "common/chrono.h"
 #include "common/query_context.h"
 #include "common/value.h"
+#include "durability/group_commit.h"
 #include "durability/wal.h"
 #include "exec/exec_options.h"
 #include "temporal/clock.h"
@@ -149,9 +150,9 @@ class TemporalEngine {
   // DML statements outside Begin/Commit auto-commit individually. Batched
   // statements share one commit timestamp (the Fig. 13 batch-size knob);
   // a version opened and closed inside one batch was never visible and
-  // leaves no history. With a WAL attached, a batch is durable only once
-  // Commit has flushed its records plus a commit marker; auto-commit
-  // statements flush individually.
+  // leaves no history. With a WAL attached, a batch is durable once Commit
+  // returns: its records plus a commit marker went through group_commit();
+  // auto-commit statements commit individually the same way.
   void Begin();
   Status Commit();
 
@@ -201,17 +202,24 @@ class TemporalEngine {
   // Opens (creating/truncating) a write-ahead log at `path`; from here on
   // every committed mutation — DDL included — is mirrored to it. `fault`
   // (optional, borrowed) injects deterministic write failures for crash
-  // testing. When a log write fails, the mutating call returns kIoError:
-  // the in-memory state is then ahead of the durable state, exactly as in
-  // a crashed process, and recovery from the log yields the state at the
-  // last durable commit.
+  // testing. When a log write or sync fails, the mutating call returns
+  // kIoError: the in-memory state is then ahead of the durable state,
+  // exactly as in a crashed process, and recovery from the log yields the
+  // state at the last durable commit.
   Status EnableWal(const std::string& path, FaultInjector* fault = nullptr);
+  // Installs `wal` and arms a fresh group-commit coordinator over it.
   Status AttachWal(std::unique_ptr<WalWriter> wal);
   WalWriter* wal() const { return wal_.get(); }
-  // Shared ownership handle for the group-commit coordinator: durability
-  // waiters hold this so a session-level writer swap (the revive path) can
-  // never close the FILE* from under an in-flight group sync.
-  std::shared_ptr<WalWriter> SharedWal() const { return wal_; }
+  // The coordinator of the attached WAL (null without one).
+  std::shared_ptr<GroupCommit> group_commit() const { return group_; }
+
+  // Runs `fn` with acknowledgment left to the caller: commits inside stage
+  // their records but do not wait for the device. *ticket then covers
+  // every record staged so far (LSN 0 without a WAL), and
+  // group_commit()->WaitDurable(*ticket) makes them durable — which the
+  // session does after releasing its engine lock.
+  Status StageCommits(const std::function<Status(TemporalEngine&)>& fn,
+                      GroupCommit::Ticket* ticket);
 
   // Applies one logged mutation at its original commit timestamp, keeping
   // the engine clock ahead of it; crash recovery only (engine/recovery.h).
@@ -339,15 +347,20 @@ class TemporalEngine {
   // applies them at `ts` through the version primitives.
   Status ApplyStatement(const Statement& stmt, Row row, Timestamp ts);
   // Mirrors a successful mutation to the WAL: buffered inside a
-  // transaction, appended + flushed immediately in auto-commit mode.
+  // transaction, appended and acknowledged immediately in auto-commit mode.
   Status LogMutation(WalRecord rec);
+  // Stages the records just appended inside StageCommits; outside it,
+  // waits on the coordinator until they are durable.
+  Status Acknowledge();
 
   // Sorted, so ListTables is deterministic. Mutated by DDL only, under the
   // session layer's exclusive lock.
   std::map<std::string, std::unique_ptr<TableBase>> tables_;
-  // Shared with the group-commit coordinator (see SharedWal()); the engine
-  // is still the writer's home — AttachWal replaces it wholesale.
+  // Shared with the coordinator, which keeps it alive for its waiters;
+  // AttachWal replaces both wholesale.
   std::shared_ptr<WalWriter> wal_;
+  std::shared_ptr<GroupCommit> group_;
+  bool stage_only_ = false;  // inside StageCommits
   std::vector<WalRecord> txn_wal_;  // write path only
 };
 

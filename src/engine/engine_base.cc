@@ -37,7 +37,7 @@ Status TemporalEngine::Commit() {
   }
   txn_wal_.clear();
   if (!st.ok()) return st;
-  return wal_->Flush();
+  return Acknowledge();
 }
 
 Status TemporalEngine::LogMutation(WalRecord rec) {
@@ -47,7 +47,25 @@ Status TemporalEngine::LogMutation(WalRecord rec) {
     return Status::OK();
   }
   BIH_RETURN_IF_ERROR(wal_->Append(rec));
-  return wal_->Flush();
+  return Acknowledge();
+}
+
+Status TemporalEngine::Acknowledge() {
+  // Outside StageCommits the group sync stages the records itself.
+  if (stage_only_) return wal_->Flush();
+  return group_->WaitDurable({wal_->appended_lsn()});
+}
+
+Status TemporalEngine::StageCommits(
+    const std::function<Status(TemporalEngine&)>& fn,
+    GroupCommit::Ticket* ticket) {
+  stage_only_ = true;
+  Status s = fn(*this);
+  stage_only_ = false;
+  // Taken even when fn failed: a failed statement may sit inside a batch
+  // whose earlier statements committed.
+  ticket->lsn = wal_ != nullptr ? wal_->appended_lsn() : 0;
+  return s;
 }
 
 TemporalEngine::TableBase::TableBase(TableDef d, const char* sys_from,
@@ -319,6 +337,7 @@ Status TemporalEngine::AttachWal(std::unique_ptr<WalWriter> wal) {
     return Status::InvalidArgument("cannot attach a WAL inside a transaction");
   }
   wal_ = std::move(wal);
+  group_ = wal_ != nullptr ? std::make_shared<GroupCommit>(wal_) : nullptr;
   txn_wal_.clear();
   return Status::OK();
 }

@@ -31,9 +31,6 @@ void SessionManager::Init(SessionConfig cfg) {
     // recovery) becomes the base snapshot.
     engine_->PrepareForReads();
     watermark_.store(engine_->Now().micros(), std::memory_order_release);
-    if (engine_->wal() != nullptr) {
-      group_ = std::make_shared<GroupCommit>(engine_->SharedWal(), &staging_);
-    }
   }
   scan_threads_ = cfg.scan_threads > 0 ? cfg.scan_threads : DefaultScanThreads();
   if (scan_threads_ > 1) {
@@ -312,7 +309,7 @@ Status SessionManager::DoWrite(
     return ReadOnlyStatus();
   }
 
-  // The durability wait gets a snapshot of the coordinator (shared_ptr: a
+  // The durability wait gets the engine's coordinator (shared_ptr: a
   // revive may swap in a fresh one while we wait) plus the write's ticket
   // and commit timestamp, all captured under the exclusive lock where LSN
   // order and commit order are the same order.
@@ -330,17 +327,13 @@ Status SessionManager::DoWrite(
   Status s;
   {
     WriterLock lock(rw_mu_);
-    s = fn(*engine_);
+    // Commits inside stop after staging; the ticket covers them all.
+    s = engine_->StageCommits(fn, &ticket);
     // Publish deferred engine state (System B's undo log) while we still
     // hold the writer side, so subsequent scans are pure reads.
     engine_->PrepareForReads();
-    // Taken even when fn failed: a failed statement may sit inside a batch
-    // whose earlier statements committed.
     commit_ts = engine_->Now().micros();
-    if (group_ != nullptr) {
-      group = group_;
-      ticket.lsn = group->wal()->appended_lsn();
-    }
+    group = engine_->group_commit();
     // An append failure (as opposed to a sync failure) kills the WAL while
     // we still hold the lock; from here on the session serves the pinned
     // snapshots but accepts no further writes.
@@ -355,7 +348,8 @@ Status SessionManager::DoWrite(
   // The exclusive lock is gone: readers and other shards proceed while we
   // wait for the device. The coordinator batches every waiter that piles up
   // here into one fdatasync.
-  Status durable = group != nullptr ? group->WaitDurable(ticket) : Status::OK();
+  Status durable =
+      group != nullptr ? group->WaitDurable(ticket, &staging_) : Status::OK();
   if (durable.ok()) {
     // Acknowledged (or nothing to wait on). Only now may readers pin this
     // commit: timestamps reach the watermark in durability order, which
@@ -407,6 +401,9 @@ Status SessionManager::RunCheckpointLocked(Checkpointer* cp,
         WalWriter::OpenAt(dead->path(), dead->segment_index() + 1,
                           /*fault=*/nullptr, &fresh);
     if (!st.ok()) return st;  // still read-only; nothing changed
+    // AttachWal arms a fresh coordinator over the fresh writer. The old
+    // one is poisoned (its writer is the dead one); any straggler still
+    // waiting on it holds its own shared_ptr and gets the dead status.
     BIH_RETURN_IF_ERROR(engine_->AttachWal(std::move(fresh)));
     Status cs = cp->Write(engine_, info);
     WalWriter* now = engine_->wal();
@@ -417,12 +414,6 @@ Status SessionManager::RunCheckpointLocked(Checkpointer* cp,
       // writability against a dead log would reopen the hole this path
       // exists to close.
       return cs.ok() ? ReadOnlyStatus() : cs;
-    }
-    if (group_ != nullptr) {
-      // Re-arm group commit over the fresh writer. The old coordinator is
-      // poisoned (its writer is the dead one); any straggler still waiting
-      // on it holds its own shared_ptr and gets the dead status.
-      group_ = std::make_shared<GroupCommit>(engine_->SharedWal(), &staging_);
     }
     read_only_.store(false, std::memory_order_release);
     return Status::OK();
@@ -471,7 +462,7 @@ GroupCommit::Stats SessionManager::GetGroupCommitStats() {
   std::shared_ptr<GroupCommit> group;
   {
     ReaderLock lock(rw_mu_);
-    group = group_;
+    group = engine_->group_commit();
   }
   return group != nullptr ? group->GetStats() : GroupCommit::Stats{};
 }

@@ -55,18 +55,18 @@ struct SessionConfig {
 //    append, reusing the engines' existing WAL-mirrored DML path
 //    unchanged; after each write the engine publishes deferred state
 //    (System B's undo log) so subsequent scans are pure reads.
-//  * Every write ends the same way. When the engine carries a WAL at
-//    construction, the manager owns durability through a GroupCommit
-//    coordinator: the write takes a durability ticket at its append LSN
-//    under the exclusive lock, releases the lock *before* the device sync
-//    and waits on the coordinator, so concurrent writers on different
-//    shards share one fdatasync. The watermark advances only after the
-//    ticket is acknowledged durable — Read() can never pin a commit that a
-//    crash could still lose, and because commit timestamps and LSNs are
-//    issued in the same order under the exclusive lock, watermark
-//    publication in durability order equals publication in commit order.
-//    Without a coordinator (no WAL, or one attached after construction,
-//    which syncs inside the apply) there is no ticket to wait on and the
+//  * Every write ends the same way. The apply runs inside the engine's
+//    StageCommits scope, so its commits stage their WAL records and stop;
+//    the write leaves the exclusive lock with a durability ticket at its
+//    append LSN and only then waits on the engine's GroupCommit
+//    coordinator, so concurrent writers on different shards share one
+//    fdatasync. This holds for every WAL the engine carries, including one
+//    attached after the session was built. The watermark advances only
+//    after the ticket is acknowledged durable — Read() can never pin a
+//    commit that a crash could still lose, and because commit timestamps
+//    and LSNs are issued in the same order under the exclusive lock,
+//    watermark publication in durability order equals publication in
+//    commit order. Without a WAL there is nothing to wait on and the
 //    watermark advances as soon as the lock is released.
 //  * Every read passes admission control first (bounded queue + load
 //    shedding) and carries an optional QueryContext checked per row; a
@@ -170,10 +170,10 @@ class SessionManager {
   // fresh WAL writer is opened at the segment after the dead one, the
   // checkpoint folds the entire in-memory state into a snapshot covering
   // every earlier segment, and — only if both steps succeed and the fresh
-  // writer is still healthy — writes are re-enabled (and, if the session
-  // has a coordinator, a fresh one is armed over the fresh writer). A failed
-  // revive leaves the session read-only: recovery then still lands on the
-  // pre-failure durable state, never on a hole.
+  // writer is still healthy — writes are re-enabled (attaching the fresh
+  // writer armed a fresh coordinator over it). A failed revive leaves the
+  // session read-only: recovery then still lands on the pre-failure
+  // durable state, never on a hole.
   Status RunCheckpoint(Checkpointer* cp, CheckpointInfo* info);
 
   // --- Degraded operation ----------------------------------------------
@@ -194,10 +194,11 @@ class SessionManager {
   };
   ServerStats GetStats() const;
 
-  // Group-commit counters (zeroes when the engine had no WAL when the
-  // session was built). groups < acks is the amortization working: several
-  // acknowledged commits shared one device sync. Takes the reader side of
-  // the engine lock (the coordinator handle lives under it).
+  // Group-commit counters of the engine's current coordinator (zeroes
+  // without a WAL; commits made before the session was built count too).
+  // groups < acks is the amortization working: several acknowledged
+  // commits shared one device sync. Takes the reader side of the engine
+  // lock (the coordinator handle lives under it).
   GroupCommit::Stats GetGroupCommitStats();
 
   // Resolved write-admission shard count (>= 1).
@@ -239,9 +240,10 @@ class SessionManager {
 
   // The single writer core. `shard` >= 0 holds that one admission shard;
   // kAllShards barriers on every shard in ascending index order. Inside:
-  // exclusive rw_mu_ for fn + commit bookkeeping, then the lock is dropped,
-  // the write waits on its durability ticket (if it took one) and the
-  // watermark advances.
+  // exclusive rw_mu_ for fn (staged, see StageCommits) + commit
+  // bookkeeping, then the lock is dropped, the write waits on its
+  // durability ticket (when the engine has a WAL) and the watermark
+  // advances.
   static constexpr int kAllShards = -1;
   Status DoWrite(int shard, const std::function<Status(TemporalEngine&)>& fn);
 
@@ -334,19 +336,10 @@ class SessionManager {
   // them. Always acquired in ascending index order, always before rw_mu_.
   std::vector<std::unique_ptr<Mutex>> shard_mu_;
 
-  // Durability coordinator; non-null iff the engine carried a WAL when the
-  // session was built. Re-armed (fresh coordinator over the fresh writer)
-  // by RunCheckpoint's revive path. Guarded by rw_mu_: DoWrite snapshots
-  // the shared_ptr under the exclusive lock, and waiters keep their
-  // snapshot alive across a revive swap.
-  std::shared_ptr<GroupCommit> group_ GUARDED_BY(rw_mu_);
-
   // Writers between write admission and staging (records appended, ticket
-  // taken). A group-commit leader reads it to hold the group open for
-  // writers already committed to joining — a scheduling hint for batching,
-  // never a correctness dependency. Outlives every coordinator built over
-  // it (coordinators are owned by this session or by in-flight waiters
-  // whose DoWrite frame is inside the session's lifetime).
+  // taken). DoWrite hands it to WaitDurable, whose leader reads it to hold
+  // the group open for writers already committed to joining — a scheduling
+  // hint for batching, never a correctness dependency.
   std::atomic<int> staging_{0};
 
   AdmissionController admission_;

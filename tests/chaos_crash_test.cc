@@ -1,8 +1,9 @@
 // Deterministic crash-point chaos sweep (the checkpointing PR's headline
 // property). A fixed operation sequence runs through a WAL-attached engine
 // with periodic checkpoints while the fault injector kills the process
-// model at a chosen crash point: the Nth commit fdatasync, the Nth
-// checkpoint frame, the Nth segment rotation, or the checkpoint rename.
+// model at a chosen crash point: the Nth commit fdatasync, the Nth group
+// flush, the Nth checkpoint frame, the Nth segment rotation, or the
+// checkpoint rename.
 // After every injected crash the log+checkpoint pair is recovered into a
 // fresh engine, whose full bitemporal dump must be byte-identical to SOME
 // PREFIX of the attempted operation sequence — and at least the prefix the
@@ -13,6 +14,7 @@
 // replay, and the session layer degrades to read-only (kUnavailable writes,
 // live snapshot reads) when the WAL dies.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -142,8 +144,13 @@ bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
   return true;
 }
 
+// A log path for `tag`, cleared of the segments and checkpoint an earlier
+// run left there: recovery must only ever see this run's files.
 std::string TmpWal(const std::string& tag) {
-  return ::testing::TempDir() + "/chaos_" + tag + ".wal";
+  const std::string path = ::testing::TempDir() + "/chaos_" + tag + ".wal";
+  EXPECT_TRUE(RemoveWalSegmentsBefore(path, UINT64_MAX).ok());
+  std::remove(Checkpointer::CheckpointPath(path).c_str());
+  return path;
 }
 
 // One injected-crash scenario: drive `steps` with a checkpoint every
@@ -232,10 +239,12 @@ TEST_P(ChaosSweepTest, PrefixConsistentAtEveryCrashPoint) {
   const std::vector<ChaosStep> steps = MakeChaosSteps(20260807, kSteps);
 
   // Crash points: commit-boundary syncs, segment rotations, checkpoint
-  // frames, and the checkpoint's atomic rename — each swept at several
-  // deterministic trigger indices. Syncs happen once per auto-commit and
-  // once per rotation; rotations/renames once per checkpoint; checkpoint
-  // frames accumulate ~3 per checkpoint (def + rows chunk + footer).
+  // frames, the checkpoint's atomic rename and the group flush between
+  // staging and sync — each swept at several deterministic trigger
+  // indices. Syncs happen once per auto-commit and once per rotation;
+  // group flushes once per auto-commit; rotations/renames once per
+  // checkpoint; checkpoint frames accumulate ~3 per checkpoint (def + rows
+  // chunk + footer).
   const std::vector<CrashPlan> plans = {
       {"sync", &FaultInjector::FailSyncNth, 1},
       {"sync", &FaultInjector::FailSyncNth, 2},
@@ -254,6 +263,11 @@ TEST_P(ChaosSweepTest, PrefixConsistentAtEveryCrashPoint) {
       {"rename", &FaultInjector::TornRenameNth, 1},
       {"rename", &FaultInjector::TornRenameNth, 2},
       {"rename", &FaultInjector::TornRenameNth, 4},
+      // Without a session every commit is a group of one: group n is the
+      // n-th commit (the DDL first), killed after staging.
+      {"group", &FaultInjector::FailGroupFlushNth, 1},
+      {"group", &FaultInjector::FailGroupFlushNth, 7},
+      {"group", &FaultInjector::FailGroupFlushNth, 27},
   };
 
   for (const CrashPlan& plan : plans) {
@@ -392,7 +406,7 @@ TEST_P(ChaosSweepTest, TornPublishedCheckpointIsIgnored) {
 // writes get kUnavailable with a retry hint, snapshot reads keep serving.
 TEST_P(ChaosSweepTest, DeadWalDegradesSessionToReadOnly) {
   const std::string letter = GetParam();
-  // Sync 1 is the CREATE TABLE flush; the injected failure lands on the
+  // Sync 1 is the CREATE TABLE's group; the injected failure lands on the
   // 5th commit sync = the 4th insert.
   FaultInjector fi = FaultInjector::FailSyncNth(5);
   auto engine = MakeEngine(letter);
@@ -443,6 +457,36 @@ TEST_P(ChaosSweepTest, DeadWalDegradesSessionToReadOnly) {
   SessionManager::ServerStats stats = mgr.GetStats();
   EXPECT_EQ(1u, stats.writes_unavailable);
   EXPECT_GE(stats.reads_ok, 1u);
+}
+
+// A WAL attached after the session was built is group-committed like any
+// other: the write waits on the engine's coordinator after the lock is
+// released, so a killed group flush fails the write, degrades the session
+// and never lets the commit reach a pinned read.
+TEST_P(ChaosSweepTest, WalAttachedAfterSessionIsGroupCommitted) {
+  const std::string letter = GetParam();
+  auto engine = MakeEngine(letter);
+  ASSERT_TRUE(engine->CreateTable(FuzzItemDef()).ok());
+  SessionConfig cfg;
+  cfg.watchdog_period = std::chrono::milliseconds(0);
+  SessionManager mgr(engine.get(), cfg);
+
+  FaultInjector fi = FaultInjector::FailGroupFlushNth(1);
+  ASSERT_TRUE(mgr.engine().EnableWal(TmpWal(letter + "_late"), &fi).ok());
+  Status st = mgr.Insert("ITEM", Row{Value(int64_t(1)), Value(1.0), Value("x"),
+                                     Value(int64_t(0)),
+                                     Value(Period::kForever)});
+  EXPECT_EQ(Status::Code::kIoError, st.code()) << st.ToString();
+  EXPECT_TRUE(fi.triggered());
+  EXPECT_TRUE(mgr.read_only());
+
+  std::vector<Row> rows;
+  ScanRequest req;
+  req.table = "ITEM";
+  req.temporal.system_time = TemporalSelector::All();
+  req.temporal.app_time = TemporalSelector::All();
+  ASSERT_TRUE(mgr.Read(req, nullptr, &rows).ok());
+  EXPECT_TRUE(rows.empty()) << "an unacknowledged commit became visible";
 }
 
 // The revive path: a session degraded by a dead WAL comes back to
@@ -666,28 +710,31 @@ TEST_P(ChaosSweepTest, TornGroupCommitRecoversWholeTransactionsOnly) {
   struct GroupPlan {
     const char* tag;
     FaultInjector fi;
+    size_t acked;  // batches acknowledged before the crash point
   };
-  // Each batch costs one group flush and one sync (plus the DDL's sync
-  // before the session exists); each batch appends four records (three
-  // statements + the commit marker) after the DDL's one.
+  // The DDL before the session exists is group 1 and sync 1 (a group of
+  // one); each batch then costs one group flush and one sync, and appends
+  // four records (three statements + the commit marker) after the DDL's
+  // one. Pinning `acked` keeps each plan killing the batch it was chosen
+  // for.
   const std::vector<GroupPlan> plans = {
       // Before the batched fsync: staged, flushed, never synced.
-      {"group", FaultInjector::FailGroupFlushNth(1)},
-      {"group", FaultInjector::FailGroupFlushNth(2)},
-      {"group", FaultInjector::FailGroupFlushNth(7)},
-      {"group", FaultInjector::FailGroupFlushNth(19)},
+      {"group", FaultInjector::FailGroupFlushNth(2), 0},
+      {"group", FaultInjector::FailGroupFlushNth(3), 1},
+      {"group", FaultInjector::FailGroupFlushNth(8), 6},
+      {"group", FaultInjector::FailGroupFlushNth(20), 18},
       // At the batched fsync itself.
-      {"sync", FaultInjector::FailSyncNth(2)},
-      {"sync", FaultInjector::FailSyncNth(3)},
-      {"sync", FaultInjector::FailSyncNth(11)},
-      {"sync", FaultInjector::FailSyncNth(25)},
+      {"sync", FaultInjector::FailSyncNth(2), 0},
+      {"sync", FaultInjector::FailSyncNth(3), 1},
+      {"sync", FaultInjector::FailSyncNth(11), 9},
+      {"sync", FaultInjector::FailSyncNth(25), 23},
       // Torn mid-record inside a group's frames: the batch's commit marker
       // never lands, so recovery must drop the whole transaction.
-      {"torn", FaultInjector::TornNth(3, 0)},
-      {"torn", FaultInjector::TornNth(8, 5)},
-      {"torn", FaultInjector::TornNth(14, 9)},
-      {"torn", FaultInjector::TornNth(27, 13)},
-      {"torn", FaultInjector::TornNth(61, 7)},
+      {"torn", FaultInjector::TornNth(3, 0), 0},
+      {"torn", FaultInjector::TornNth(8, 5), 1},
+      {"torn", FaultInjector::TornNth(14, 9), 3},
+      {"torn", FaultInjector::TornNth(27, 13), 6},
+      {"torn", FaultInjector::TornNth(61, 7), 14},
   };
 
   for (size_t p = 0; p < plans.size(); ++p) {
@@ -698,6 +745,10 @@ TEST_P(ChaosSweepTest, TornGroupCommitRecoversWholeTransactionsOnly) {
     GroupRun rr = RunGroupScenario(letter, wal_path, &fi, batches);
     ASSERT_TRUE(rr.crashed) << "plan never triggered";
     ASSERT_TRUE(fi.triggered());
+    // The crash killed batch acked + 1 (its prefix is the last one), never
+    // the DDL before the session.
+    EXPECT_EQ(plans[p].acked, rr.acked);
+    EXPECT_EQ(rr.acked + 2, rr.prefixes.size());
 
     std::unique_ptr<TemporalEngine> recovered;
     RecoveryReport report;
@@ -727,7 +778,8 @@ TEST_P(ChaosSweepTest, ConcurrentGroupCrashLeavesNoPartialTransaction) {
   constexpr int kBatchesEach = 40;
   constexpr int kRowsPerBatch = 3;
 
-  for (uint64_t group_n : {3u, 9u, 21u}) {
+  // Group 1 is the CREATE TABLE, a group of one before the session.
+  for (uint64_t group_n : {4u, 10u, 22u}) {
     const std::string tag =
         letter + "_cgc" + std::to_string(group_n);
     SCOPED_TRACE(tag);

@@ -504,8 +504,10 @@ TEST_P(ConcurrentFuzzTest, MultiWriterDisjointRangesMatchSerializedModel) {
     // the whole serialization; group commit must actually have grouped.
     w_final = server.OpenSnapshot().watermark;
     ASSERT_GE(w_final, serialized.back().ts);
+    // The engine's coordinator also acknowledged the CREATE TABLE, a group
+    // of one before the session existed.
     GroupCommit::Stats gstats = server.GetGroupCommitStats();
-    EXPECT_EQ(gstats.acks, static_cast<uint64_t>(kWriters) * kOpsEach);
+    EXPECT_EQ(gstats.acks, static_cast<uint64_t>(kWriters) * kOpsEach + 1);
     EXPECT_GT(gstats.groups, 0u);
     EXPECT_LE(gstats.groups, gstats.acks);
 

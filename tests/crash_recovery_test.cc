@@ -8,6 +8,7 @@
 // versions, same application periods, same system-time coordinates. Runs
 // against all four architectures.
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -408,12 +409,13 @@ TEST_P(CrashSweepTest, UncommittedBatchRollsBackAtEveryCrashPoint) {
   }
 }
 
-// Group-boundary regression: transactions staged in deferred-sync mode
-// across one shared group flush and across a segment rotation must replay
-// with byte-identical state — including identical commit timestamps, which
-// the full-history dump carries in its system-time columns. This is the
-// recovery contract the group-commit write path leans on: deferring the
-// fdatasync reorders *when* records become durable, never *what* they say.
+// Group-boundary regression: transactions staged inside StageCommits (the
+// session's write scope) across one shared group flush and across a
+// segment rotation must replay with byte-identical state — including
+// identical commit timestamps, which the full-history dump carries in its
+// system-time columns. This is the recovery contract the group-commit
+// write path leans on: deferring the fdatasync reorders *when* records
+// become durable, never *what* they say.
 TEST_P(CrashSweepTest, GroupBoundaryStagingRecoversIdenticalTimestamps) {
   const std::string letter = GetParam();
   const std::string wal_path = TmpWal(letter + "_group");
@@ -426,9 +428,9 @@ TEST_P(CrashSweepTest, GroupBoundaryStagingRecoversIdenticalTimestamps) {
     auto engine = MakeEngine(letter);
     ASSERT_TRUE(engine->EnableWal(wal_path).ok());
     ASSERT_TRUE(engine->CreateTable(ItemDef()).ok());
-    // Deferred-sync mode from here on: Commit stages, the coordinator is
-    // the only durability point.
-    GroupCommit group(engine->SharedWal());
+    // The engine's coordinator is the only durability point; inside
+    // StageCommits, Commit stages and leaves the wait to us.
+    std::shared_ptr<GroupCommit> group = engine->group_commit();
 
     auto run_batch = [&](size_t i) {
       const int64_t ts = model_clock.NextCommit().micros();
@@ -441,27 +443,41 @@ TEST_P(CrashSweepTest, GroupBoundaryStagingRecoversIdenticalTimestamps) {
       ASSERT_TRUE(engine->Commit().ok());
       for (const Step* s : applied) model.Apply(*s, ts);
     };
+    auto stage = [&](const std::function<void()>& body) {
+      GroupCommit::Ticket ticket;
+      EXPECT_TRUE(engine
+                      ->StageCommits(
+                          [&](TemporalEngine&) {
+                            body();
+                            return Status::OK();
+                          },
+                          &ticket)
+                      .ok());
+      return ticket;
+    };
 
     // Batches 1 and 2 stage unsynced; one WaitDurable covers both in a
     // single device sync (the group flush under test).
-    run_batch(0);
-    run_batch(kBatch);
     const uint64_t syncs_before = engine->wal()->syncs();
-    GroupCommit::Ticket two_batches{engine->wal()->appended_lsn()};
-    ASSERT_TRUE(group.WaitDurable(two_batches).ok());
+    const uint64_t groups_before = group->GetStats().groups;
+    GroupCommit::Ticket two_batches = stage([&] {
+      run_batch(0);
+      run_batch(kBatch);
+    });
+    EXPECT_EQ(syncs_before, engine->wal()->syncs()) << "staging never syncs";
+    ASSERT_TRUE(group->WaitDurable(two_batches).ok());
     EXPECT_EQ(syncs_before + 1, engine->wal()->syncs())
         << "two staged transactions should share one fdatasync";
-    EXPECT_EQ(1u, group.GetStats().groups);
+    EXPECT_EQ(groups_before + 1, group->GetStats().groups);
 
     // Batch 3 stages in segment 1, then the segment rotates mid-stream
     // (the rotation itself syncs the staged tail); batch 4 lands in
     // segment 2 and is flushed by its own group.
-    run_batch(2 * kBatch);
+    stage([&] { run_batch(2 * kBatch); });
     ASSERT_TRUE(engine->wal()->Rotate().ok());
     EXPECT_EQ(2u, engine->wal()->segment_index());
-    run_batch(3 * kBatch);
     ASSERT_TRUE(
-        group.WaitDurable({engine->wal()->appended_lsn()}).ok());
+        group->WaitDurable(stage([&] { run_batch(3 * kBatch); })).ok());
   }
 
   std::unique_ptr<TemporalEngine> recovered;

@@ -451,7 +451,10 @@ TEST(WalWriterTest, TransientWithinBackoffBudgetSurvives) {
   rec.kind = WalRecord::Kind::kCommit;
   rec.ts = 42;
   ASSERT_TRUE(w->Append(rec).ok());
+  // Flush only stages: the device sync belongs to SyncGroup.
+  const uint64_t syncs_before = w->syncs();
   ASSERT_TRUE(w->Flush().ok());
+  EXPECT_EQ(syncs_before, w->syncs());
   EXPECT_TRUE(fi.triggered());
   EXPECT_FALSE(w->dead());
   w.reset();
@@ -470,10 +473,10 @@ TEST(WalWriterTest, SyncFailureExhaustsRetriesAndKillsWriter) {
   WalRecord rec;
   rec.kind = WalRecord::Kind::kCommit;
   ASSERT_TRUE(w->Append(rec).ok());
-  // The commit's durability point is the sync; a sync that keeps failing
-  // past the retry budget must kill the writer, because the durable prefix
-  // is unknown from here on.
-  Status st = w->Flush();
+  // The commit's durability point is the group sync; a sync that keeps
+  // failing past the retry budget must kill the writer, because the
+  // durable prefix is unknown from here on.
+  Status st = w->SyncGroup(nullptr);
   ASSERT_EQ(Status::Code::kIoError, st.code());
   EXPECT_NE(std::string::npos, st.message().find("wal sync failed"));
   EXPECT_NE(std::string::npos,

@@ -19,11 +19,11 @@ const char* kBlocking = "blocking-under-lock";
 // or a sleep stalls every reader and writer (rw_mu_) or the whole group
 // commit staging lane (GroupCommit::mu_ — the leader must drop it before
 // SyncGroup's fdatasync, the released-mutex device-wait invariant).
-// WalWriter::mu_ is deliberately NOT here: a sync-per-commit Flush() and
-// Rotate() sync under it by design. Sessions bypass it through group
-// commit, so that path serves only engines used without a session, a WAL
-// attached after the session was built, and rotation. Pass
-// --no-block WalWriter::mu_ to audit it anyway.
+// WalWriter::mu_ is deliberately NOT here: Append's retry backoff and
+// Rotate's new-segment create block under it by design (neither is on a
+// commit's path: every commit syncs through SyncGroup, which drops the
+// mutex for device waits and backoffs). Pass --no-block WalWriter::mu_ to
+// audit it anyway.
 const char* kDefaultNoBlock[] = {
     "SessionManager::rw_mu_",
     "GroupCommit::mu_",
