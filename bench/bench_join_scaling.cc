@@ -10,6 +10,11 @@
 // claim (temporal rewrite + pushdown + scan folding) as a number the
 // artifact diff can watch.
 //
+// A third set of lanes times the served join of the history_analytics
+// workload — SQL's AS OF CUSTOMER-ORDERS revenue by nation on System C,
+// planned and run through OptimizePlan — at 1 and 2 threads: the hash join
+// whose build side and row assembly the column demand narrows.
+//
 // Knobs: BIH_JSCALE_H / BIH_JSCALE_M workload scale (0.02), BIH_JSCALE_REPS
 // timed repetitions per lane (3). Output: a human table plus
 // BENCH_join_scaling.json (path via BIH_JOIN_SCALING_JSON). With
@@ -27,6 +32,8 @@
 #include "exec/optimizer.h"
 #include "exec/parallel.h"
 #include "exec/plan.h"
+#include "sql/executor.h"
+#include "sql/parser.h"
 #include "tpch/schema.h"
 #include "workload/context.h"
 
@@ -97,6 +104,96 @@ uint64_t TotalExamined(const PlanNode& n) {
   uint64_t sum = n.stats.scan.rows_examined;
   for (const PlanPtr& c : n.children) sum += TotalExamined(*c);
   return sum;
+}
+
+const PlanNode* FindNode(const PlanNode& n, PlanNode::Kind kind) {
+  if (n.kind == kind) return &n;
+  for (const PlanPtr& c : n.children) {
+    if (const PlanNode* hit = FindNode(*c, kind)) return hit;
+  }
+  return nullptr;
+}
+
+// The served-join lanes: builds a System C instance, plans the served SQL
+// through OptimizePlan, and times it at 1 and 2 threads after checking each
+// lane against the serial rows. Writes the lanes as one JSON object to
+// *json; returns false on a failed run or a diverging lane.
+bool ServedJoinLanes(double h, double m, int reps, ScanScheduler* pool,
+                     std::string* json) {
+  WorkloadConfig cfg;
+  cfg.engine_letter = "C";
+  cfg.h = h;
+  cfg.m = m;
+  cfg.seed = 42;
+  std::printf("served join: building workload (h=%.4f, m=%.4f, System C)...\n",
+              h, m);
+  WorkloadContext ctx = BuildWorkload(cfg);
+  TemporalEngine& eng = ctx.eng();
+  const std::string t = std::to_string(ctx.sys_mid.micros());
+  const std::string text =
+      "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM CUSTOMER "
+      "FOR SYSTEM_TIME AS OF " + t + " c JOIN ORDERS FOR SYSTEM_TIME AS OF " +
+      t + " o ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY "
+      "ORDER BY C_NATIONKEY";
+  sql::SelectStatement stmt;
+  PlanPtr plan;
+  std::vector<std::string> columns;
+  if (!sql::ParseSelect(text, &stmt).ok() ||
+      !sql::PlanSelect(eng, stmt, &plan, &columns).ok()) {
+    std::fprintf(stderr, "served join: planning failed\n");
+    return false;
+  }
+  OptimizePlan(&plan, eng);
+  const PlanNode* join = FindNode(*plan, PlanNode::Kind::kHashJoin);
+  if (join == nullptr) {
+    std::fprintf(stderr, "served join: no hash join in the plan\n");
+    return false;
+  }
+
+  ExecOptions serial;
+  serial.scan_threads = 1;
+  Rows want;
+  if (!Execute(*plan, eng, serial, nullptr, &want).ok()) {
+    std::fprintf(stderr, "served join: serial run failed\n");
+    return false;
+  }
+  const uint64_t joined = join->stats.rows_output;
+  std::printf("served join output %llu rows into %zu groups\n",
+              static_cast<unsigned long long>(joined), want.size());
+  std::string lanes;
+  for (int threads : {1, 2}) {
+    ExecOptions opts;
+    opts.scan_threads = threads;
+    opts.scheduler = pool;
+    Rows got;
+    if (!Execute(*plan, eng, opts, nullptr, &got).ok() ||
+        !SameRows(want, got)) {
+      std::fprintf(stderr, "served join: %d-thread lane diverged\n",
+                   threads);
+      return false;
+    }
+    double best_ms = 0.0;
+    for (int r = 0; r < reps; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      if (!Execute(*plan, eng, opts, nullptr, &got).ok()) return false;
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      if (r == 0 || ms < best_ms) best_ms = ms;
+    }
+    const double mrows_s =
+        best_ms > 0.0 ? static_cast<double>(joined) / best_ms / 1000.0 : 0.0;
+    std::printf("served join %d thread(s)  %9.2f ms  %8.2f Mrows/s\n",
+                threads, best_ms, mrows_s);
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"threads\":%d,\"best_ms\":%.3f,\"mrows_per_s\":%.3f}",
+                  lanes.empty() ? "" : ",", threads, best_ms, mrows_s);
+    lanes += buf;
+  }
+  *json = "{\"engine\":\"C\",\"join_rows\":" + std::to_string(joined) +
+          ",\"lanes\":[" + lanes + "]}";
+  return true;
 }
 
 int Run() {
@@ -202,6 +299,9 @@ int Run() {
               static_cast<unsigned long long>(examined_opt),
               rep.ToString().c_str());
 
+  std::string served_json;
+  if (!ServedJoinLanes(h, m, reps, &pool, &served_json)) return 1;
+
   const char* path = std::getenv("BIH_JOIN_SCALING_JSON");
   const std::string out = path != nullptr ? path : "BENCH_join_scaling.json";
   std::FILE* f = std::fopen(out.c_str(), "w");
@@ -215,11 +315,12 @@ int Run() {
       "\"speedup_at_4\":%.3f,\"lanes\":[%s],\"optimizer\":{"
       "\"rows_examined_unopt\":%llu,\"rows_examined_opt\":%llu,"
       "\"predicates_pushed\":%d,\"conjuncts_folded\":%d,"
-      "\"temporal_rewrites\":%d,\"scans_pruned\":%d}}\n",
+      "\"temporal_rewrites\":%d,\"scans_pruned\":%d},\"served_join\":%s}\n",
       h, m, static_cast<unsigned long long>(joined), speedup4,
       json_lanes.c_str(), static_cast<unsigned long long>(examined_unopt),
       static_cast<unsigned long long>(examined_opt), rep.predicates_pushed,
-      rep.conjuncts_folded, rep.temporal_rewrites, rep.scans_pruned);
+      rep.conjuncts_folded, rep.temporal_rewrites, rep.scans_pruned,
+      served_json.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());
 

@@ -351,6 +351,32 @@ void AddExprCols(const ExprPtr& e, Demand* d) {
   if (!d->all) CollectCols(e, &d->cols);
 }
 
+// Splits what a join's parent reads, plus the columns of the join's
+// residual, into the demands on its left and right inputs (right columns
+// rebased past the `lw` left ones); the left keys are demanded too.
+void SplitJoinDemand(const PlanNode& n, int lw, const Demand& demand,
+                     Demand* dl, Demand* dr) {
+  std::set<int> cols = demand.cols;
+  CollectCols(n.predicate, &cols);
+  for (int c : cols) {
+    if (c < lw) {
+      dl->cols.insert(c);
+    } else {
+      dr->cols.insert(c - lw);
+    }
+  }
+  dl->cols.insert(n.left_keys.begin(), n.left_keys.end());
+}
+
+// Records on a join the output columns its joined rows must carry: both
+// inputs' demands, the right ones shifted past the left input.
+void SetEmit(int lw, const Demand& dl, const Demand& dr, PlanNode* join) {
+  std::vector<int> emit(dl.cols.begin(), dl.cols.end());
+  for (int c : dr.cols) emit.push_back(c + lw);
+  join->emit = std::move(emit);
+  join->left_width = static_cast<size_t>(lw);
+}
+
 void PruneColumns(PlanNode& n, const Demand& demand,
                   const TemporalEngine& engine, OptimizerReport* rep) {
   switch (n.kind) {
@@ -410,52 +436,30 @@ void PruneColumns(PlanNode& n, const Demand& demand,
     case PlanNode::Kind::kCrossJoin: {
       const int lw = PlanWidth(*n.children[0], engine);
       if (lw < 0 || demand.all) {
+        n.emit.reset();
         PruneColumns(*n.children[0], Demand::All(), engine, rep);
         PruneColumns(*n.children[1], Demand::All(), engine, rep);
         return;
       }
       Demand dl, dr;
-      for (int c : demand.cols) {
-        if (c < lw) {
-          dl.cols.insert(c);
-        } else {
-          dr.cols.insert(c - lw);
-        }
-      }
-      for (int c : n.left_keys) dl.cols.insert(c);
-      for (int c : n.right_keys) dr.cols.insert(c);
-      if (n.predicate != nullptr) {
-        std::set<int> rescols;
-        CollectCols(n.predicate, &rescols);
-        for (int c : rescols) {
-          if (c < lw) {
-            dl.cols.insert(c);
-          } else {
-            dr.cols.insert(c - lw);
-          }
-        }
-      }
+      SplitJoinDemand(n, lw, demand, &dl, &dr);
+      dr.cols.insert(n.right_keys.begin(), n.right_keys.end());
+      SetEmit(lw, dl, dr, &n);
       PruneColumns(*n.children[0], dl, engine, rep);
       PruneColumns(*n.children[1], dr, engine, rep);
       return;
     }
     case PlanNode::Kind::kIndexJoin: {
+      // The right keys index the probed table, not a child's rows: the
+      // engine matches them, so they are not demanded of the joined row.
       const int lw = PlanWidth(*n.children[0], engine);
-      Demand dl;
+      Demand dl, dr;
       if (lw < 0 || demand.all) {
+        n.emit.reset();
         dl = Demand::All();
       } else {
-        for (int c : demand.cols) {
-          if (c < lw) dl.cols.insert(c);
-        }
-        for (int c : n.left_keys) dl.cols.insert(c);
-        if (n.predicate != nullptr) {
-          std::set<int> rescols;
-          CollectCols(n.predicate, &rescols);
-          for (int c : rescols) {
-            if (c < lw) dl.cols.insert(c);
-          }
-        }
+        SplitJoinDemand(n, lw, demand, &dl, &dr);
+        SetEmit(lw, dl, dr, &n);
       }
       PruneColumns(*n.children[0], dl, engine, rep);
       return;

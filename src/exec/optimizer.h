@@ -29,7 +29,10 @@ namespace bih {
 //    partition pruning until it is recognized as one.
 //  * Column pruning: each Scan is told which columns the tree above it
 //    actually consumes (ScanRequest::projection). Row width is unchanged —
-//    column stores simply skip materializing dead attributes.
+//    column stores simply skip materializing dead attributes. Each join
+//    records the same demand for its own output (PlanNode::emit): a hash
+//    join's build side keeps, and every join's row assembly writes, only
+//    the cells read above it, and the other cells stay NULL.
 //
 // The optimizer needs the engine only for schema arity (column counts,
 // period column positions); it never executes anything.

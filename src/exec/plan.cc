@@ -184,34 +184,103 @@ struct RowKeyEq {
 // row's slots: the row keeps its storage and same-typed cells are simply
 // overwritten, where rebuilding the row would destroy and re-create them.
 
-// Overwrites *key with the `cols` columns of `row`. Returns false when any
-// of them is NULL (NULL never matches in equi-joins; as a group key it is
-// an ordinary value).
-bool KeyInto(const Row& row, const std::vector<int>& cols, Row* key) {
+// Overwrites *key with the `cols` columns of `row`: a group key, in which
+// NULL is an ordinary value.
+void KeyInto(const Row& row, const std::vector<int>& cols, Row* key) {
   key->resize(cols.size());
-  bool has_null = false;
   for (size_t i = 0; i < cols.size(); ++i) {
-    const Value& v = row[static_cast<size_t>(cols[i])];
-    has_null |= v.is_null();
-    (*key)[i] = v;
+    (*key)[i] = row[static_cast<size_t>(cols[i])];
   }
-  return !has_null;
 }
 
-// Overwrites *out with left ++ right.
-void ConcatInto(const Row& left, const Row& right, Row* out) {
-  out->resize(left.size() + right.size());
-  std::copy(right.begin(), right.end(),
-            std::copy(left.begin(), left.end(), out->begin()));
-}
+// Assembles a join's output rows in one scratch row, writing only the
+// cells the tree above reads (PlanNode::emit; every cell when unset). A
+// cell outside the demand is never written, so it keeps the NULL it got
+// when the row was sized — the contract System C's scans follow for pruned
+// columns.
+class JoinAssembler {
+ public:
+  explicit JoinAssembler(const PlanNode& join) : join_(join) {}
 
-// Overwrites *out with `left` followed by `width` NULLs (the unmatched side
-// of a left outer join).
-void PadInto(const Row& left, size_t width, Row* out) {
-  out->resize(left.size() + width);
-  std::fill(std::copy(left.begin(), left.end(), out->begin()), out->end(),
-            Value::Null());
-}
+  // The right-input columns a joined row carries when the right rows are
+  // `right_width` wide, ascending: the layout of a hash join's build
+  // payload.
+  std::vector<int> RightCols(size_t right_width) const {
+    std::vector<int> cols;
+    if (!join_.emit.has_value()) {
+      cols.resize(right_width);
+      std::iota(cols.begin(), cols.end(), 0);
+      return cols;
+    }
+    const int lw = static_cast<int>(join_.left_width);
+    for (int c : *join_.emit) {
+      if (c >= lw && static_cast<size_t>(c - lw) < right_width) {
+        cols.push_back(c - lw);
+      }
+    }
+    return cols;
+  }
+
+  // Starts the joined rows of left row `l` with `right_width`-wide right
+  // rows: writes l's cells.
+  void Left(const Row& l, size_t right_width) {
+    if (!bound_ || l.size() != lw_ || right_width != rw_) {
+      Bind(l.size(), right_width);
+    }
+    for (int c : left_cols_) {
+      row_[static_cast<size_t>(c)] = l[static_cast<size_t>(c)];
+    }
+  }
+  // Writes the right cells: `cells` holds them in RightCols order.
+  void Right(const Value* cells) {
+    for (size_t j = 0; j < right_cols_.size(); ++j) {
+      row_[lw_ + static_cast<size_t>(right_cols_[j])] = cells[j];
+    }
+  }
+  // Writes the right cells from a whole right row.
+  void Right(const Row& r) {
+    for (int c : right_cols_) {
+      row_[lw_ + static_cast<size_t>(c)] = r[static_cast<size_t>(c)];
+    }
+  }
+  // NULLs in place of the right cells (the unmatched side of a left outer
+  // join).
+  void Pad() {
+    for (int c : right_cols_) {
+      row_[lw_ + static_cast<size_t>(c)] = Value::Null();
+    }
+  }
+
+  const Row& row() const { return row_; }
+
+ private:
+  void Bind(size_t lw, size_t rw) {
+    bound_ = true;
+    lw_ = lw;
+    rw_ = rw;
+    left_cols_.clear();
+    if (!join_.emit.has_value()) {
+      left_cols_.resize(lw);
+      std::iota(left_cols_.begin(), left_cols_.end(), 0);
+    } else {
+      for (int c : *join_.emit) {
+        if (static_cast<size_t>(c) < std::min(lw, join_.left_width)) {
+          left_cols_.push_back(c);
+        }
+      }
+    }
+    right_cols_ = RightCols(rw);
+    row_.assign(lw + rw, Value::Null());
+  }
+
+  const PlanNode& join_;
+  bool bound_ = false;
+  size_t lw_ = 0;
+  size_t rw_ = 0;
+  std::vector<int> left_cols_;
+  std::vector<int> right_cols_;
+  Row row_;
+};
 
 int CompareKeyCols(const Row& a, const std::vector<int>& acols, const Row& b,
                    const std::vector<int>& bcols) {
@@ -296,15 +365,16 @@ void SortOrderByKeys(std::vector<uint64_t>* order, const Rows& rows,
 void MergeJoinEmitRuns(const Rows& left, const Rows& right,
                        const std::vector<uint64_t>& lorder,
                        const std::vector<uint64_t>& rorder,
-                       const std::vector<int>& left_keys,
-                       const std::vector<int>& right_keys,
-                       const ExprPtr& residual, QueryContext* ctx,
-                       uint64_t begin, uint64_t end,
-                       const std::atomic<bool>& stop, Rows* out) {
+                       const PlanNode& n, QueryContext* ctx, uint64_t begin,
+                       uint64_t end, const std::atomic<bool>& stop,
+                       Rows* out) {
+  const std::vector<int>& left_keys = n.left_keys;
+  const std::vector<int>& right_keys = n.right_keys;
   auto same_left_key = [&](uint64_t a, uint64_t b) {
     return CompareKeyCols(left[lorder[a]], left_keys, left[lorder[b]],
                           left_keys) == 0;
   };
+  JoinAssembler join(n);
   for (uint64_t p = begin; p < end; ++p) {
     if (p > 0 && same_left_key(p, p - 1)) continue;  // not a run head
     if (MorselInterrupted(stop, ctx)) return;
@@ -325,14 +395,17 @@ void MergeJoinEmitRuns(const Rows& left, const Rows& right,
         rlow, rorder.end(), head, [&](const Row& h, uint64_t r) {
           return CompareKeyCols(h, left_keys, right[r], right_keys) < 0;
         });
+    if (rlow == rhigh) continue;
+    const size_t right_width = right[*rlow].size();
     for (uint64_t i = p; i < lend; ++i) {
       if (MorselInterrupted(stop, ctx)) return;
+      join.Left(left[lorder[i]], right_width);
       for (auto rit = rlow; rit != rhigh; ++rit) {
-        Row joined = left[lorder[i]];
-        const Row& r = right[*rit];
-        joined.insert(joined.end(), r.begin(), r.end());
-        if (residual != nullptr && !residual->Test(joined)) continue;
-        out->push_back(std::move(joined));
+        join.Right(right[*rit]);
+        if (n.predicate != nullptr && !n.predicate->Test(join.row())) {
+          continue;
+        }
+        out->push_back(join.row());
       }
     }
   }
@@ -342,35 +415,32 @@ void MergeJoinEmitRuns(const Rows& left, const Rows& right,
 // pool: both paths sort by the same total order and emit runs in ascending
 // head position; the parallel leg just assigns run heads to morsels and
 // concatenates the per-morsel buffers in order.
-Rows MergeJoinKernel(const Rows& left, const Rows& right,
-                     const std::vector<int>& left_keys,
-                     const std::vector<int>& right_keys,
-                     const ExprPtr& residual, QueryContext* ctx,
-                     const ParallelScanPlan& plan, bool* interrupted) {
+Rows MergeJoinKernel(const Rows& left, const Rows& right, const PlanNode& n,
+                     QueryContext* ctx, const ParallelScanPlan& plan,
+                     bool* interrupted) {
   std::vector<uint64_t> lorder(left.size());
   std::vector<uint64_t> rorder(right.size());
   std::iota(lorder.begin(), lorder.end(), 0);
   std::iota(rorder.begin(), rorder.end(), 0);
-  SortOrderByKeys(&lorder, left, left_keys, plan, ctx, interrupted);
+  SortOrderByKeys(&lorder, left, n.left_keys, plan, ctx, interrupted);
   if (*interrupted) return {};
-  SortOrderByKeys(&rorder, right, right_keys, plan, ctx, interrupted);
+  SortOrderByKeys(&rorder, right, n.right_keys, plan, ctx, interrupted);
   if (*interrupted) return {};
 
-  const uint64_t n = lorder.size();
+  const uint64_t count = lorder.size();
   std::atomic<bool> no_stop{false};
-  if (!plan.Engage(n)) {
+  if (!plan.Engage(count)) {
     Rows out;
-    MergeJoinEmitRuns(left, right, lorder, rorder, left_keys, right_keys,
-                      residual, ctx, 0, n, no_stop, &out);
+    MergeJoinEmitRuns(left, right, lorder, rorder, n, ctx, 0, count, no_stop,
+                      &out);
     if (ctx != nullptr && !ctx->status().ok()) *interrupted = true;
     return out;
   }
-  std::vector<Rows> buffers(PlanMorselCount(plan, n));
-  if (!ParallelMorselRun(plan, n, ctx,
+  std::vector<Rows> buffers(PlanMorselCount(plan, count));
+  if (!ParallelMorselRun(plan, count, ctx,
                          [&](uint64_t m, uint64_t begin, uint64_t end,
                              const std::atomic<bool>& stop) {
-                           MergeJoinEmitRuns(left, right, lorder, rorder,
-                                             left_keys, right_keys, residual,
+                           MergeJoinEmitRuns(left, right, lorder, rorder, n,
                                              ctx, begin, end, stop,
                                              &buffers[m]);
                          })) {
@@ -608,6 +678,109 @@ Rows SortKernel(Rows in, const std::vector<SortSpec>& keys,
 // serial order; only an input a breaker already materialized is worth
 // partitioning over the morsel pool.
 
+// The key table of a hash join's build side. Build rows are numbered in
+// the order they arrive; each distinct non-NULL key names the chain of its
+// rows (first and last; Next() links the rest in build order). Keys are
+// matched by cached hash, then Value::Compare equality, over open
+// addressing, and their cells live in one flat array — no allocation per
+// key or per row.
+class JoinKeyTable {
+ public:
+  static constexpr size_t kEnd = static_cast<size_t>(-1);
+
+  // Numbers the next build row and chains it under the key in `row`'s
+  // `cols`. Returns false, keeping nothing, when a key cell is NULL (NULL
+  // never matches).
+  bool Insert(const Row& row, const std::vector<int>& cols) {
+    if (HasNull(row, cols)) return false;
+    if (2 * (chains_.size() + 1) > slots_.size()) Grow();
+    const size_t hash = HashRowKey(row, cols);
+    Slot& slot = slots_[Probe(row, cols, hash)];
+    const size_t id = next_.size();
+    next_.push_back(kEnd);
+    if (slot.key == kEnd) {
+      slot = Slot{hash, chains_.size()};
+      chains_.push_back(Chain{id, id});
+      for (int c : cols) key_cells_.push_back(row[static_cast<size_t>(c)]);
+    } else {
+      Chain& chain = chains_[slot.key];
+      next_[chain.tail] = id;
+      chain.tail = id;
+    }
+    return true;
+  }
+
+  // The first build row whose key equals the one in `row`'s `cols`, or
+  // kEnd.
+  size_t Find(const Row& row, const std::vector<int>& cols) const {
+    if (slots_.empty() || HasNull(row, cols)) return kEnd;
+    const Slot& slot = slots_[Probe(row, cols, HashRowKey(row, cols))];
+    return slot.key == kEnd ? kEnd : chains_[slot.key].head;
+  }
+
+  // The build row after `id` with the same key, or kEnd.
+  size_t Next(size_t id) const { return next_[id]; }
+
+ private:
+  struct Slot {
+    size_t hash = 0;
+    size_t key = kEnd;  // index into chains_; kEnd for an empty slot
+  };
+  struct Chain {
+    size_t head;
+    size_t tail;
+  };
+
+  static bool HasNull(const Row& row, const std::vector<int>& cols) {
+    for (int c : cols) {
+      if (row[static_cast<size_t>(c)].is_null()) return true;
+    }
+    return false;
+  }
+
+  size_t Home(size_t hash) const {
+    return (hash * 0x9e3779b97f4a7c15ULL) >> shift_;
+  }
+
+  // The slot holding the key in `row`'s `cols`, or the empty slot where it
+  // would go.
+  size_t Probe(const Row& row, const std::vector<int>& cols,
+               size_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = Home(hash);; s = (s + 1) & mask) {
+      const Slot& slot = slots_[s];
+      if (slot.key == kEnd) return s;
+      if (slot.hash != hash) continue;
+      const Value* key = key_cells_.data() + slot.key * cols.size();
+      bool same = true;
+      for (size_t i = 0; i < cols.size() && same; ++i) {
+        same = row[static_cast<size_t>(cols[i])].Compare(key[i]) == 0;
+      }
+      if (same) return s;
+    }
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+    shift_ = 64;
+    for (size_t n = slots_.size(); n > 1; n >>= 1) --shift_;
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.key == kEnd) continue;
+      size_t s = Home(slot.hash);
+      while (slots_[s].key != kEnd) s = (s + 1) & mask;
+      slots_[s] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;  // a power of two, at most half full
+  int shift_ = 64;
+  std::vector<Chain> chains_;
+  std::vector<Value> key_cells_;  // cols.size() cells per distinct key
+  std::vector<size_t> next_;
+};
+
 bool IsPipelineBreaker(PlanNode::Kind kind) {
   return kind == PlanNode::Kind::kMergeJoin ||
          kind == PlanNode::Kind::kSort || kind == PlanNode::Kind::kDistinct;
@@ -644,8 +817,7 @@ struct Executor {
         BIH_RETURN_IF_ERROR(Collect(*n.children[0], &left));
         BIH_RETURN_IF_ERROR(Collect(*n.children[1], &right));
         bool interrupted = false;
-        *out = MergeJoinKernel(left, right, n.left_keys, n.right_keys,
-                               n.predicate, ctx, OperatorPlan(n),
+        *out = MergeJoinKernel(left, right, n, ctx, OperatorPlan(n),
                                &interrupted);
         break;
       }
@@ -720,35 +892,45 @@ struct Executor {
         break;
       }
       case PlanNode::Kind::kHashJoin: {
-        Rows build;
-        BIH_RETURN_IF_ERROR(Collect(*n.children[1], &build));
-        std::unordered_map<Row, std::vector<const Row*>, RowKeyHash, RowKeyEq>
-            table;
-        table.reserve(build.size());
-        Row key;
-        for (const Row& r : build) {
-          if (!Live()) return Boundary();
-          if (KeyInto(r, n.right_keys, &key)) table[key].push_back(&r);
-        }
-        Row joined;
+        // Build: the right input streams into one flat payload holding, per
+        // kept row, the cells its joined rows carry (RightCols); `keys`
+        // chains the rows of one key in build order, so matches come out in
+        // the order the build side produced them. Rows with a NULL key
+        // never match and are not kept.
+        JoinAssembler join(n);
+        JoinKeyTable keys;
+        std::vector<Value> payload;
+        std::vector<int> cols;
+        size_t build_width = n.right_width;
+        bool sized = false;
+        auto build = [&](const Row& r) {
+          if (!sized) {
+            sized = true;
+            build_width = r.size();
+            cols = join.RightCols(build_width);
+          }
+          if (keys.Insert(r, n.right_keys)) {
+            for (int c : cols) payload.push_back(r[static_cast<size_t>(c)]);
+          }
+          return true;
+        };
+        BIH_RETURN_IF_ERROR(Stream(*n.children[1], build));
         auto probe = [&](const Row& l) {
           bool matched = false;
-          if (KeyInto(l, n.left_keys, &key)) {
-            auto it = table.find(key);
-            if (it != table.end()) {
-              for (const Row* r : it->second) {
-                ConcatInto(l, *r, &joined);
-                if (n.predicate != nullptr && !n.predicate->Test(joined)) {
-                  continue;
-                }
-                matched = true;
-                if (!push(joined)) return false;
-              }
+          size_t id = keys.Find(l, n.left_keys);
+          if (id != JoinKeyTable::kEnd) join.Left(l, build_width);
+          for (; id != JoinKeyTable::kEnd; id = keys.Next(id)) {
+            join.Right(payload.data() + id * cols.size());
+            if (n.predicate != nullptr && !n.predicate->Test(join.row())) {
+              continue;
             }
+            matched = true;
+            if (!push(join.row())) return false;
           }
           if (matched || n.join_type != JoinType::kLeftOuter) return true;
-          PadInto(l, n.right_width, &joined);
-          return push(joined);
+          join.Left(l, n.right_width);
+          join.Pad();
+          return push(join.row());
         };
         BIH_RETURN_IF_ERROR(Stream(*n.children[0], probe));
         break;
@@ -761,7 +943,7 @@ struct Executor {
         req.exec = MergeExecOptions(req.exec, opts);
         // Each probe resets the counters, so the node keeps the last probe's.
         req.stats = &n.stats.scan;
-        Row joined;
+        JoinAssembler join(n);
         bool stop = false;
         auto probe = [&](const Row& l) {
           req.equals.clear();
@@ -772,12 +954,15 @@ struct Executor {
             req.equals.emplace_back(n.right_keys[i], v);
           }
           if (null_key) return true;
+          bool first = true;
           engine.Scan(req, [&](const Row& r) {
-            ConcatInto(l, r, &joined);
-            if (n.predicate != nullptr && !n.predicate->Test(joined)) {
+            if (first) join.Left(l, r.size());
+            first = false;
+            join.Right(r);
+            if (n.predicate != nullptr && !n.predicate->Test(join.row())) {
               return true;
             }
-            stop = !push(joined);
+            stop = !push(join.row());
             return !stop;
           });
           return !stop;
@@ -788,14 +973,16 @@ struct Executor {
       case PlanNode::Kind::kCrossJoin: {
         Rows right;
         BIH_RETURN_IF_ERROR(Collect(*n.children[1], &right));
-        Row joined;
+        JoinAssembler join(n);
         auto pair_up = [&](const Row& l) {
+          if (right.empty()) return true;
+          join.Left(l, right[0].size());
           for (const Row& r : right) {
-            ConcatInto(l, r, &joined);
-            if (n.predicate != nullptr && !n.predicate->Test(joined)) {
+            join.Right(r);
+            if (n.predicate != nullptr && !n.predicate->Test(join.row())) {
               continue;
             }
-            if (!push(joined)) return false;
+            if (!push(join.row())) return false;
           }
           return true;
         };
@@ -919,6 +1106,17 @@ void AppendScanStatsJson(const ExecStats& s, std::string* out) {
           (s.touched_history ? "true" : "false");
 }
 
+// A join's assembled output columns, when the optimizer narrowed them.
+void AppendEmitJson(const PlanNode& n, std::string* out) {
+  if (!n.emit.has_value()) return;
+  *out += ",\"emit\":[";
+  for (size_t i = 0; i < n.emit->size(); ++i) {
+    if (i) *out += ",";
+    *out += std::to_string((*n.emit)[i]);
+  }
+  *out += "]";
+}
+
 void NodeToJson(const PlanNode& n, std::string* out) {
   *out += "{\"node\":" + JsonQuote(n.KindName());
   switch (n.kind) {
@@ -934,14 +1132,20 @@ void NodeToJson(const PlanNode& n, std::string* out) {
                                                 ? "left_outer"
                                                 : "inner");
       *out += ",\"keys\":" + std::to_string(n.left_keys.size());
+      AppendEmitJson(n, out);
       break;
     case PlanNode::Kind::kMergeJoin:
       *out += ",\"keys\":" + std::to_string(n.left_keys.size());
+      AppendEmitJson(n, out);
       break;
     case PlanNode::Kind::kIndexJoin:
       *out += ",\"probe_table\":" + JsonQuote(n.index_table);
       *out += ",\"keys\":" + std::to_string(n.left_keys.size());
+      AppendEmitJson(n, out);
       AppendScanStatsJson(n.stats.scan, out);
+      break;
+    case PlanNode::Kind::kCrossJoin:
+      AppendEmitJson(n, out);
       break;
     case PlanNode::Kind::kAggregate:
       *out += ",\"group_cols\":" + std::to_string(n.group_cols.size());
@@ -955,7 +1159,6 @@ void NodeToJson(const PlanNode& n, std::string* out) {
       break;
     case PlanNode::Kind::kFilter:
     case PlanNode::Kind::kProject:
-    case PlanNode::Kind::kCrossJoin:
     case PlanNode::Kind::kDistinct:
       break;
   }

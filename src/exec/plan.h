@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,10 @@ namespace bih {
 // fold and Limit run inside the engine's row callback, each reusing one
 // scratch row, and a Limit that is satisfied stops the scan beneath it.
 // Only pipeline breakers hold rows: the hash-join and cross-join build
-// sides, both MergeJoin inputs, Sort, Distinct and the root result.
+// sides, both MergeJoin inputs, Sort, Distinct and the root result. A
+// hash-join build side holds a compact payload — only the right-hand cells
+// its joined rows carry, in one flat array — and every join kind assembles
+// just the cells the tree above reads (PlanNode::emit).
 //
 // Parallelism never changes what a consumer sees. Engine scans fan out over
 // the ScanScheduler morsel pool but emit on the calling thread in serial
@@ -107,6 +111,14 @@ struct PlanNode {
   // kHashJoin: width of the right side, for kLeftOuter NULL padding.
   size_t right_width = 0;
   JoinType join_type = JoinType::kInner;
+  // Join kinds: the output columns of a joined row that the tree above
+  // reads (join keys and residual columns included), ascending, with
+  // `left_width` the left input's row width. The optimizer's column
+  // pruning sets both; a joined row then carries only these cells and
+  // the others stay NULL. Unset (a plan that skipped OptimizePlan): every
+  // column.
+  std::optional<std::vector<int>> emit;
+  size_t left_width = 0;
   // kIndexJoin probe target.
   std::string index_table;
   TemporalScanSpec index_spec;

@@ -9,7 +9,7 @@
 namespace bih {
 
 // A fully materialized result set: a query's result, and the input a
-// pipeline breaker (sort, distinct, merge join, hash-join build) holds.
+// pipeline breaker (sort, distinct, merge join, cross-join build) holds.
 // Rows flow between all other plan nodes one at a time (exec/plan.h).
 using Rows = std::vector<Row>;
 

@@ -119,6 +119,73 @@ TEST(PlanTest, NullKeysNeverJoin) {
                   .empty());
 }
 
+TEST(PlanTest, HashJoinKeepsBuildOrderWithinAKey) {
+  Rows left{R({Value(int64_t{2}), Value("b")}),
+            R({Value(int64_t{1}), Value("a")})};
+  Rows right{R({Value(int64_t{2}), Value(20.0)}),
+             R({Value(int64_t{1}), Value(10.0)}),
+             R({Value(int64_t{2}), Value(21.0)}),
+             R({Value(int64_t{2}), Value(22.0)})};
+  Rows out = RunTree(HashJoinPlan(ValuesPlan(left), ValuesPlan(right), {0},
+                                  {0}, 2));
+  ASSERT_EQ(4u, out.size());
+  const double want[] = {20.0, 21.0, 22.0, 10.0};
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(want[i], out[i][3].AsDouble()) << "row " << i;
+  }
+}
+
+// A join narrowed to the cells read above it (PlanNode::emit) writes only
+// those; the others stay NULL, padding included.
+TEST(PlanTest, JoinsAssembleOnlyTheEmittedCells) {
+  Rows left{R({Value(int64_t{1}), Value(int64_t{10}), Value("l1")}),
+            R({Value(int64_t{2}), Value(int64_t{10}), Value("l2")})};
+  Rows right{R({Value(int64_t{1}), Value(int64_t{5}), Value("r1")}),
+             R({Value(int64_t{1}), Value(int64_t{6}), Value("r2")}),
+             R({Value(int64_t{2}), Value(int64_t{50}), Value("r3")})};
+  // The residual rejects both matches of key 1, so that left row is
+  // padded after right cells were written for it.
+  PlanPtr hash = HashJoinPlan(ValuesPlan(left), ValuesPlan(right), {0}, {0},
+                              3, JoinType::kLeftOuter, Lt(Col(1), Col(4)));
+  hash->emit = std::vector<int>{0, 1, 3, 4, 5};
+  hash->left_width = 3;
+  Rows out = RunTree(std::move(hash));
+  ASSERT_EQ(2u, out.size());
+  for (const Row& r : out) {
+    ASSERT_EQ(6u, r.size());
+    EXPECT_TRUE(r[2].is_null());
+  }
+  EXPECT_EQ(1, out[0][0].AsInt());
+  EXPECT_TRUE(out[0][3].is_null());
+  EXPECT_TRUE(out[0][4].is_null());
+  EXPECT_TRUE(out[0][5].is_null());
+  EXPECT_EQ(50, out[1][4].AsInt());
+  EXPECT_EQ("r3", out[1][5].AsString());
+
+  for (bool merge : {false, true}) {
+    PlanPtr join = merge ? MergeJoinPlan(ValuesPlan(left), ValuesPlan(right),
+                                         {0}, {0})
+                         : CrossJoinPlan(ValuesPlan(left), ValuesPlan(right),
+                                         Eq(Col(0), Col(3)));
+    // The residual's columns belong to the demand, as the optimizer
+    // records it.
+    join->emit = std::vector<int>{0, 2, 3, 4};
+    join->left_width = 3;
+    Rows rows = RunTree(std::move(join));
+    ASSERT_EQ(3u, rows.size()) << merge;
+    const int64_t want[] = {5, 6, 50};
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(6u, rows[i].size());
+      for (size_t c : {1u, 5u}) {
+        EXPECT_TRUE(rows[i][c].is_null()) << merge << " row " << i;
+      }
+      EXPECT_EQ(want[i], rows[i][4].AsInt()) << merge << " row " << i;
+    }
+    EXPECT_EQ("l1", rows[0][2].AsString());
+    EXPECT_EQ("l2", rows[2][2].AsString());
+  }
+}
+
 TEST(PlanTest, AggregateKinds) {
   Rows in{R({Value("g"), Value(1.0)}), R({Value("g"), Value(3.0)}),
           R({Value("h"), Value(5.0)}), R({Value("g"), Value(3.0)})};

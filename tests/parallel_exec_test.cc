@@ -19,8 +19,11 @@
 #include <gtest/gtest.h>
 
 #include "common/query_context.h"
+#include "exec/optimizer.h"
 #include "exec/parallel.h"
 #include "exec/plan.h"
+#include "sql/executor.h"
+#include "sql/parser.h"
 #include "tpch/schema.h"
 #include "workload/context.h"
 
@@ -66,6 +69,28 @@ ScanRequest Req(const std::string& table) {
 // CUSTOMER's scan width (9 user + 2 system columns) and ORDERS' (12 + 2).
 constexpr int kCustomerWidth = 11;
 constexpr int kOrdersWidth = 14;
+
+// The served AS OF CUSTOMER-ORDERS join by nation as the server runs it:
+// planned from SQL and narrowed by OptimizePlan, so its HashJoin assembles
+// only the columns read above it.
+PlanPtr ServedJoin(const std::string& letter) {
+  WorkloadContext& ctx = Workload(letter);
+  const std::string t = std::to_string(ctx.sys_mid.micros());
+  sql::SelectStatement stmt;
+  EXPECT_TRUE(sql::ParseSelect(
+                  "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM "
+                  "CUSTOMER FOR SYSTEM_TIME AS OF " + t +
+                      " c JOIN ORDERS FOR SYSTEM_TIME AS OF " + t +
+                      " o ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY "
+                      "ORDER BY C_NATIONKEY",
+                  &stmt)
+                  .ok());
+  PlanPtr plan;
+  std::vector<std::string> columns;
+  EXPECT_TRUE(sql::PlanSelect(ctx.eng(), stmt, &plan, &columns).ok());
+  OptimizePlan(&plan, ctx.eng());
+  return plan;
+}
 
 // The query classes of the sweeps: a scan, the two parallel operators
 // (sort-merge join, hash aggregation), a composite tree above them, and the
@@ -254,14 +279,16 @@ TEST(ParallelExecTest, MorselSizeDoesNotChangeOutput) {
 
 const char* kStreamedShapes[] = {"hash-join-agg-sort", "left-outer-residual",
                                  "cross-residual", "filter-project",
-                                 "limit-scan"};
+                                 "limit-scan", "served-as-of-join"};
 
 TEST(ParallelExecTest, StreamedShapesMatchSerialAtEveryMorselSize) {
   const uint64_t kWhole = uint64_t{1} << 30;  // one morsel: never engages
   for (const char* letter : kEngines) {
     TemporalEngine& eng = Workload(letter).eng();
     for (const char* shape : kStreamedShapes) {
-      PlanPtr plan = BuildQuery(shape);
+      PlanPtr plan = std::string(shape) == "served-as-of-join"
+                         ? ServedJoin(letter)
+                         : BuildQuery(shape);
       const std::string label = std::string(letter) + "/" + shape;
       ExecOptions serial;
       serial.scan_threads = 1;
