@@ -341,8 +341,9 @@ void Server::HandleQuery(Connection& conn, const Message& in, Message* reply) {
   sql::SqlResult result;
   const bool ok = RunRequest(conn, in, reply, [&](QueryContext* ctx) {
     if (sql::LooksLikeDml(in.text)) {
-      // Writes serialize on the session's writer lock and do not carry a
-      // context inside; check the budget at the last gate before queueing.
+      // Writes serialize on the session's writer lock; check the budget at
+      // the last gate before queueing. Inside, ctx bounds the statement's
+      // key location and is checked once more before it applies anything.
       BIH_RETURN_IF_ERROR(ctx->CheckNow());
       return session_->Write([&](TemporalEngine& eng) {
         return sql::ExecuteSql(eng, in.text, &result, ctx);

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <set>
+#include <memory>
 #include <utility>
 
 #include "exec/optimizer.h"
 #include "sql/parser.h"
-#include "storage/btree_index.h"
 
 namespace bih {
 namespace sql {
@@ -480,17 +479,29 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
   return Status::OK();
 }
 
+namespace {
+
+// The one read path: plans `stmt`, optimizes the tree and executes it.
+// SELECT, EXPLAIN and the key location of UPDATE/DELETE all run here.
+// out->rows is left empty when execution fails (never a partial result).
+Status RunQuery(TemporalEngine& engine, const SelectStatement& stmt,
+                QueryContext* ctx, const ExecOptions& opts, SqlResult* out,
+                PlanPtr* plan, OptimizerReport* report = nullptr) {
+  out->rows.clear();
+  BIH_RETURN_IF_ERROR(PlanSelect(engine, stmt, plan, &out->columns));
+  OptimizePlan(plan, engine, report);
+  Status st = Execute(**plan, engine, opts, ctx, &out->rows);
+  if (!st.ok()) out->rows.clear();
+  return st;
+}
+
+}  // namespace
+
 Status ExecuteSelect(TemporalEngine& engine, const SelectStatement& stmt,
                      SqlResult* out, QueryContext* ctx,
                      const ExecOptions& opts) {
   PlanPtr plan;
-  out->columns.clear();
-  BIH_RETURN_IF_ERROR(PlanSelect(engine, stmt, &plan, &out->columns));
-  OptimizePlan(&plan, engine);
-  out->rows.clear();
-  Status st = Execute(*plan, engine, opts, ctx, &out->rows);
-  if (!st.ok()) out->rows.clear();  // never surface partial results
-  return st;
+  return RunQuery(engine, stmt, ctx, opts, out, &plan);
 }
 
 Status ExecuteDml(TemporalEngine& engine, const DmlStatement& stmt,
@@ -553,51 +564,31 @@ Status ExecuteDml(TemporalEngine& engine, const DmlStatement& stmt,
     set.push_back(ColumnAssignment{pos, bound->Eval({})});
   }
 
-  // Matching keys from the currently visible rows.
-  std::vector<ScopeColumn> scope;
-  Schema scan_schema = engine.ScanSchema(stmt.table);
-  for (const Column& c : scan_schema.columns()) {
-    scope.push_back(ScopeColumn{stmt.table, c.name});
+  // The target keys: SELECT DISTINCT <key> FROM <table> WHERE <where>
+  // ORDER BY <key>, planned and optimized like any query, so a predicate
+  // that pins the key becomes an index probe. Keys apply in key order.
+  SelectStatement locate;
+  locate.distinct = true;
+  locate.from.table = stmt.table;
+  locate.from.alias = stmt.table;
+  locate.where = stmt.where;
+  for (int c : def.primary_key) {
+    auto col = std::make_shared<SqlExpr>();
+    col->kind = SqlExpr::Kind::kColumn;
+    col->name = def.schema.column(c).name;
+    locate.items.push_back(SelectItem{col, ""});
+    locate.order_by.push_back(OrderItem{col, true});
   }
-  Binder binder(&scope);
-  ExprPtr pred = nullptr;
-  if (stmt.where != nullptr) {
-    BIH_RETURN_IF_ERROR(binder.Bind(stmt.where, &pred));
-  }
-  struct KeyCmp {
-    bool operator()(const std::vector<Value>& a,
-                    const std::vector<Value>& b) const {
-      return CompareKeys(a, b) < 0;
-    }
-  };
-  std::set<std::vector<Value>, KeyCmp> keys;
-  ScanRequest req;
-  req.table = stmt.table;
-  req.ctx = ctx;
-  engine.Scan(req, [&](const Row& row) {
-    if (pred != nullptr && !pred->Test(row)) return true;
-    std::vector<Value> key;
-    for (int c : def.primary_key) key.push_back(row[static_cast<size_t>(c)]);
-    keys.insert(std::move(key));
-    return true;
-  });
-
+  SqlResult keys;
+  PlanPtr plan;
+  BIH_RETURN_IF_ERROR(RunQuery(engine, locate, ctx, {}, &keys, &plan));
+  // The statement's only interruption point: once it starts applying it
+  // finishes, so it applies all of its keys or none.
   if (ctx != nullptr) BIH_RETURN_IF_ERROR(ctx->CheckNow());
 
   Period portion(stmt.portion_from, stmt.portion_to);
   engine.Begin();
-  for (const std::vector<Value>& key : keys) {
-    if (ctx != nullptr) {
-      Status interrupted = ctx->CheckNow();
-      if (!interrupted.ok()) {
-        // Commit the keys already applied (each key is its own statement;
-        // the Begin/Commit pair only batches the log flush) and report why
-        // the batch stopped.
-        Status commit = engine.Commit();
-        (void)commit;  // the interruption verdict is the actionable error
-        return interrupted;
-      }
-    }
+  for (const Row& key : keys.rows) {
     Status st;
     if (stmt.kind == DmlStatement::Kind::kUpdate) {
       st = stmt.has_portion
@@ -616,7 +607,7 @@ Status ExecuteDml(TemporalEngine& engine, const DmlStatement& stmt,
     }
   }
   BIH_RETURN_IF_ERROR(engine.Commit());
-  out->rows = {{Value(static_cast<int64_t>(keys.size()))}};
+  out->rows = {{Value(static_cast<int64_t>(keys.rows.size()))}};
   return Status::OK();
 }
 
@@ -647,13 +638,11 @@ Status Explain(TemporalEngine& engine, const std::string& text,
                std::string* json, QueryContext* ctx, const ExecOptions& opts) {
   SelectStatement stmt;
   BIH_RETURN_IF_ERROR(ParseSelect(text, &stmt));
+  SqlResult result;
   PlanPtr plan;
-  std::vector<std::string> columns;
-  BIH_RETURN_IF_ERROR(PlanSelect(engine, stmt, &plan, &columns));
   OptimizerReport report;
-  OptimizePlan(&plan, engine, &report);
-  Rows rows;
-  BIH_RETURN_IF_ERROR(Execute(*plan, engine, opts, ctx, &rows));
+  BIH_RETURN_IF_ERROR(
+      RunQuery(engine, stmt, ctx, opts, &result, &plan, &report));
   *json = "{\"optimizer\":{\"predicates_pushed\":" +
           std::to_string(report.predicates_pushed) +
           ",\"conjuncts_folded\":" + std::to_string(report.conjuncts_folded) +

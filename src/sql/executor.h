@@ -36,10 +36,13 @@ Status ExecuteSelect(TemporalEngine& engine, const SelectStatement& stmt,
 
 // Executes a parsed DML statement; `out` reports the number of affected
 // keys in a single-row result. Assignments and inserted values must be
-// constant expressions (the engine applies one value set per key). `ctx`
-// is checked between keys; an interruption mid-batch commits the keys
-// already applied (the batch is a sequence of single-key statements, not
-// one atomic statement) and reports the verdict.
+// constant expressions (the engine applies one value set per key).
+// UPDATE/DELETE locate their keys as the query SELECT DISTINCT <key> FROM
+// <table> WHERE <where> ORDER BY <key>, through the same plan, optimizer
+// and executor as ExecuteSelect, and apply them in key order in one
+// Begin/Commit batch. `ctx` bounds the key location and is checked once
+// more before the first key is applied, never after: an interrupted
+// statement applies nothing, and one that starts applying finishes.
 Status ExecuteDml(TemporalEngine& engine, const DmlStatement& stmt,
                   SqlResult* out, QueryContext* ctx = nullptr);
 

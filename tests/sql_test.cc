@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "engine/system_a.h"
 #include "sql/executor.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -110,8 +111,12 @@ TEST(ParserTest, Errors) {
 
 class SqlExecTest : public ::testing::Test {
  protected:
+  virtual std::unique_ptr<TemporalEngine> NewEngine() {
+    return MakeEngine("A");
+  }
+
   void SetUp() override {
-    engine_ = MakeEngine("A");
+    engine_ = NewEngine();
     TableDef def;
     def.name = "ACCOUNT";
     def.schema = Schema({{"ID", ColumnType::kInt},
@@ -367,6 +372,76 @@ TEST_F(SqlExecTest, DmlErrors) {
   EXPECT_EQ(2u, Run("SELECT ID FROM ACCOUNT WHERE ID = 1").size());
 }
 
+// System A with probes on the two points an UPDATE/DELETE passes: the
+// public Scan records every request, and OpenVersion cancels
+// `cancel_on_open` (when set) once a new version is stored, i.e. after the
+// statement applied its first key.
+class ProbedEngine : public SystemAEngine {
+ public:
+  void Scan(const ScanRequest& req, const RowCallback& cb) override {
+    scans.push_back(req);
+    SystemAEngine::Scan(req, cb);
+  }
+
+  std::vector<ScanRequest> scans;
+  QueryContext* cancel_on_open = nullptr;
+
+ protected:
+  void OpenVersion(TableBase& table, Row user_row, Timestamp ts,
+                   StmtKind kind) override {
+    SystemAEngine::OpenVersion(table, std::move(user_row), ts, kind);
+    if (cancel_on_open != nullptr) cancel_on_open->Cancel();
+  }
+};
+
+class SqlDmlTest : public SqlExecTest {
+ protected:
+  std::unique_ptr<TemporalEngine> NewEngine() override {
+    auto e = std::make_unique<ProbedEngine>();
+    probe_ = e.get();
+    return e;
+  }
+
+  ProbedEngine* probe_ = nullptr;
+};
+
+TEST_F(SqlDmlTest, InterruptAfterFirstKeyStillAppliesEveryKey) {
+  QueryContext ctx;
+  probe_->cancel_on_open = &ctx;
+  SqlResult r;
+  Status st = ExecuteSql(*engine_, "UPDATE ACCOUNT SET BALANCE = 1", &r, &ctx);
+  probe_->cancel_on_open = nullptr;
+  ASSERT_TRUE(ctx.cancel_requested());  // the cancel did land mid-apply
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(3, r.rows[0][0].AsInt());
+  Rows rows = Run("SELECT ID, BALANCE FROM ACCOUNT ORDER BY ID");
+  ASSERT_EQ(3u, rows.size());
+  for (const Row& row : rows) {
+    EXPECT_DOUBLE_EQ(1.0, row[1].AsDouble()) << row[0].AsInt();
+  }
+}
+
+TEST_F(SqlDmlTest, CancelledBeforeTheCallAppliesNothing) {
+  const Rows before = Run("SELECT * FROM ACCOUNT FOR SYSTEM_TIME ALL");
+  QueryContext ctx;
+  ctx.Cancel();
+  SqlResult r;
+  Status st = ExecuteSql(*engine_, "UPDATE ACCOUNT SET BALANCE = 1", &r, &ctx);
+  EXPECT_EQ(Status::Code::kCancelled, st.code()) << st.ToString();
+  EXPECT_EQ(before, Run("SELECT * FROM ACCOUNT FOR SYSTEM_TIME ALL"));
+}
+
+TEST_F(SqlDmlTest, KeyPinnedPredicateLocatesThroughTheIndex) {
+  probe_->scans.clear();
+  Rows r = Run("UPDATE ACCOUNT SET BALANCE = 1 WHERE ID = 2");
+  EXPECT_EQ(1, r[0][0].AsInt());
+  ASSERT_EQ(1u, probe_->scans.size());
+  const ScanRequest& req = probe_->scans[0];
+  ASSERT_EQ(1u, req.equals.size());
+  EXPECT_EQ(0, req.equals[0].first);  // ID
+  EXPECT_EQ(2, req.equals[0].second.AsInt());
+}
+
 TEST_F(SqlExecTest, SameAnswerOnAllEngines) {
   // The SQL layer sits on the engine API, so every architecture answers
   // SQL identically; sanity-check one aggregate on each.
@@ -388,6 +463,75 @@ TEST_F(SqlExecTest, SameAnswerOnAllEngines) {
                            &r)
                     .ok());
     EXPECT_DOUBLE_EQ(30.0, r.rows[0][0].AsDouble()) << letter;
+  }
+
+  // DML: every engine locates the same keys, applies the same versions and
+  // reports the same affected counts.
+  Rows reference;
+  for (const std::string& letter : AllEngineLetters()) {
+    auto e = MakeEngine(letter);
+    ASSERT_TRUE(e->CreateTable(engine_->GetTableDef("ACCOUNT")).ok());
+    auto ins = [&](int64_t id, const char* owner, double bal, int64_t b,
+                   int64_t end) {
+      ASSERT_TRUE(e->Insert("ACCOUNT", {Value(id), Value(owner), Value(bal),
+                                        Value(b), Value(end)})
+                      .ok());
+    };
+    ins(1, "ann", 100.0, 0, Period::kForever);
+    ins(2, "bob", 250.0, 0, Period::kForever);
+    ins(3, "cat", -40.0, 50, 150);
+    ins(4, "dan", 300.0, 0, Period::kForever);
+    // System C names its system-time columns VALID_FROM/VALID_TO.
+    const Schema scan = e->ScanSchema("ACCOUNT");
+    const std::string sys_start = scan.column(5).name;
+    auto dml = [&](const std::string& text) -> int64_t {
+      SqlResult r;
+      Status st = ExecuteSql(*e, text, &r);
+      EXPECT_TRUE(st.ok()) << letter << ": " << st.ToString() << " for "
+                           << text;
+      return st.ok() ? r.rows[0][0].AsInt() : -1;
+    };
+    // Key-pinned.
+    EXPECT_EQ(1, dml("UPDATE ACCOUNT SET BALANCE = 260 WHERE ID = 2"))
+        << letter;
+    // FOR PORTION OF: key 1 now has three application-time versions.
+    EXPECT_EQ(1, dml("UPDATE ACCOUNT FOR PORTION OF BUSINESS_TIME "
+                     "FROM 100 TO 200 SET BALANCE = 7 WHERE ID = 1"))
+        << letter;
+    // Non-key predicate: keys 2 and 4.
+    EXPECT_EQ(2, dml("UPDATE ACCOUNT SET OWNER = 'rich' WHERE BALANCE > 200"))
+        << letter;
+    const int64_t after_rich = e->Now().micros();
+    // Matches nothing.
+    EXPECT_EQ(0, dml("DELETE FROM ACCOUNT WHERE ID = 99")) << letter;
+    // Three matching versions of one key count once.
+    EXPECT_EQ(1, dml("UPDATE ACCOUNT SET BALANCE = 5 WHERE OWNER = 'ann'"))
+        << letter;
+    EXPECT_EQ(1, dml("DELETE FROM ACCOUNT FOR PORTION OF BUSINESS_TIME "
+                     "FROM 60 TO 100 WHERE ID = 3"))
+        << letter;
+    // System-time predicate: only keys 2 and 4 are unchanged since then.
+    EXPECT_EQ(2, dml("UPDATE ACCOUNT SET BALANCE = 2 WHERE " + sys_start +
+                     " <= " + std::to_string(after_rich)))
+        << letter;
+    // No WHERE: every current key.
+    EXPECT_EQ(4, dml("UPDATE ACCOUNT SET BALANCE = 0")) << letter;
+    EXPECT_EQ(1, dml("DELETE FROM ACCOUNT WHERE ID = 4")) << letter;
+
+    SqlResult all;
+    ASSERT_TRUE(ExecuteSql(*e,
+                           "SELECT ID, OWNER, BALANCE, VB, VE FROM ACCOUNT "
+                           "FOR SYSTEM_TIME ALL FOR BUSINESS_TIME ALL "
+                           "ORDER BY ID, " + sys_start + ", VB",
+                           &all)
+                    .ok())
+        << letter;
+    if (reference.empty()) {
+      reference = all.rows;
+      EXPECT_FALSE(reference.empty());
+    } else {
+      EXPECT_EQ(reference, all.rows) << letter;
+    }
   }
 }
 

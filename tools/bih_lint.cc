@@ -31,6 +31,9 @@
 //                       everything else talks through net::Client/Server.
 //                       (raw-io still applies *inside* src/net/: sockets
 //                       yes, fsync no.)
+//   exec-api            no operator-kernel call outside src/exec/, and no
+//                       engine Scan() call under src/sql/: queries and SQL
+//                       reads run as plans through Execute()
 //
 // Suppressions (always with a reason in the surrounding code):
 //   // bih-lint: allow(<rule>)       this line or the next line
@@ -218,7 +221,9 @@ void CheckRawSocket(const FileText& f, std::vector<Finding>* out) {
 // through Execute()/RunPlan(), which is where ExecOptions, the optimizer,
 // cancellation polling and ExecStats live. Calling an operator kernel
 // directly bypasses all four, so outside src/exec/ the kernel entry points
-// (and the retired exec/operators.h header) are off limits.
+// (and the retired exec/operators.h header) are off limits. The SQL front
+// end reads only through plans: under src/sql/ a member call of an
+// engine's Scan() is flagged too.
 
 const char* kExecKernelTokens[] = {
     "ScanAll",       "FilterRows",        "ProjectRows",
@@ -258,6 +263,24 @@ void CheckExecApi(const FileText& f, std::vector<Finding>* out) {
                             "ExecStats apply"});
       }
       break;  // one finding per line is enough
+    }
+  }
+  if (f.path.find("src/sql/") == std::string::npos) return;
+  for (size_t i = 0; i < f.code.size(); ++i) {
+    const std::string& line = f.code[i];
+    for (size_t p = FindToken(line, "Scan"); p != std::string::npos;
+         p = FindToken(line, "Scan", p + 4)) {
+      bool member = (p > 0 && line[p - 1] == '.') ||
+                    (p > 1 && line[p - 1] == '>' && line[p - 2] == '-');
+      size_t nb = line.find_first_not_of(' ', p + 4);
+      if (!member || nb == std::string::npos || line[nb] != '(') continue;
+      if (!Suppressed(f, i, "exec-api")) {
+        out->push_back({f.path, i + 1, "exec-api",
+                        "engine Scan() under src/sql/; SQL reads go through "
+                        "a plan (PlanSelect, OptimizePlan, Execute) so the "
+                        "optimizer's index access and plan counters apply"});
+      }
+      break;
     }
   }
 }
