@@ -37,17 +37,17 @@ void RegisterFor(const std::string& label, TemporalEngine* e,
   };
   // Highly selective: balances close to the top of the range.
   add("K6_selective_app_curr_sys", [app_curr](TemporalEngine& eng) {
-    return K6(eng, 9900.0, Value(), app_curr);
+    return K6(eng, 9900.0, app_curr);
   });
   add("K6_selective_app_past_sys", [app_past](TemporalEngine& eng) {
-    return K6(eng, 9900.0, Value(), app_past);
+    return K6(eng, 9900.0, app_past);
   });
   add("K6_selective_sys_curr_app", [sys_axis](TemporalEngine& eng) {
-    return K6(eng, 9900.0, Value(), sys_axis);
+    return K6(eng, 9900.0, sys_axis);
   });
   // Non-selective: half of all balances qualify.
   add("K6_nonselective_sys", [sys_axis](TemporalEngine& eng) {
-    return K6(eng, 0.0, Value(), sys_axis);
+    return K6(eng, 0.0, sys_axis);
   });
 }
 

@@ -74,7 +74,7 @@ int main() {
   // 9900 at any point of the recorded history?
   TemporalScanSpec sys_axis;
   sys_axis.system_time = TemporalSelector::All();
-  Rows rich = K6(db, 9900.0, Value(), sys_axis);
+  Rows rich = K6(db, 9900.0, sys_axis);
   std::printf("\n%zu versions across all customers recorded a balance over "
               "9900\n",
               rich.size());

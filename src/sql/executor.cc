@@ -152,15 +152,14 @@ std::string DeriveName(const SelectItem& item, size_t index) {
 // the form left_col = right_col become hash keys; everything else stays a
 // residual predicate over the joined row.
 void SplitJoinCondition(const SqlExprPtr& e, const Binder& left_binder,
-                        const Binder& right_binder, size_t left_width,
-                        std::vector<int>* left_keys,
+                        const Binder& right_binder, std::vector<int>* left_keys,
                         std::vector<int>* right_keys,
                         std::vector<SqlExprPtr>* residual) {
   if (e->kind == SqlExpr::Kind::kBinary && e->op == "AND") {
-    SplitJoinCondition(e->children[0], left_binder, right_binder, left_width,
-                       left_keys, right_keys, residual);
-    SplitJoinCondition(e->children[1], left_binder, right_binder, left_width,
-                       left_keys, right_keys, residual);
+    SplitJoinCondition(e->children[0], left_binder, right_binder, left_keys,
+                       right_keys, residual);
+    SplitJoinCondition(e->children[1], left_binder, right_binder, left_keys,
+                       right_keys, residual);
     return;
   }
   if (e->kind == SqlExpr::Kind::kBinary && e->op == "=" &&
@@ -180,7 +179,6 @@ void SplitJoinCondition(const SqlExprPtr& e, const Binder& left_binder,
       return;
     }
   }
-  (void)left_width;
   residual->push_back(e);
 }
 
@@ -234,8 +232,8 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
     Binder right_binder(&right_scope);
     std::vector<int> lk, rk;
     std::vector<SqlExprPtr> residual_parts;
-    SplitJoinCondition(join.on, left_binder, right_binder, scope.size(), &lk,
-                       &rk, &residual_parts);
+    SplitJoinCondition(join.on, left_binder, right_binder, &lk, &rk,
+                       &residual_parts);
     // Combined scope for the residual predicate.
     std::vector<ScopeColumn> combined = scope;
     combined.insert(combined.end(), right_scope.begin(), right_scope.end());
@@ -292,9 +290,6 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
       }
       plan = SortPlan(std::move(plan), std::move(keys));
     }
-    if (stmt.limit >= 0) {
-      plan = LimitPlan(std::move(plan), static_cast<size_t>(stmt.limit));
-    }
     columns->clear();
     if (stmt.select_star) {
       for (const ScopeColumn& c : scope) columns->push_back(c.name);
@@ -308,9 +303,10 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
       }
       plan = ProjectPlan(std::move(plan), std::move(exprs));
     }
-    // DISTINCT applies to the final projected rows, after LIMIT — matching
-    // the operator order this executor has always used.
     if (stmt.distinct) plan = DistinctPlan(std::move(plan));
+    if (stmt.limit >= 0) {
+      plan = LimitPlan(std::move(plan), static_cast<size_t>(stmt.limit));
+    }
     *out_plan = std::move(plan);
     return Status::OK();
   }
@@ -461,9 +457,6 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
     }
     plan = SortPlan(std::move(plan), std::move(keys));
   }
-  if (stmt.limit >= 0) {
-    plan = LimitPlan(std::move(plan), static_cast<size_t>(stmt.limit));
-  }
 
   std::vector<ExprPtr> projections;
   columns->clear();
@@ -475,6 +468,9 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
   }
   plan = ProjectPlan(std::move(plan), std::move(projections));
   if (stmt.distinct) plan = DistinctPlan(std::move(plan));
+  if (stmt.limit >= 0) {
+    plan = LimitPlan(std::move(plan), static_cast<size_t>(stmt.limit));
+  }
   *out_plan = std::move(plan);
   return Status::OK();
 }

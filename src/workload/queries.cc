@@ -1,101 +1,243 @@
 #include "workload/queries.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
+#include <set>
+#include <utility>
 
-#include "tpch/schema.h"
+#include "exec/optimizer.h"
+#include "sql/executor.h"
+#include "sql/parser.h"
 
 namespace bih {
 
 namespace {
 
-int SysFromCol(TemporalEngine& engine, const std::string& table) {
-  return engine.GetTableDef(table).schema.num_columns();
+struct QueryText {
+  const char* table;  // resolves {for}, {sys_from} and {sys_to}
+  const char* text;
+};
+
+// The SQL of the query classes, one entry per statement. Placeholders:
+// {for} is the FOR SYSTEM_TIME / FOR BUSINESS_TIME clauses of a scan spec,
+// {sys_from} and {sys_to} the engine's system-time columns, and {0}, {1},
+// ... the query's literal parameters.
+const std::map<std::string, QueryText>& QueryTable() {
+  static const auto* table = new std::map<std::string, QueryText>{
+      {"T1",
+       {"PARTSUPP",
+        "SELECT AVG(PS_SUPPLYCOST), COUNT(PS_SUPPLYCOST) FROM PARTSUPP{for}"}},
+      {"T2",
+       {"ORDERS",
+        "SELECT AVG(O_TOTALPRICE), COUNT(O_TOTALPRICE) FROM ORDERS{for}"}},
+      {"T3",
+       {"CUSTOMER",
+        "SELECT a.C_CUSTKEY, a.C_ACCTBAL, b.C_ACCTBAL "
+        "FROM CUSTOMER FOR BUSINESS_TIME AS OF {0} a "
+        "JOIN CUSTOMER FOR BUSINESS_TIME AS OF {1} b "
+        "ON a.C_CUSTKEY = b.C_CUSTKEY "
+        "WHERE a.C_ACCTBAL <> b.C_ACCTBAL"}},
+      {"T4", {"ORDERS", "SELECT * FROM ORDERS{for} LIMIT {0}"}},
+      // No FOR BUSINESS_TIME clause: the application time travels as plain
+      // predicates, so the optimizer's T8 -> T2 rewrite does not fire.
+      {"T8",
+       {"ORDERS",
+        "SELECT AVG(O_TOTALPRICE), COUNT(O_TOTALPRICE) FROM ORDERS{for} "
+        "WHERE O_ACTIVE_BEGIN <= {0} AND O_ACTIVE_END > {0}"}},
+      {"K1",
+       {"CUSTOMER",
+        "SELECT * FROM CUSTOMER{for} WHERE C_CUSTKEY = {0} "
+        "ORDER BY {sys_from}"}},
+      {"K3",
+       {"CUSTOMER",
+        "SELECT C_ACCTBAL, {sys_from} FROM CUSTOMER{for} "
+        "WHERE C_CUSTKEY = {0} ORDER BY {sys_from}"}},
+      {"K4",
+       {"CUSTOMER",
+        "SELECT * FROM CUSTOMER{for} WHERE C_CUSTKEY = {0} "
+        "ORDER BY {sys_from} DESC LIMIT {1}"}},
+      {"K5.latest",
+       {"CUSTOMER",
+        "SELECT MAX({sys_from}) FROM CUSTOMER{for} WHERE C_CUSTKEY = {0}"}},
+      {"K5.previous",
+       {"CUSTOMER",
+        "SELECT * FROM CUSTOMER{for} WHERE C_CUSTKEY = {0} "
+        "AND {sys_from} < {1} ORDER BY {sys_from} DESC LIMIT 1"}},
+      {"K6",
+       {"CUSTOMER",
+        "SELECT * FROM CUSTOMER{for} WHERE C_ACCTBAL >= {0} "
+        "ORDER BY C_CUSTKEY"}},
+      {"R1",
+       {"ORDERS",
+        "SELECT a.O_ORDERKEY, a.O_ORDERSTATUS, b.O_ORDERSTATUS, b.{sys_from} "
+        "FROM ORDERS FOR SYSTEM_TIME ALL a JOIN ORDERS FOR SYSTEM_TIME ALL b "
+        "ON a.O_ORDERKEY = b.O_ORDERKEY AND a.{sys_to} = b.{sys_from} "
+        "AND a.O_ORDERSTATUS <> b.O_ORDERSTATUS"}},
+      {"R2",
+       {"ORDERS",
+        "SELECT O_ORDERKEY, {sys_from}, {sys_to} FROM ORDERS "
+        "FOR SYSTEM_TIME ALL WHERE O_ORDERSTATUS = 'O'"}},
+      {"R3",
+       {"ORDERS",
+        "SELECT O_TOTALPRICE, {sys_from}, {sys_to} FROM ORDERS "
+        "FOR SYSTEM_TIME ALL"}},
+      {"R4.min",
+       {"PARTSUPP",
+        "SELECT PS_PARTKEY, PS_SUPPKEY, MIN(PS_AVAILQTY) FROM PARTSUPP "
+        "FOR SYSTEM_TIME ALL FOR BUSINESS_TIME ALL "
+        "GROUP BY PS_PARTKEY, PS_SUPPKEY"}},
+      {"R4.max",
+       {"PARTSUPP",
+        "SELECT PS_PARTKEY, PS_SUPPKEY, MAX(PS_AVAILQTY) FROM PARTSUPP "
+        "FOR SYSTEM_TIME ALL FOR BUSINESS_TIME ALL "
+        "GROUP BY PS_PARTKEY, PS_SUPPKEY"}},
+      {"R5",
+       {"CUSTOMER",
+        "SELECT DISTINCT c.C_CUSTKEY FROM CUSTOMER FOR SYSTEM_TIME ALL c "
+        "JOIN ORDERS FOR SYSTEM_TIME ALL o ON c.C_CUSTKEY = o.O_CUSTKEY "
+        "AND c.{sys_from} < o.{sys_to} AND o.{sys_from} < c.{sys_to} "
+        "WHERE c.C_ACCTBAL < {0} AND o.O_TOTALPRICE > {1}"}},
+      {"R6",
+       {"CUSTOMER",
+        "SELECT c.C_NATIONKEY, COUNT(*) FROM CUSTOMER FOR SYSTEM_TIME ALL c "
+        "JOIN ORDERS FOR SYSTEM_TIME ALL o ON c.C_CUSTKEY = o.O_CUSTKEY "
+        "AND c.{sys_from} < o.{sys_to} AND o.{sys_from} < c.{sys_to} "
+        "GROUP BY c.C_NATIONKEY"}},
+      {"R7",
+       {"PARTSUPP",
+        "SELECT PS_PARTKEY, PS_SUPPKEY, PS_SUPPLYCOST, {sys_from} "
+        "FROM PARTSUPP FOR SYSTEM_TIME ALL"}},
+      // {on} takes the correlation predicates of the variant (B3Sql).
+      {"B3",
+       {"PARTSUPP",
+        "SELECT DISTINCT r.PS_PARTKEY FROM PARTSUPP{for} l "
+        "JOIN PARTSUPP{for} r ON l.PS_SUPPKEY = r.PS_SUPPKEY{on} "
+        "WHERE l.PS_PARTKEY = {0} ORDER BY r.PS_PARTKEY"}},
+  };
+  return *table;
 }
 
-TemporalScanSpec AllVersions() {
-  TemporalScanSpec spec;
-  spec.system_time = TemporalSelector::All();
-  spec.app_time = TemporalSelector::All();
-  return spec;
+std::string Clause(const std::string& axis, const TemporalSelector& s) {
+  switch (s.kind) {
+    case TemporalSelector::Kind::kImplicitCurrent:
+      return "";
+    case TemporalSelector::Kind::kPoint:
+      return " FOR " + axis + " AS OF " + std::to_string(s.point);
+    case TemporalSelector::Kind::kRange:
+      return " FOR " + axis + " FROM " + std::to_string(s.range.begin) +
+             " TO " + std::to_string(s.range.end);
+    case TemporalSelector::Kind::kAll:
+      return " FOR " + axis + " ALL";
+  }
+  return "";
 }
 
-// One engine access as a single-node plan (the common leaf of the query
-// classes below).
-Rows ScanRows(TemporalEngine& engine, ScanRequest req) {
-  return RunPlan(*ScanPlan(std::move(req)), engine);
+// A scan spec as SQL:2011 clauses; an unmentioned axis stays implicit.
+std::string TemporalClauses(const TableDef& def, const TemporalScanSpec& spec) {
+  std::string app = "BUSINESS_TIME";
+  if (spec.app_period_index != 0) {
+    app += " " + def.app_periods[static_cast<size_t>(spec.app_period_index)]
+                     .name;
+  }
+  return Clause("SYSTEM_TIME", spec.system_time) + Clause(app, spec.app_time);
 }
 
-Rows AggregateAvgCount(TemporalEngine& engine, const ScanRequest& req,
-                       int value_col) {
-  double sum = 0.0;
-  int64_t n = 0;
-  engine.Scan(req, [&](const Row& row) {
-    const Value& v = row[static_cast<size_t>(value_col)];
-    if (!v.is_null()) {
-      sum += v.AsDouble();
-      ++n;
+// An integer or double literal the lexer reads back as the same value:
+// the shortest round-trip digits without an exponent, and doubles keep a
+// decimal point so they stay doubles.
+std::string Literal(const Value& v) {
+  if (!v.is_double()) return v.ToString();
+  char buf[400];
+  std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v.AsDouble(),
+                                         std::chars_format::fixed);
+  std::string s(buf, r.ptr);
+  if (s.find('.') == std::string::npos) s += ".0";
+  return s;
+}
+
+std::string Render(const TemporalEngine& engine, const std::string& table,
+                   const std::string& text, const TemporalScanSpec& spec,
+                   const std::vector<Value>& values) {
+  const TableDef& def = engine.GetTableDef(table);
+  const Schema scan = engine.ScanSchema(table);
+  const int sys_from = def.schema.num_columns();
+  std::string out;
+  for (size_t i = 0; i < text.size();) {
+    if (text[i] != '{') {
+      out += text[i++];
+      continue;
     }
-    return true;
-  });
-  return {Row{n == 0 ? Value::Null() : Value(sum / static_cast<double>(n)),
-              Value(n)}};
+    const size_t close = text.find('}', i);
+    const std::string key = text.substr(i + 1, close - i - 1);
+    i = close + 1;
+    if (key == "for") {
+      out += TemporalClauses(def, spec);
+    } else if (key == "sys_from") {
+      out += scan.column(sys_from).name;
+    } else if (key == "sys_to") {
+      out += scan.column(sys_from + 1).name;
+    } else {
+      out += Literal(values.at(std::stoul(key)));
+    }
+  }
+  return out;
+}
+
+Rows RunSql(TemporalEngine& engine, const std::string& text) {
+  sql::SqlResult result;
+  Status st = sql::ExecuteSql(engine, text, &result);
+  BIH_CHECK_MSG(st.ok(), st.ToString() + ": " + text);
+  return std::move(result.rows);
+}
+
+Rows Run(TemporalEngine& engine, const std::string& name,
+         const TemporalScanSpec& spec = {},
+         const std::vector<Value>& values = {}) {
+  return RunSql(engine, QuerySql(engine, name, spec, values));
+}
+
+// Plans one SELECT without running it (R4 joins two of them).
+PlanPtr PlanSql(TemporalEngine& engine, const std::string& text) {
+  sql::SelectStatement stmt;
+  std::vector<std::string> columns;
+  PlanPtr plan;
+  Status st = sql::ParseSelect(text, &stmt);
+  if (st.ok()) st = sql::PlanSelect(engine, stmt, &plan, &columns);
+  BIH_CHECK_MSG(st.ok(), st.ToString() + ": " + text);
+  return plan;
 }
 
 }  // namespace
 
+std::string QuerySql(const TemporalEngine& engine, const std::string& name,
+                     const TemporalScanSpec& spec,
+                     const std::vector<Value>& values) {
+  const QueryText& q = QueryTable().at(name);
+  return Render(engine, q.table, q.text, spec, values);
+}
+
 Rows QueryAll(TemporalEngine& engine) {
-  ScanRequest req;
-  req.table = "ORDERS";
-  req.temporal = AllVersions();
-  req.projection = {orders::kTotalPrice};
-  return AggregateAvgCount(engine, req, orders::kTotalPrice);
+  TemporalScanSpec all;
+  all.system_time = TemporalSelector::All();
+  all.app_time = TemporalSelector::All();
+  return T2(engine, all);
 }
 
 Rows T1(TemporalEngine& engine, const TemporalScanSpec& spec) {
-  ScanRequest req;
-  req.table = "PARTSUPP";
-  req.temporal = spec;
-  req.projection = {partsupp::kSupplyCost};
-  return AggregateAvgCount(engine, req, partsupp::kSupplyCost);
+  return Run(engine, "T1", spec);
 }
 
 Rows T2(TemporalEngine& engine, const TemporalScanSpec& spec) {
-  ScanRequest req;
-  req.table = "ORDERS";
-  req.temporal = spec;
-  req.projection = {orders::kTotalPrice};
-  return AggregateAvgCount(engine, req, orders::kTotalPrice);
+  return Run(engine, "T2", spec);
 }
 
 Rows T3(TemporalEngine& engine, int64_t app_t1, int64_t app_t2) {
-  ScanRequest req;
-  req.table = "CUSTOMER";
-  req.temporal = TemporalScanSpec::AppAsOf(app_t1);
-  req.projection = {customer::kCustKey, customer::kAcctBal};
-  ScanRequest req2 = req;
-  req2.temporal = TemporalScanSpec::AppAsOf(app_t2);
-  const size_t width = static_cast<size_t>(SysFromCol(engine, "CUSTOMER") + 2);
-  const int bal2 = static_cast<int>(width) + customer::kAcctBal;
-  PlanPtr plan = ProjectPlan(
-      FilterPlan(HashJoinPlan(ScanPlan(std::move(req)),
-                              ScanPlan(std::move(req2)), {customer::kCustKey},
-                              {customer::kCustKey}, width),
-                 Ne(Col(customer::kAcctBal), Col(bal2))),
-      {Col(customer::kCustKey), Col(customer::kAcctBal), Col(bal2)});
-  return RunPlan(*plan, engine);
+  return Run(engine, "T3", {}, {Value(app_t1), Value(app_t2)});
 }
 
 Rows T4(TemporalEngine& engine, const TemporalScanSpec& spec, size_t n) {
-  ScanRequest req;
-  req.table = "ORDERS";
-  req.temporal = spec;
-  Rows out;
-  engine.Scan(req, [&](const Row& row) {
-    out.push_back(row);
-    return out.size() < n;  // early stop
-  });
-  return out;
+  return Run(engine, "T4", spec, {Value(static_cast<int64_t>(n))});
 }
 
 Rows T6AppPointSysAll(TemporalEngine& engine, int64_t app_point) {
@@ -122,50 +264,17 @@ Rows T7Explicit(TemporalEngine& engine) {
 
 Rows T8SimulatedAppPoint(TemporalEngine& engine, int64_t app_point,
                          const TemporalSelector& sys) {
-  // The application-time constraint travels as plain predicates evaluated
-  // by the client, never as a temporal clause (no index, no pruning).
-  ScanRequest req;
-  req.table = "ORDERS";
-  req.temporal.system_time = sys;
-  req.projection = {orders::kTotalPrice, orders::kActiveBegin,
-                    orders::kActiveEnd};
-  double sum = 0.0;
-  int64_t n = 0;
-  engine.Scan(req, [&](const Row& row) {
-    const Value& b = row[orders::kActiveBegin];
-    const Value& e = row[orders::kActiveEnd];
-    if (b.is_null() || e.is_null()) return true;
-    if (b.AsInt() <= app_point && app_point < e.AsInt()) {
-      sum += row[orders::kTotalPrice].AsDouble();
-      ++n;
-    }
-    return true;
-  });
-  return {Row{n == 0 ? Value::Null() : Value(sum / static_cast<double>(n)),
-              Value(n)}};
+  TemporalScanSpec spec;
+  spec.system_time = sys;
+  return Run(engine, "T8", spec, {Value(app_point)});
 }
 
 Rows T9SimulatedAppSlice(TemporalEngine& engine, int64_t app_point) {
   return T8SimulatedAppPoint(engine, app_point, TemporalSelector::All());
 }
 
-namespace {
-
-ScanRequest CustomerKeyRequest(int64_t custkey, const TemporalScanSpec& spec) {
-  ScanRequest req;
-  req.table = "CUSTOMER";
-  req.temporal = spec;
-  req.equals = {{customer::kCustKey, Value(custkey)}};
-  return req;
-}
-
-}  // namespace
-
 Rows K1(TemporalEngine& engine, int64_t custkey, const TemporalScanSpec& spec) {
-  const int sys_from = SysFromCol(engine, "CUSTOMER");
-  PlanPtr plan = SortPlan(ScanPlan(CustomerKeyRequest(custkey, spec)),
-                          {SortSpec{Col(sys_from), true}});
-  return RunPlan(*plan, engine);
+  return Run(engine, "K1", spec, {Value(custkey)});
 }
 
 Rows K2(TemporalEngine& engine, int64_t custkey, const TemporalScanSpec& spec) {
@@ -173,101 +282,42 @@ Rows K2(TemporalEngine& engine, int64_t custkey, const TemporalScanSpec& spec) {
 }
 
 Rows K3(TemporalEngine& engine, int64_t custkey, const TemporalScanSpec& spec) {
-  ScanRequest req = CustomerKeyRequest(custkey, spec);
-  req.projection = {customer::kAcctBal};
-  const int sys_from = SysFromCol(engine, "CUSTOMER");
-  PlanPtr plan =
-      ProjectPlan(SortPlan(ScanPlan(std::move(req)),
-                           {SortSpec{Col(sys_from), true}}),
-                  {Col(customer::kAcctBal), Col(sys_from)});
-  return RunPlan(*plan, engine);
+  return Run(engine, "K3", spec, {Value(custkey)});
 }
 
 Rows K4(TemporalEngine& engine, int64_t custkey, const TemporalScanSpec& spec,
         size_t n) {
-  const int sys_from = SysFromCol(engine, "CUSTOMER");
-  PlanPtr plan = LimitPlan(SortPlan(ScanPlan(CustomerKeyRequest(custkey, spec)),
-                                    {SortSpec{Col(sys_from), false}}),
-                           n);
-  return RunPlan(*plan, engine);
+  return Run(engine, "K4", spec,
+             {Value(custkey), Value(static_cast<int64_t>(n))});
 }
 
 Rows K5(TemporalEngine& engine, int64_t custkey, const TemporalScanSpec& spec) {
-  // Correlated formulation: find the newest version, then re-scan for the
-  // newest version strictly older than it — two key accesses, like the SQL.
-  const int sys_from = SysFromCol(engine, "CUSTOMER");
-  int64_t latest = Period::kBeginningOfTime;
-  engine.Scan(CustomerKeyRequest(custkey, spec), [&](const Row& row) {
-    latest = std::max(latest, row[static_cast<size_t>(sys_from)].AsInt());
-    return true;
-  });
-  Row best;
-  int64_t best_from = Period::kBeginningOfTime;
-  engine.Scan(CustomerKeyRequest(custkey, spec), [&](const Row& row) {
-    int64_t from = row[static_cast<size_t>(sys_from)].AsInt();
-    if (from < latest && from > best_from) {
-      best_from = from;
-      best = row;
-    }
-    return true;
-  });
-  Rows out;
-  if (!best.empty()) out.push_back(std::move(best));
-  return out;
+  // The correlated subquery as two key accesses: the newest version's
+  // start, then the newest version strictly older than it.
+  Rows latest = Run(engine, "K5.latest", spec, {Value(custkey)});
+  if (latest[0][0].is_null()) return {};
+  return Run(engine, "K5.previous", spec, {Value(custkey), latest[0][0]});
 }
 
-Rows K6(TemporalEngine& engine, double lo, Value hi,
-        const TemporalScanSpec& spec) {
-  ScanRequest req;
-  req.table = "CUSTOMER";
-  req.temporal = spec;
-  req.range_col = customer::kAcctBal;
-  req.range_lo = Value(lo);
-  req.range_hi = std::move(hi);
-  PlanPtr plan = SortPlan(ScanPlan(std::move(req)),
-                          {SortSpec{Col(customer::kCustKey), true}});
-  return RunPlan(*plan, engine);
+Rows K6(TemporalEngine& engine, double lo, const TemporalScanSpec& spec) {
+  return Run(engine, "K6", spec, {Value(lo)});
 }
 
 Rows R1(TemporalEngine& engine) {
-  // Two temporal evaluations of ORDERS joined on the key with the system
-  // intervals meeting: each joined pair is one state transition.
-  ScanRequest req;
-  req.table = "ORDERS";
-  req.temporal.system_time = TemporalSelector::All();
-  req.projection = {orders::kOrderKey, orders::kOrderStatus};
-  ScanRequest req2 = req;
-  const int sys_from = SysFromCol(engine, "ORDERS");
-  const int sys_to = sys_from + 1;
-  const int w = sys_from + 2;
-  ExprPtr meets = And(Eq(Col(sys_to), Col(w + sys_from)),
-                      Ne(Col(orders::kOrderStatus), Col(w + orders::kOrderStatus)));
-  PlanPtr plan = ProjectPlan(
-      HashJoinPlan(ScanPlan(std::move(req)), ScanPlan(std::move(req2)),
-                   {orders::kOrderKey}, {orders::kOrderKey},
-                   static_cast<size_t>(w), JoinType::kInner, meets),
-      {Col(orders::kOrderKey), Col(orders::kOrderStatus),
-       Col(w + orders::kOrderStatus), Col(w + sys_from)});
-  return RunPlan(*plan, engine);
+  // Two evaluations of ORDERS joined on the key with the system intervals
+  // meeting: each joined pair is one state transition.
+  return Run(engine, "R1");
 }
 
 Rows R2(TemporalEngine& engine) {
-  ScanRequest req;
-  req.table = "ORDERS";
-  req.temporal.system_time = TemporalSelector::All();
-  req.projection = {orders::kOrderKey, orders::kOrderStatus};
-  Rows h = ScanRows(engine, std::move(req));
-  const int sys_from = SysFromCol(engine, "ORDERS");
-  const int sys_to = sys_from + 1;
+  // Duration spent in the open state, per order; an open version lasts
+  // until now (the CASE the grammar lacks).
   const int64_t now = engine.Now().micros();
-  // Duration spent in the open state, per order.
   std::map<int64_t, int64_t> dur;
-  for (const Row& row : h) {
-    if (row[orders::kOrderStatus].AsString() != "O") continue;
-    int64_t b = row[static_cast<size_t>(sys_from)].AsInt();
-    int64_t e = row[static_cast<size_t>(sys_to)].AsInt();
+  for (const Row& row : Run(engine, "R2")) {
+    int64_t e = row[2].AsInt();
     if (e == Period::kForever) e = now;
-    dur[row[orders::kOrderKey].AsInt()] += e - b;
+    dur[row[0].AsInt()] += e - row[1].AsInt();
   }
   Rows out;
   for (const auto& [k, d] : dur) out.push_back({Value(k), Value(d)});
@@ -275,26 +325,22 @@ Rows R2(TemporalEngine& engine) {
 }
 
 Rows R3(TemporalEngine& engine, TemporalAggKind kind, bool naive) {
-  ScanRequest req;
-  req.table = "ORDERS";
-  req.temporal.system_time = TemporalSelector::All();
-  req.projection = {orders::kTotalPrice};
-  const int sys_from = SysFromCol(engine, "ORDERS");
-  const int sys_to = sys_from + 1;
+  // Rows of (totalprice, sys_from, sys_to).
+  Rows versions = Run(engine, "R3");
 
   if (!naive) {
     // Timeline sweep — the dedicated temporal-aggregation operator the
     // paper finds missing from all systems (cf. the Timeline Index work).
     std::vector<TimelineEntry> entries;
-    engine.Scan(req, [&](const Row& row) {
+    entries.reserve(versions.size());
+    for (const Row& row : versions) {
       TimelineEntry e;
-      e.period = Period(row[static_cast<size_t>(sys_from)].AsInt(),
-                        row[static_cast<size_t>(sys_to)].AsInt());
-      e.value = row[orders::kTotalPrice].AsDouble();
+      e.period = Period(row[1].AsInt(), row[2].AsInt());
+      e.value = row[0].AsDouble();
       entries.push_back(e);
-      return true;
-    });
-    std::vector<TimelineSlice> slices = TemporalAggregate(std::move(entries), kind);
+    }
+    std::vector<TimelineSlice> slices =
+        TemporalAggregate(std::move(entries), kind);
     Rows out;
     out.reserve(slices.size());
     for (const TimelineSlice& s : slices) {
@@ -309,11 +355,10 @@ Rows R3(TemporalEngine& engine, TemporalAggKind kind, bool naive) {
   // This is the "rather costly join over the time interval boundaries
   // followed by a grouping" of Section 3.3 — quadratic, hence the orders-of-
   // magnitude blowup of Fig. 14.
-  Rows versions = ScanRows(engine, req);
   std::vector<int64_t> boundaries;
   for (const Row& row : versions) {
-    boundaries.push_back(row[static_cast<size_t>(sys_from)].AsInt());
-    int64_t e = row[static_cast<size_t>(sys_to)].AsInt();
+    boundaries.push_back(row[1].AsInt());
+    int64_t e = row[2].AsInt();
     if (e != Period::kForever) boundaries.push_back(e);
   }
   std::sort(boundaries.begin(), boundaries.end());
@@ -324,10 +369,10 @@ Rows R3(TemporalEngine& engine, TemporalAggKind kind, bool naive) {
     double sum = 0.0, mn = 0.0, mx = 0.0;
     int64_t count = 0;
     for (const Row& row : versions) {
-      int64_t vb = row[static_cast<size_t>(sys_from)].AsInt();
-      int64_t ve = row[static_cast<size_t>(sys_to)].AsInt();
+      int64_t vb = row[1].AsInt();
+      int64_t ve = row[2].AsInt();
       if (vb <= b && b < ve) {
-        double v = row[orders::kTotalPrice].AsDouble();
+        double v = row[0].AsDouble();
         if (count == 0) {
           mn = mx = v;
         } else {
@@ -363,19 +408,12 @@ Rows R3(TemporalEngine& engine, TemporalAggKind kind, bool naive) {
 }
 
 Rows R4(TemporalEngine& engine, size_t top_n) {
-  // The SQL accesses PARTSUPP twice (min and max sub-selects); mirror that.
-  ScanRequest req;
-  req.table = "PARTSUPP";
-  req.temporal = AllVersions();
-  req.projection = {partsupp::kPartKey, partsupp::kSuppKey,
-                    partsupp::kAvailQty};
-  ScanRequest req2 = req;
-  PlanPtr mins = AggregatePlan(
-      ScanPlan(std::move(req)), {partsupp::kPartKey, partsupp::kSuppKey},
-      {{AggKind::kMin, Col(partsupp::kAvailQty)}});
-  PlanPtr maxs = AggregatePlan(
-      ScanPlan(std::move(req2)), {partsupp::kPartKey, partsupp::kSuppKey},
-      {{AggKind::kMax, Col(partsupp::kAvailQty)}});
+  // The SQL accesses PARTSUPP twice (min and max sub-selects) and joins the
+  // two grouped results, which takes derived tables the grammar lacks: the
+  // grouped accesses are planned from SQL, the join above them is built
+  // here.
+  PlanPtr mins = PlanSql(engine, QuerySql(engine, "R4.min"));
+  PlanPtr maxs = PlanSql(engine, QuerySql(engine, "R4.max"));
   // (p, s, min, p, s, max) -> (p, s, max-min)
   PlanPtr plan = LimitPlan(
       SortPlan(ProjectPlan(HashJoinPlan(std::move(mins), std::move(maxs),
@@ -384,75 +422,21 @@ Rows R4(TemporalEngine& engine, size_t top_n) {
                {SortSpec{Col(2), true}, SortSpec{Col(0), true},
                 SortSpec{Col(1), true}}),
       top_n);
+  OptimizePlan(&plan, engine);
   return RunPlan(*plan, engine);
 }
 
 Rows R5(TemporalEngine& engine, double balance_lim, double price_lim) {
-  ScanRequest creq;
-  creq.table = "CUSTOMER";
-  creq.temporal.system_time = TemporalSelector::All();
-  creq.projection = {customer::kCustKey, customer::kAcctBal};
-  const int c_sys_from = SysFromCol(engine, "CUSTOMER");
-
-  ScanRequest oreq;
-  oreq.table = "ORDERS";
-  oreq.temporal.system_time = TemporalSelector::All();
-  oreq.projection = {orders::kCustKey, orders::kTotalPrice};
-  const int o_sys_from = SysFromCol(engine, "ORDERS");
-
-  const int cw = c_sys_from + 2;
-  // Overlap of the two system-time intervals.
-  ExprPtr overlap =
-      And(Lt(Col(c_sys_from), Col(cw + o_sys_from + 1)),
-          Lt(Col(cw + o_sys_from), Col(c_sys_from + 1)));
-  PlanPtr plan = DistinctPlan(ProjectPlan(
-      HashJoinPlan(
-          FilterPlan(ScanPlan(std::move(creq)),
-                     Lt(Col(customer::kAcctBal), Lit(balance_lim))),
-          FilterPlan(ScanPlan(std::move(oreq)),
-                     Gt(Col(orders::kTotalPrice), Lit(price_lim))),
-          {customer::kCustKey}, {orders::kCustKey},
-          static_cast<size_t>(o_sys_from + 2), JoinType::kInner, overlap),
-      {Col(customer::kCustKey)}));
-  return RunPlan(*plan, engine);
+  return Run(engine, "R5", {}, {Value(balance_lim), Value(price_lim)});
 }
 
 Rows R6(TemporalEngine& engine) {
   // Temporal aggregation + join: per nation, number of (order version,
   // customer version) pairs whose system intervals overlap.
-  ScanRequest creq;
-  creq.table = "CUSTOMER";
-  creq.temporal.system_time = TemporalSelector::All();
-  creq.projection = {customer::kCustKey, customer::kNationKey};
-  const int c_sys_from = SysFromCol(engine, "CUSTOMER");
-
-  ScanRequest oreq;
-  oreq.table = "ORDERS";
-  oreq.temporal.system_time = TemporalSelector::All();
-  oreq.projection = {orders::kCustKey};
-  const int o_sys_from = SysFromCol(engine, "ORDERS");
-
-  const int cw = c_sys_from + 2;
-  ExprPtr overlap =
-      And(Lt(Col(c_sys_from), Col(cw + o_sys_from + 1)),
-          Lt(Col(cw + o_sys_from), Col(c_sys_from + 1)));
-  PlanPtr plan = AggregatePlan(
-      HashJoinPlan(ScanPlan(std::move(creq)), ScanPlan(std::move(oreq)),
-                   {customer::kCustKey}, {orders::kCustKey},
-                   static_cast<size_t>(o_sys_from + 2), JoinType::kInner,
-                   overlap),
-      {customer::kNationKey}, {{AggKind::kCount, nullptr}});
-  return RunPlan(*plan, engine);
+  return Run(engine, "R6");
 }
 
 Rows R7(TemporalEngine& engine, double pct) {
-  ScanRequest req;
-  req.table = "PARTSUPP";
-  req.temporal.system_time = TemporalSelector::All();
-  req.projection = {partsupp::kPartKey, partsupp::kSuppKey,
-                    partsupp::kSupplyCost};
-  const int sys_from = SysFromCol(engine, "PARTSUPP");
-  Rows rows = ScanRows(engine, std::move(req));
   // Previous-version correlation for every key: order each key's versions
   // by system time and compare successive supply costs.
   struct Ver {
@@ -460,138 +444,70 @@ Rows R7(TemporalEngine& engine, double pct) {
     double cost;
   };
   std::map<std::pair<int64_t, int64_t>, std::vector<Ver>> by_key;
-  for (const Row& row : rows) {
-    by_key[{row[partsupp::kPartKey].AsInt(), row[partsupp::kSuppKey].AsInt()}]
-        .push_back(Ver{row[static_cast<size_t>(sys_from)].AsInt(),
-                       row[partsupp::kSupplyCost].AsDouble()});
+  for (const Row& row : Run(engine, "R7")) {
+    by_key[{row[0].AsInt(), row[1].AsInt()}].push_back(
+        Ver{row[3].AsInt(), row[2].AsDouble()});
   }
   const double factor = 1.0 + pct / 100.0;
+  std::set<int64_t> seen;
   Rows out;
   for (auto& [key, vers] : by_key) {
     std::sort(vers.begin(), vers.end(),
               [](const Ver& a, const Ver& b) { return a.from < b.from; });
     for (size_t i = 1; i < vers.size(); ++i) {
-      if (vers[i - 1].cost > 0 && vers[i].cost > vers[i - 1].cost * factor) {
-        out.push_back({Value(key.second), Value(key.first),
-                       Value(vers[i].cost / vers[i - 1].cost)});
+      const bool raised =
+          vers[i - 1].cost > 0 && vers[i].cost > vers[i - 1].cost * factor;
+      if (raised && seen.insert(key.second).second) {
+        out.push_back({Value(key.second)});  // each supplier once
       }
     }
   }
-  return RunPlan(*DistinctPlan(ProjectPlan(ValuesPlan(std::move(out)),
-                                           {Col(0)})),
-                 engine);
+  return out;
 }
 
-Rows B3(TemporalEngine& engine, int variant, int64_t partkey,
-        int64_t app_point, Timestamp sys_past) {
+std::string B3Sql(const TemporalEngine& engine, int variant, int64_t partkey,
+                  int64_t app_point, Timestamp sys_past) {
   // Table 3 coordinates: application in {Point, Correlation, Agnostic},
   // system in {Point/Current, Point/Past, Correlation, Agnostic}.
   enum class App { kPoint, kCorr, kAgnostic };
   enum class Sys { kCurrent, kPast, kCorr, kAgnostic };
-  App app;
-  Sys sys;
-  switch (variant) {
-    case 0:   // non-temporal baseline: plain self-join on current data
-      app = App::kAgnostic;
-      sys = Sys::kCurrent;
-      break;
-    case 1:
-      app = App::kPoint;
-      sys = Sys::kCurrent;
-      break;
-    case 2:
-      app = App::kPoint;
-      sys = Sys::kPast;
-      break;
-    case 3:
-      app = App::kCorr;
-      sys = Sys::kCurrent;
-      break;
-    case 4:
-      app = App::kPoint;
-      sys = Sys::kCorr;
-      break;
-    case 5:
-      app = App::kCorr;
-      sys = Sys::kCorr;
-      break;
-    case 6:
-      app = App::kAgnostic;
-      sys = Sys::kCurrent;
-      break;
-    case 7:
-      app = App::kAgnostic;
-      sys = Sys::kPast;
-      break;
-    case 8:
-      app = App::kAgnostic;
-      sys = Sys::kCorr;
-      break;
-    case 9:
-      app = App::kPoint;
-      sys = Sys::kAgnostic;
-      break;
-    case 10:
-      app = App::kCorr;
-      sys = Sys::kAgnostic;
-      break;
-    default:
-      app = App::kAgnostic;
-      sys = Sys::kAgnostic;
-      break;
+  static constexpr std::pair<App, Sys> kVariants[] = {
+      {App::kAgnostic, Sys::kCurrent},  // 0: non-temporal baseline
+      {App::kPoint, Sys::kCurrent},     {App::kPoint, Sys::kPast},
+      {App::kCorr, Sys::kCurrent},      {App::kPoint, Sys::kCorr},
+      {App::kCorr, Sys::kCorr},         {App::kAgnostic, Sys::kCurrent},
+      {App::kAgnostic, Sys::kPast},     {App::kAgnostic, Sys::kCorr},
+      {App::kPoint, Sys::kAgnostic},    {App::kCorr, Sys::kAgnostic},
+      {App::kAgnostic, Sys::kAgnostic},  // 11 and beyond
+  };
+  const auto [app, sys] =
+      kVariants[variant >= 0 && variant < 11 ? variant : 11];
+
+  TemporalScanSpec spec;  // kCurrent leaves system time implicit
+  if (sys == Sys::kPast) {
+    spec.system_time = TemporalSelector::AsOf(sys_past.micros());
+  } else if (sys != Sys::kCurrent) {
+    spec.system_time = TemporalSelector::All();
   }
+  spec.app_time = app == App::kPoint ? TemporalSelector::AsOf(app_point)
+                                     : TemporalSelector::All();
 
-  TemporalScanSpec spec;
-  switch (sys) {
-    case Sys::kCurrent:
-      spec.system_time = TemporalSelector::ImplicitCurrent();
-      break;
-    case Sys::kPast:
-      spec.system_time = TemporalSelector::AsOf(sys_past.micros());
-      break;
-    case Sys::kCorr:
-    case Sys::kAgnostic:
-      spec.system_time = TemporalSelector::All();
-      break;
-  }
-  switch (app) {
-    case App::kPoint:
-      spec.app_time = TemporalSelector::AsOf(app_point);
-      break;
-    case App::kCorr:
-    case App::kAgnostic:
-      spec.app_time = TemporalSelector::All();
-      break;
-  }
-
-  ScanRequest left;
-  left.table = "PARTSUPP";
-  left.temporal = spec;
-  left.equals = {{partsupp::kPartKey, Value(partkey)}};
-
-  ScanRequest right = left;
-  right.equals.clear();
-
-  const int sys_from = SysFromCol(engine, "PARTSUPP");
-  const int w = sys_from + 2;
-  ExprPtr residual = nullptr;
+  std::string on;
   if (app == App::kCorr) {
-    residual = And(Lt(Col(partsupp::kValidBegin), Col(w + partsupp::kValidEnd)),
-                   Lt(Col(w + partsupp::kValidBegin), Col(partsupp::kValidEnd)));
+    on += " AND l.PS_VALID_BEGIN < r.PS_VALID_END "
+          "AND r.PS_VALID_BEGIN < l.PS_VALID_END";
   }
   if (sys == Sys::kCorr) {
-    ExprPtr sys_overlap = And(Lt(Col(sys_from), Col(w + sys_from + 1)),
-                              Lt(Col(w + sys_from), Col(sys_from + 1)));
-    residual = residual == nullptr ? sys_overlap : And(residual, sys_overlap);
+    on += " AND l.{sys_from} < r.{sys_to} AND r.{sys_from} < l.{sys_to}";
   }
-  PlanPtr plan = SortPlan(
-      DistinctPlan(ProjectPlan(
-          HashJoinPlan(ScanPlan(std::move(left)), ScanPlan(std::move(right)),
-                       {partsupp::kSuppKey}, {partsupp::kSuppKey},
-                       static_cast<size_t>(w), JoinType::kInner, residual),
-          {Col(w + partsupp::kPartKey)})),
-      {SortSpec{Col(0), true}});
-  return RunPlan(*plan, engine);
+  std::string text = QueryTable().at("B3").text;
+  text.replace(text.find("{on}"), 4, on);
+  return Render(engine, "PARTSUPP", text, spec, {Value(partkey)});
+}
+
+Rows B3(TemporalEngine& engine, int variant, int64_t partkey,
+        int64_t app_point, Timestamp sys_past) {
+  return RunSql(engine, B3Sql(engine, variant, partkey, app_point, sys_past));
 }
 
 }  // namespace bih

@@ -2,6 +2,7 @@
 #define TPCBIH_WORKLOAD_QUERIES_H_
 
 #include <string>
+#include <vector>
 
 #include "exec/plan.h"
 #include "temporal/timeline.h"
@@ -14,6 +15,13 @@ namespace bih {
 // benches time the calls. Unless noted, parameters follow the paper's
 // choices (e.g., T1 on PARTSUPP because its current cardinality is stable,
 // T2 on ORDERS because it grows).
+//
+// Each query is SQL text from one table in queries.cc, run through
+// sql::ExecuteSql: the parse -> bind -> OptimizePlan -> Execute path the
+// network server runs. What the grammar cannot say is C++ over rows read
+// that way: R2's duration CASE, R3's boundary loop and timeline sweep, R7's
+// previous-version correlation and K5's correlated subquery. R4 joins two
+// SQL-planned grouped accesses in a hand-built plan (derived tables).
 
 // ---- Time travel (T) -------------------------------------------------
 
@@ -69,10 +77,8 @@ Rows K4(TemporalEngine& engine, int64_t custkey, const TemporalScanSpec& spec,
 // correlation (the self-join formulation the paper uses).
 Rows K5(TemporalEngine& engine, int64_t custkey, const TemporalScanSpec& spec);
 
-// K6: history of customers selected by value: acctbal >= lo (and < hi if
-// hi is non-null).
-Rows K6(TemporalEngine& engine, double lo, Value hi,
-        const TemporalScanSpec& spec);
+// K6: history of customers selected by value: acctbal >= lo.
+Rows K6(TemporalEngine& engine, double lo, const TemporalScanSpec& spec);
 
 // ---- Range-timeslice (R) ----------------------------------------------
 
@@ -109,6 +115,23 @@ Rows R7(TemporalEngine& engine, double pct);
 // bitemporal combinations of Table 3.
 Rows B3(TemporalEngine& engine, int variant, int64_t partkey,
         int64_t app_point, Timestamp sys_past);
+
+// ---- The SQL text -------------------------------------------------------
+
+// The text a query function runs, parameters bound, so EXPLAIN shows the
+// plan a bench times: `spec` renders as the FOR SYSTEM_TIME / FOR
+// BUSINESS_TIME clauses of the queried table, `values` as literals. Names:
+// T1; T2 (also ALL, T6 and T7); T3; T4; T8 (also T9); K1 (also K2); K3; K4;
+// K5.latest and K5.previous; K6; R1; R2; R3; R4.min and R4.max; R5; R6; R7.
+// Fatal for an unknown name.
+std::string QuerySql(const TemporalEngine& engine, const std::string& name,
+                     const TemporalScanSpec& spec = {},
+                     const std::vector<Value>& values = {});
+
+// B3's text for one Table 3 variant: the variant picks the temporal clauses
+// and the correlation predicates.
+std::string B3Sql(const TemporalEngine& engine, int variant, int64_t partkey,
+                  int64_t app_point, Timestamp sys_past);
 
 }  // namespace bih
 

@@ -262,6 +262,21 @@ TEST_F(SqlExecTest, SelectDistinct) {
   EXPECT_EQ("cat", rows[2][0].AsString());
 }
 
+TEST_F(SqlExecTest, LimitCountsDistinctRows) {
+  // LIMIT applies after DISTINCT: the two "ann" versions count once.
+  Rows rows = Run("SELECT DISTINCT OWNER FROM ACCOUNT FOR SYSTEM_TIME ALL "
+                  "ORDER BY OWNER LIMIT 2");
+  ASSERT_EQ(2u, rows.size());
+  EXPECT_EQ("ann", rows[0][0].AsString());
+  EXPECT_EQ("bob", rows[1][0].AsString());
+  // Version counts per owner are 1, 1 and 2: two distinct counts.
+  rows = Run("SELECT DISTINCT COUNT(*) FROM ACCOUNT FOR SYSTEM_TIME ALL "
+             "GROUP BY OWNER ORDER BY COUNT(*) LIMIT 2");
+  ASSERT_EQ(2u, rows.size());
+  EXPECT_EQ(1, rows[0][0].AsInt());
+  EXPECT_EQ(2, rows[1][0].AsInt());
+}
+
 TEST_F(SqlExecTest, CountStarOnEmptyResult) {
   Rows rows = Run("SELECT COUNT(*) FROM ACCOUNT WHERE BALANCE > 99999");
   ASSERT_EQ(1u, rows.size());

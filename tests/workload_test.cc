@@ -1,8 +1,11 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
 
 #include <gtest/gtest.h>
 
+#include "sql/executor.h"
 #include "tpch/schema.h"
 #include "workload/queries.h"
 #include "workload/tpch_queries.h"
@@ -244,7 +247,7 @@ TEST_F(WorkloadTest, K6ValueInTimeAgrees) {
   TemporalScanSpec spec;
   spec.system_time = TemporalSelector::All();
   AllEnginesAgree("K6", [&](TemporalEngine& e) {
-    return K6(e, 9000.0, Value(), spec);
+    return K6(e, 9000.0, spec);
   });
 }
 
@@ -318,6 +321,247 @@ TEST_F(WorkloadTest, B3AgnosticSupersetOfPoint) {
   Rows point = B3(*ctx_->engine, 1, partkey, ctx_->app_mid, ctx_->sys_mid);
   Rows agnostic = B3(*ctx_->engine, 11, partkey, ctx_->app_mid, ctx_->sys_mid);
   EXPECT_GE(agnostic.size(), point.size());
+}
+
+// The string value of `"key":"..."` in one EXPLAIN node.
+std::string JsonField(const std::string& node, const std::string& key) {
+  const std::string tag = "\"" + key + "\":\"";
+  size_t p = node.find(tag);
+  if (p == std::string::npos) return "";
+  p += tag.size();
+  return node.substr(p, node.find('"', p) - p);
+}
+
+// The integer value of `"key":N` in an EXPLAIN document, or -1.
+int64_t JsonInt(const std::string& json, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  size_t p = json.find(tag);
+  return p == std::string::npos
+             ? -1
+             : std::strtoll(json.c_str() + p + tag.size(), nullptr, 10);
+}
+
+// The scan leaves of an EXPLAIN plan in plan order, each as "TABLE
+// sys=<selector> app=<selector>[ eq=[cols]][ range=<col>]".
+std::vector<std::string> ScanLeaves(const std::string& json) {
+  const std::string scan = "{\"node\":\"Scan\"";
+  std::vector<std::string> out;
+  for (size_t p = json.find(scan); p != std::string::npos;
+       p = json.find(scan, p + 1)) {
+    const std::string node =
+        json.substr(p, json.find("\"rows_examined\"", p) - p);
+    std::string leaf = JsonField(node, "table") +
+                       " sys=" + JsonField(node, "system_time") +
+                       " app=" + JsonField(node, "app_time");
+    size_t eq = node.find("\"equals\":[");
+    if (eq != std::string::npos) {
+      std::string cols;
+      const size_t end = node.find(']', eq);
+      for (size_t c = node.find("\"col\":", eq); c < end;
+           c = node.find("\"col\":", c + 1)) {
+        cols += (cols.empty() ? "" : ",") +
+                std::to_string(JsonInt(node.substr(c), "col"));
+      }
+      leaf += " eq=[" + cols + "]";
+    }
+    if (node.find("\"range_col\":") != std::string::npos) {
+      leaf += " range=" + std::to_string(JsonInt(node, "range_col"));
+    }
+    out.push_back(leaf);
+  }
+  return out;
+}
+
+// One query function, the SQL it runs, and what that SQL must plan to.
+struct PlanCase {
+  std::string name;
+  std::vector<std::string> texts;
+  std::vector<std::string> scans;  // every scan leaf of `texts`, in order
+  std::function<Rows(TemporalEngine&)> run;
+  size_t rows;  // the function's row count, as the hand-built plans gave it
+};
+
+TEST_F(WorkloadTest, SqlTextPlansPinned) {
+  TemporalScanSpec all;
+  all.system_time = TemporalSelector::All();
+  all.app_time = TemporalSelector::All();
+  TemporalScanSpec sys_all;
+  sys_all.system_time = TemporalSelector::All();
+  TemporalScanSpec k2;
+  k2.system_time =
+      TemporalSelector::Between(ctx_->sys_v0.micros(), ctx_->sys_mid.micros());
+  k2.app_time = TemporalSelector::All();
+  const TemporalScanSpec both =
+      TemporalScanSpec::BothAsOf(ctx_->sys_mid.micros(), ctx_->app_mid);
+  const int64_t key = ctx_->hot_custkey;
+  const int64_t partkey =
+      55 % static_cast<int64_t>(ctx_->initial.part.size()) + 1;
+  auto sel = [](const TemporalSelector& s) { return s.ToString(); };
+  const std::string cur = "CURRENT";
+  const std::string sys_mid = sel(both.system_time);
+  const std::string app_mid = sel(both.app_time);
+  const std::string app_early =
+      sel(TemporalSelector::AsOf(ctx_->app_early));
+  const std::string app_late = sel(TemporalSelector::AsOf(ctx_->app_late));
+  ExecOptions serial;
+  serial.scan_threads = 1;
+
+  for (size_t i = 0; i < 4; ++i) {
+    TemporalEngine& e = Engine(i);
+    // K5's second statement is bound to the newest version's start: the
+    // system-time start of K1's last row.
+    const size_t sys_from = e.GetTableDef("CUSTOMER").schema.num_columns();
+    const Value latest = K1(e, key, all).back()[sys_from];
+    const std::string now = sel(TemporalSelector::AsOf(e.Now().micros()));
+    std::vector<PlanCase> cases = {
+        {"ALL", {QuerySql(e, "T2", all)}, {"ORDERS sys=ALL app=ALL"},
+         [](TemporalEngine& x) { return QueryAll(x); }, 1},
+        {"T1", {QuerySql(e, "T1", both)},
+         {"PARTSUPP sys=" + sys_mid + " app=" + app_mid},
+         [&](TemporalEngine& x) { return T1(x, both); }, 1},
+        {"T2", {QuerySql(e, "T2", both)},
+         {"ORDERS sys=" + sys_mid + " app=" + app_mid},
+         [&](TemporalEngine& x) { return T2(x, both); }, 1},
+        {"T3",
+         {QuerySql(e, "T3", {},
+                   {Value(ctx_->app_early), Value(ctx_->app_late)})},
+         {"CUSTOMER sys=CURRENT app=" + app_early,
+          "CUSTOMER sys=CURRENT app=" + app_late},
+         [&](TemporalEngine& x) {
+           return T3(x, ctx_->app_early, ctx_->app_late);
+         },
+         0},
+        // Every version qualifies, so the early stop shows as exactly n
+        // rows examined on every engine.
+        {"T4", {QuerySql(e, "T4", all, {Value(int64_t{10})})},
+         {"ORDERS sys=ALL app=ALL"},
+         [&](TemporalEngine& x) { return T4(x, all, 10); }, 10},
+        {"T6app", {QuerySql(e, "T2", [&] {
+                     TemporalScanSpec s;
+                     s.system_time = TemporalSelector::All();
+                     s.app_time = TemporalSelector::AsOf(ctx_->app_mid);
+                     return s;
+                   }())},
+         {"ORDERS sys=ALL app=" + app_mid},
+         [&](TemporalEngine& x) { return T6AppPointSysAll(x, ctx_->app_mid); },
+         1},
+        {"T6sys", {QuerySql(e, "T2", [&] {
+                     TemporalScanSpec s;
+                     s.system_time = both.system_time;
+                     s.app_time = TemporalSelector::All();
+                     return s;
+                   }())},
+         {"ORDERS sys=" + sys_mid + " app=ALL"},
+         [&](TemporalEngine& x) { return T6SysPointAppAll(x, ctx_->sys_mid); },
+         1},
+        {"T7implicit", {QuerySql(e, "T2")}, {"ORDERS sys=CURRENT app=CURRENT"},
+         [](TemporalEngine& x) { return T7Implicit(x); }, 1},
+        {"T7explicit",
+         {QuerySql(e, "T2", TemporalScanSpec::SystemAsOf(e.Now().micros()))},
+         {"ORDERS sys=" + now + " app=CURRENT"},
+         [](TemporalEngine& x) { return T7Explicit(x); }, 1},
+        // T8/T9: the application time stays a value predicate; its
+        // non-strict bound folds into the scan's range.
+        {"T8", {QuerySql(e, "T8", {}, {Value(ctx_->app_mid)})},
+         {"ORDERS sys=CURRENT app=CURRENT range=" +
+          std::to_string(orders::kActiveBegin)},
+         [&](TemporalEngine& x) {
+           return T8SimulatedAppPoint(x, ctx_->app_mid,
+                                      TemporalSelector::ImplicitCurrent());
+         },
+         1},
+        {"T9", {QuerySql(e, "T8", sys_all, {Value(ctx_->app_mid)})},
+         {"ORDERS sys=ALL app=CURRENT range=" +
+          std::to_string(orders::kActiveBegin)},
+         [&](TemporalEngine& x) {
+           return T9SimulatedAppSlice(x, ctx_->app_mid);
+         },
+         1},
+        {"K1", {QuerySql(e, "K1", all, {Value(key)})},
+         {"CUSTOMER sys=ALL app=ALL eq=[0]"},
+         [&](TemporalEngine& x) { return K1(x, key, all); }, 10},
+        {"K2", {QuerySql(e, "K1", k2, {Value(key)})},
+         {"CUSTOMER sys=" + sel(k2.system_time) + " app=ALL eq=[0]"},
+         [&](TemporalEngine& x) { return K2(x, key, k2); }, 4},
+        {"K3", {QuerySql(e, "K3", all, {Value(key)})},
+         {"CUSTOMER sys=ALL app=ALL eq=[0]"},
+         [&](TemporalEngine& x) { return K3(x, key, all); }, 10},
+        {"K4", {QuerySql(e, "K4", all, {Value(key), Value(int64_t{3})})},
+         {"CUSTOMER sys=ALL app=ALL eq=[0]"},
+         [&](TemporalEngine& x) { return K4(x, key, all, 3); }, 3},
+        {"K5",
+         {QuerySql(e, "K5.latest", all, {Value(key)}),
+          QuerySql(e, "K5.previous", all, {Value(key), latest})},
+         {"CUSTOMER sys=ALL app=ALL eq=[0]", "CUSTOMER sys=ALL app=ALL eq=[0]"},
+         [&](TemporalEngine& x) { return K5(x, key, all); }, 1},
+        {"K6", {QuerySql(e, "K6", sys_all, {Value(9900.0)})},
+         {"CUSTOMER sys=ALL app=CURRENT range=" +
+          std::to_string(customer::kAcctBal)},
+         [&](TemporalEngine& x) { return K6(x, 9900.0, sys_all); }, 106},
+        // R1: the meeting intervals become a second hash key.
+        {"R1", {QuerySql(e, "R1")},
+         {"ORDERS sys=ALL app=CURRENT", "ORDERS sys=ALL app=CURRENT"},
+         [](TemporalEngine& x) { return R1(x); }, 536},
+        {"R2", {QuerySql(e, "R2")},
+         {"ORDERS sys=ALL app=CURRENT eq=[" +
+          std::to_string(orders::kOrderStatus) + "]"},
+         [](TemporalEngine& x) { return R2(x); }, 1309},
+        {"R3", {QuerySql(e, "R3")}, {"ORDERS sys=ALL app=CURRENT"},
+         [](TemporalEngine& x) {
+           return R3(x, TemporalAggKind::kCount, /*naive=*/true);
+         },
+         1606},
+        {"R4", {QuerySql(e, "R4.min"), QuerySql(e, "R4.max")},
+         {"PARTSUPP sys=ALL app=ALL", "PARTSUPP sys=ALL app=ALL"},
+         [](TemporalEngine& x) { return R4(x, 10); }, 10},
+        {"R5", {QuerySql(e, "R5", {}, {Value(5000.0), Value(100000.0)})},
+         {"CUSTOMER sys=ALL app=CURRENT", "ORDERS sys=ALL app=CURRENT"},
+         [](TemporalEngine& x) { return R5(x, 5000.0, 100000.0); }, 137},
+        {"R6", {QuerySql(e, "R6")},
+         {"CUSTOMER sys=ALL app=CURRENT", "ORDERS sys=ALL app=CURRENT"},
+         [](TemporalEngine& x) { return R6(x); }, 25},
+        {"R7", {QuerySql(e, "R7")}, {"PARTSUPP sys=ALL app=CURRENT"},
+         [](TemporalEngine& x) { return R7(x, 7.5); }, 10},
+    };
+    // Table 3: the (system, application) selectors of each B3 variant.
+    const std::vector<std::pair<std::string, std::string>> b3 = {
+        {cur, "ALL"},     {cur, app_mid},   {sys_mid, app_mid},
+        {cur, "ALL"},     {"ALL", app_mid}, {"ALL", "ALL"},
+        {cur, "ALL"},     {sys_mid, "ALL"}, {"ALL", "ALL"},
+        {"ALL", app_mid}, {"ALL", "ALL"},   {"ALL", "ALL"}};
+    for (int v = 0; v < static_cast<int>(b3.size()); ++v) {
+      const std::string leaf = "PARTSUPP sys=" + b3[v].first +
+                               " app=" + b3[v].second;
+      cases.push_back(
+          {"B3." + std::to_string(v),
+           {B3Sql(e, v, partkey, ctx_->app_mid, ctx_->sys_mid)},
+           {leaf + " eq=[0]", leaf},
+           [&, v](TemporalEngine& x) {
+             return B3(x, v, partkey, ctx_->app_mid, ctx_->sys_mid);
+           },
+           100});
+    }
+
+    for (const PlanCase& c : cases) {
+      const std::string what = c.name + " on " + Letter(i);
+      std::vector<std::string> leaves;
+      for (const std::string& text : c.texts) {
+        std::string json;
+        Status st = sql::Explain(e, text, &json, nullptr, serial);
+        ASSERT_TRUE(st.ok()) << what << ": " << st.ToString() << "\n" << text;
+        // No query names an application time it then states as a value
+        // predicate, so the T8 -> T2 rewrite never fires.
+        EXPECT_EQ(0, JsonInt(json, "temporal_rewrites")) << what;
+        if (c.name == "T4") {
+          // The serial LIMIT n scan stops after n rows.
+          EXPECT_EQ(10, JsonInt(json, "rows_examined")) << what;
+        }
+        for (std::string& leaf : ScanLeaves(json)) leaves.push_back(leaf);
+      }
+      EXPECT_EQ(c.scans, leaves) << what;
+      EXPECT_EQ(c.rows, c.run(e).size()) << what;
+    }
+  }
 }
 
 TEST_F(WorkloadTest, IndexSettingsPreserveResults) {

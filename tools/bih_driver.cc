@@ -598,7 +598,7 @@ int RunSuites(const Args& args) {
     report("K5 previous version",
            MeasureMs([&] { K5(e, ctx.hot_custkey, full); }));
     report("K6 value trace",
-           MeasureMs([&] { K6(e, 9900.0, Value(), full); }));
+           MeasureMs([&] { K6(e, 9900.0, full); }));
   }
   if (all || args.suite == "R") {
     std::printf("range-timeslice (R):\n");
