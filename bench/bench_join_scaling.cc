@@ -10,10 +10,13 @@
 // claim (temporal rewrite + pushdown + scan folding) as a number the
 // artifact diff can watch.
 //
-// A third set of lanes times the served join of the history_analytics
-// workload — SQL's AS OF CUSTOMER-ORDERS revenue by nation on System C,
-// planned and run through OptimizePlan — at 1 and 2 threads: the hash join
-// whose build side and row assembly the column demand narrows.
+// A third set of lanes times two served queries of the history_analytics
+// workload on System C, planned and run through OptimizePlan, at 1, 2 and 4
+// threads: the T6 slice (an ungrouped AVG/COUNT straight over a parallel
+// scan) and the AS OF CUSTOMER-ORDERS revenue by nation (the hash join
+// whose build side and row assembly the column demand narrows). With more
+// than one thread both run as morsel pipelines on the scanning workers.
+// These lanes are reported, never gated.
 //
 // Knobs: BIH_JSCALE_H / BIH_JSCALE_M workload scale (0.02), BIH_JSCALE_REPS
 // timed repetitions per lane (3). Output: a human table plus
@@ -114,62 +117,48 @@ const PlanNode* FindNode(const PlanNode& n, PlanNode::Kind kind) {
   return nullptr;
 }
 
-// The served-join lanes: builds a System C instance, plans the served SQL
-// through OptimizePlan, and times it at 1 and 2 threads after checking each
-// lane against the serial rows. Writes the lanes as one JSON object to
-// *json; returns false on a failed run or a diverging lane.
-bool ServedJoinLanes(double h, double m, int reps, ScanScheduler* pool,
-                     std::string* json) {
-  WorkloadConfig cfg;
-  cfg.engine_letter = "C";
-  cfg.h = h;
-  cfg.m = m;
-  cfg.seed = 42;
-  std::printf("served join: building workload (h=%.4f, m=%.4f, System C)...\n",
-              h, m);
-  WorkloadContext ctx = BuildWorkload(cfg);
-  TemporalEngine& eng = ctx.eng();
-  const std::string t = std::to_string(ctx.sys_mid.micros());
-  const std::string text =
-      "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM CUSTOMER "
-      "FOR SYSTEM_TIME AS OF " + t + " c JOIN ORDERS FOR SYSTEM_TIME AS OF " +
-      t + " o ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY "
-      "ORDER BY C_NATIONKEY";
+// One served query's lanes: plans `text` through OptimizePlan and times it
+// at 1, 2 and 4 threads after checking each lane against the serial rows.
+// Writes the lanes as one JSON object to *json; returns false on a failed
+// run or a diverging lane.
+bool ServedLanes(TemporalEngine& eng, const std::string& label,
+                 const std::string& text, int reps, ScanScheduler* pool,
+                 std::string* json) {
   sql::SelectStatement stmt;
   PlanPtr plan;
   std::vector<std::string> columns;
   if (!sql::ParseSelect(text, &stmt).ok() ||
       !sql::PlanSelect(eng, stmt, &plan, &columns).ok()) {
-    std::fprintf(stderr, "served join: planning failed\n");
+    std::fprintf(stderr, "served %s: planning failed\n", label.c_str());
     return false;
   }
   OptimizePlan(&plan, eng);
-  const PlanNode* join = FindNode(*plan, PlanNode::Kind::kHashJoin);
-  if (join == nullptr) {
-    std::fprintf(stderr, "served join: no hash join in the plan\n");
-    return false;
-  }
 
   ExecOptions serial;
   serial.scan_threads = 1;
   Rows want;
   if (!Execute(*plan, eng, serial, nullptr, &want).ok()) {
-    std::fprintf(stderr, "served join: serial run failed\n");
+    std::fprintf(stderr, "served %s: serial run failed\n", label.c_str());
     return false;
   }
-  const uint64_t joined = join->stats.rows_output;
-  std::printf("served join output %llu rows into %zu groups\n",
-              static_cast<unsigned long long>(joined), want.size());
+  // Rows into the top operator below the final projection: the joined rows
+  // for the join, the scanned versions for the slice.
+  const PlanNode* join = FindNode(*plan, PlanNode::Kind::kHashJoin);
+  const PlanNode* counted =
+      join != nullptr ? join : FindNode(*plan, PlanNode::Kind::kScan);
+  const uint64_t rows = counted->stats.rows_output;
+  std::printf("served %s: %llu rows into %zu output rows\n", label.c_str(),
+              static_cast<unsigned long long>(rows), want.size());
   std::string lanes;
-  for (int threads : {1, 2}) {
+  for (int threads : {1, 2, 4}) {
     ExecOptions opts;
     opts.scan_threads = threads;
     opts.scheduler = pool;
     Rows got;
     if (!Execute(*plan, eng, opts, nullptr, &got).ok() ||
         !SameRows(want, got)) {
-      std::fprintf(stderr, "served join: %d-thread lane diverged\n",
-                   threads);
+      std::fprintf(stderr, "served %s: %d-thread lane diverged\n",
+                   label.c_str(), threads);
       return false;
     }
     double best_ms = 0.0;
@@ -182,18 +171,45 @@ bool ServedJoinLanes(double h, double m, int reps, ScanScheduler* pool,
       if (r == 0 || ms < best_ms) best_ms = ms;
     }
     const double mrows_s =
-        best_ms > 0.0 ? static_cast<double>(joined) / best_ms / 1000.0 : 0.0;
-    std::printf("served join %d thread(s)  %9.2f ms  %8.2f Mrows/s\n",
-                threads, best_ms, mrows_s);
+        best_ms > 0.0 ? static_cast<double>(rows) / best_ms / 1000.0 : 0.0;
+    std::printf("served %-5s %d thread(s)  %9.2f ms  %8.2f Mrows/s\n",
+                label.c_str(), threads, best_ms, mrows_s);
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"threads\":%d,\"best_ms\":%.3f,\"mrows_per_s\":%.3f}",
                   lanes.empty() ? "" : ",", threads, best_ms, mrows_s);
     lanes += buf;
   }
-  *json = "{\"engine\":\"C\",\"join_rows\":" + std::to_string(joined) +
+  *json = "{\"engine\":\"C\",\"rows\":" + std::to_string(rows) +
           ",\"lanes\":[" + lanes + "]}";
   return true;
+}
+
+// The served lanes over one System C instance: the T6 slice at system time
+// `t`, all application time, and the AS OF join by nation at `t`.
+bool ServedQueryLanes(double h, double m, int reps, ScanScheduler* pool,
+                      std::string* t6_json, std::string* join_json) {
+  WorkloadConfig cfg;
+  cfg.engine_letter = "C";
+  cfg.h = h;
+  cfg.m = m;
+  cfg.seed = 42;
+  std::printf("served: building workload (h=%.4f, m=%.4f, System C)...\n", h,
+              m);
+  WorkloadContext ctx = BuildWorkload(cfg);
+  TemporalEngine& eng = ctx.eng();
+  const std::string t = std::to_string(ctx.sys_mid.micros());
+  return ServedLanes(eng, "t6",
+                     "SELECT AVG(O_TOTALPRICE), COUNT(*) FROM ORDERS "
+                     "FOR SYSTEM_TIME AS OF " + t + " FOR BUSINESS_TIME ALL",
+                     reps, pool, t6_json) &&
+         ServedLanes(eng, "join",
+                     "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM "
+                     "CUSTOMER FOR SYSTEM_TIME AS OF " + t +
+                         " c JOIN ORDERS FOR SYSTEM_TIME AS OF " + t +
+                         " o ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY "
+                         "ORDER BY C_NATIONKEY",
+                     reps, pool, join_json);
 }
 
 int Run() {
@@ -299,8 +315,8 @@ int Run() {
               static_cast<unsigned long long>(examined_opt),
               rep.ToString().c_str());
 
-  std::string served_json;
-  if (!ServedJoinLanes(h, m, reps, &pool, &served_json)) return 1;
+  std::string t6_json, join_json;
+  if (!ServedQueryLanes(h, m, reps, &pool, &t6_json, &join_json)) return 1;
 
   const char* path = std::getenv("BIH_JOIN_SCALING_JSON");
   const std::string out = path != nullptr ? path : "BENCH_join_scaling.json";
@@ -315,12 +331,13 @@ int Run() {
       "\"speedup_at_4\":%.3f,\"lanes\":[%s],\"optimizer\":{"
       "\"rows_examined_unopt\":%llu,\"rows_examined_opt\":%llu,"
       "\"predicates_pushed\":%d,\"conjuncts_folded\":%d,"
-      "\"temporal_rewrites\":%d,\"scans_pruned\":%d},\"served_join\":%s}\n",
+      "\"temporal_rewrites\":%d,\"scans_pruned\":%d},\"served_t6\":%s,"
+      "\"served_join\":%s}\n",
       h, m, static_cast<unsigned long long>(joined), speedup4,
       json_lanes.c_str(), static_cast<unsigned long long>(examined_unopt),
       static_cast<unsigned long long>(examined_opt), rep.predicates_pushed,
       rep.conjuncts_folded, rep.temporal_rewrites, rep.scans_pruned,
-      served_json.c_str());
+      t6_json.c_str(), join_json.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());
 

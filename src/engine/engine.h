@@ -21,6 +21,7 @@
 
 namespace bih {
 
+class MorselSink;     // src/exec/parallel.h
 class ScanScheduler;  // src/exec/parallel.h
 
 // Index structure choices offered by the tuning experiments (Section 5.1).
@@ -88,6 +89,12 @@ struct ScanRequest {
   // always serial. Results and counters are byte-identical to the serial
   // scan at any setting.
   ExecOptions exec;
+  // Executor-owned consumer of the morsel-parallel partitions (borrowed,
+  // may be null). When set, each partition that runs in parallel hands its
+  // rows to the sink on the worker that scanned them (see MorselSink);
+  // serial partitions and index access paths still emit through the row
+  // callback. Counters are the same either way.
+  MorselSink* sink = nullptr;
 };
 
 // Per-table size information (Section 5.2 architecture analysis).

@@ -85,8 +85,10 @@ void ScanRowMorsel(const RowTable& part, const RowOf& row_of,
 }
 
 // The morsel-parallel form of a row-store partition scan: workers filter
-// with ScanRowMorsel, the coordinator re-shapes each hit through the same
-// `row_of` and emits it to `cb`, so rows and counters match the serial loop.
+// with ScanRowMorsel, and each hit is re-shaped through the same `row_of`
+// and emitted to `cb` on the coordinator (or, when the request carries a
+// sink, handed to the sink on the worker), so rows and counters match the
+// serial loop.
 template <class RowOf>
 void ParallelRowScan(const ParallelScanPlan& plan, const RowTable& part,
                      const RowOf& row_of, const ScanRequest& req,
@@ -98,7 +100,8 @@ void ParallelRowScan(const ParallelScanPlan& plan, const RowTable& part,
           MorselOutput* out) {
         ScanRowMorsel(part, row_of, req, tc, now, begin, end, stop, out);
       },
-      row_of, &stats->rows_examined, &stats->rows_output, stopped, cb);
+      row_of, req.sink, &stats->rows_examined, &stats->rows_output, stopped,
+      cb);
 }
 
 }  // namespace bih

@@ -116,28 +116,67 @@ void SystemCEngine::Maintain() {
   ForEachTable<Table>([this](Table& t) { MergeTable(&t); });
 }
 
-void SystemCEngine::ScanMorsel(const ColumnTable& part, const ScanRequest& req,
-                               const TemporalCols& tc, int64_t now, int ncols,
-                               const std::vector<uint8_t>& checked,
-                               uint64_t begin, uint64_t end,
-                               const std::atomic<bool>& stop,
-                               MorselOutput* out) const {
-  // Only the checked columns are fetched here; the coordinator materializes
-  // the emit columns of the qualifying slots (see ScanPartition).
-  Row row(static_cast<size_t>(ncols));
-  for (RowId rid = begin; rid < end; ++rid) {
-    if (MorselInterrupted(stop, req.ctx)) return;
-    if (!part.IsLive(rid)) continue;
-    ++out->rows_examined;
-    for (int c = 0; c < ncols; ++c) {
-      if (checked[static_cast<size_t>(c)]) row[static_cast<size_t>(c)] = part.Get(rid, c);
-    }
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    out->rids.push_back(rid);
-    out->examined_at.push_back(out->rows_examined);
+namespace {
+
+// Qualifies System C's stored versions on their typed columns. The temporal
+// selectors read the int64 period cells and the null bitmap directly (a
+// NULL begin is the beginning of time and a NULL end is forever, as in
+// RowSystemPeriod/RowAppPeriod), so a version the selectors reject never
+// builds a Value. Equality and range constraints keep the Value path over
+// the cells they read. Thread-safe for concurrent morsels (pure reads).
+class VersionFilter {
+ public:
+  VersionFilter(const ColumnTable& part, const ScanRequest& req,
+                const TemporalCols& tc, int64_t now)
+      : part_(part), req_(req), tc_(tc), now_(now) {
+    const TemporalScanSpec& spec = req.temporal;
+    sys_ = spec.system_time.kind != TemporalSelector::Kind::kAll;
+    app_ = tc.app_begin >= 0 &&
+           spec.app_time.kind != TemporalSelector::Kind::kImplicitCurrent &&
+           spec.app_time.kind != TemporalSelector::Kind::kAll;
+    for (const auto& [c, v] : req.equals) constraint_cols_.push_back(c);
+    if (req.range_col >= 0) constraint_cols_.push_back(req.range_col);
   }
-}
+
+  // True when slot `rid` qualifies. `scratch` is a scan-schema-wide row;
+  // the constraint cells are fetched into it.
+  bool Matches(RowId rid, Row* scratch) const {
+    if (sys_ && !req_.temporal.system_time.Matches(
+                    PeriodAt(rid, tc_.sys_from, tc_.sys_to), now_)) {
+      return false;
+    }
+    if (app_ && !req_.temporal.app_time.Matches(
+                    PeriodAt(rid, tc_.app_begin, tc_.app_end), now_)) {
+      return false;
+    }
+    if (constraint_cols_.empty()) return true;
+    for (int c : constraint_cols_) {
+      (*scratch)[static_cast<size_t>(c)] = part_.Get(rid, c);
+    }
+    return MatchesConstraints(*scratch, req_);
+  }
+
+ private:
+  int64_t Cell(RowId rid, int col, int64_t if_null) const {
+    if (part_.IsNull(rid, col)) return if_null;
+    const std::vector<int64_t>* ints = part_.Ints(col);
+    return ints != nullptr ? (*ints)[rid] : part_.Get(rid, col).AsInt();
+  }
+  Period PeriodAt(RowId rid, int begin, int end) const {
+    return Period(Cell(rid, begin, Period::kBeginningOfTime),
+                  Cell(rid, end, Period::kForever));
+  }
+
+  const ColumnTable& part_;
+  const ScanRequest& req_;
+  const TemporalCols& tc_;
+  const int64_t now_;
+  bool sys_ = false;
+  bool app_ = false;
+  std::vector<int> constraint_cols_;
+};
+
+}  // namespace
 
 void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
                                   bool is_history, const ScanRequest& req,
@@ -149,49 +188,53 @@ void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
   if (is_history) stats->touched_history = true;
   const int64_t now = clock_.Now().micros();
   const int ncols = t.scan_schema.num_columns();
+  const VersionFilter filter(part, req, tc, now);
 
-  // Columns that predicates read; fetched before materialization so a scan
-  // touches only the filter columns of non-qualifying rows — the column
-  // store's advantage.
-  std::vector<uint8_t> checked(static_cast<size_t>(ncols), 0);
-  checked[static_cast<size_t>(tc.sys_from)] = 1;
-  checked[static_cast<size_t>(tc.sys_to)] = 1;
-  if (tc.app_begin >= 0) {
-    checked[static_cast<size_t>(tc.app_begin)] = 1;
-    checked[static_cast<size_t>(tc.app_end)] = 1;
-  }
-  for (const auto& [c, v] : req.equals) checked[static_cast<size_t>(c)] = 1;
-  if (req.range_col >= 0) checked[static_cast<size_t>(req.range_col)] = 1;
-
-  // Columns to materialize in emitted rows.
-  std::vector<uint8_t> emit_col(static_cast<size_t>(ncols), 0);
+  // Columns an emitted row carries: the ones predicates read, and the
+  // projection with the system-time pair (every column when unprojected).
+  // Only qualifying versions fetch them — the column store's advantage.
+  std::vector<uint8_t> fetched(static_cast<size_t>(ncols), 0);
   if (req.projection.empty()) {
-    std::fill(emit_col.begin(), emit_col.end(), 1);
+    std::fill(fetched.begin(), fetched.end(), 1);
   } else {
-    for (int c : req.projection) emit_col[static_cast<size_t>(c)] = 1;
-    emit_col[static_cast<size_t>(tc.sys_from)] = 1;
-    emit_col[static_cast<size_t>(tc.sys_to)] = 1;
+    for (int c : req.projection) fetched[static_cast<size_t>(c)] = 1;
+    fetched[static_cast<size_t>(tc.sys_from)] = 1;
+    fetched[static_cast<size_t>(tc.sys_to)] = 1;
+    if (tc.app_begin >= 0) {
+      fetched[static_cast<size_t>(tc.app_begin)] = 1;
+      fetched[static_cast<size_t>(tc.app_end)] = 1;
+    }
+    for (const auto& [c, v] : req.equals) fetched[static_cast<size_t>(c)] = 1;
+    if (req.range_col >= 0) fetched[static_cast<size_t>(req.range_col)] = 1;
   }
+  // Materializes qualifying slot `rid`; the other columns stay null.
+  auto materialize = [&](uint64_t rid, Row* row) -> const Row& {
+    row->resize(static_cast<size_t>(ncols));
+    for (int c = 0; c < ncols; ++c) {
+      if (fetched[static_cast<size_t>(c)]) {
+        (*row)[static_cast<size_t>(c)] = part.Get(rid, c);
+      }
+    }
+    return *row;
+  };
 
   if (plan.Engage(part.SlotCount())) {
     ParallelScanPartition(
         plan, part.SlotCount(), req.ctx,
         [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
             MorselOutput* out) {
-          ScanMorsel(part, req, tc, now, ncols, checked, begin, end, stop,
-                     out);
-        },
-        // Columns that are neither checked nor emitted stay null, exactly
-        // as in the serial loop's scratch row.
-        [&](uint64_t rid, Row* row) -> const Row& {
-          row->resize(static_cast<size_t>(ncols));
-          for (int c = 0; c < ncols; ++c) {
-            const size_t i = static_cast<size_t>(c);
-            if (checked[i] || emit_col[i]) (*row)[i] = part.Get(rid, c);
+          Row scratch(static_cast<size_t>(ncols));
+          for (RowId rid = begin; rid < end; ++rid) {
+            if (MorselInterrupted(stop, req.ctx)) return;
+            if (!part.IsLive(rid)) continue;
+            ++out->rows_examined;
+            if (!filter.Matches(rid, &scratch)) continue;
+            out->rids.push_back(rid);
+            out->examined_at.push_back(out->rows_examined);
           }
-          return *row;
         },
-        &stats->rows_examined, &stats->rows_output, stopped, cb);
+        materialize, req.sink, &stats->rows_examined, &stats->rows_output,
+        stopped, cb);
     return;
   }
 
@@ -204,18 +247,9 @@ void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
     }
     if (!part.IsLive(rid)) continue;
     ++stats->rows_examined;
-    for (int c = 0; c < ncols; ++c) {
-      if (checked[static_cast<size_t>(c)]) row[static_cast<size_t>(c)] = part.Get(rid, c);
-    }
-    if (!MatchesTemporal(row, req.temporal, tc, now)) continue;
-    if (!MatchesConstraints(row, req)) continue;
-    for (int c = 0; c < ncols; ++c) {
-      if (emit_col[static_cast<size_t>(c)] && !checked[static_cast<size_t>(c)]) {
-        row[static_cast<size_t>(c)] = part.Get(rid, c);
-      }
-    }
+    if (!filter.Matches(rid, &row)) continue;
     ++stats->rows_output;
-    if (!cb(row)) {
+    if (!cb(materialize(rid, &row))) {
       *stopped = true;
       return;
     }

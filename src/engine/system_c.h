@@ -118,16 +118,6 @@ class SystemCEngine : public TemporalEngine {
                      const ScanRequest& req, const TemporalCols& tc,
                      const ParallelScanPlan& plan, ExecStats* stats,
                      bool* stopped, const RowCallback& cb);
-
-  // Morsel-range entry point of the columnar partition scan: fetches only
-  // the checked columns of slots [begin, end) of `part` and records the ids
-  // of the qualifying slots in `out`. Thread-safe for concurrent morsels
-  // (pure column reads; dictionary interning happens only on Append).
-  void ScanMorsel(const ColumnTable& part, const ScanRequest& req,
-                  const TemporalCols& tc, int64_t now, int ncols,
-                  const std::vector<uint8_t>& checked, uint64_t begin,
-                  uint64_t end, const std::atomic<bool>& stop,
-                  MorselOutput* out) const;
 };
 
 }  // namespace bih

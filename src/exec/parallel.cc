@@ -198,14 +198,33 @@ ParallelScanPlan ResolveScanPlan(int requested_threads,
 
 void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
                            QueryContext* ctx, const MorselScanFn& body,
-                           const MorselRowFn& row_of, uint64_t* rows_examined,
-                           uint64_t* rows_output, bool* stopped,
+                           const MorselRowFn& row_of, MorselSink* sink,
+                           uint64_t* rows_examined, uint64_t* rows_output,
+                           bool* stopped,
                            const std::function<bool(const Row&)>& emit) {
   auto job = std::make_shared<ParallelJob>();
-  job->body = body;
   job->slot_count = slot_count;
   job->morsel_size = plan.morsel_size;
   job->num_morsels = (slot_count + plan.morsel_size - 1) / plan.morsel_size;
+  const uint64_t base =
+      sink != nullptr ? sink->Reserve(job->num_morsels) : 0;
+  if (sink == nullptr) {
+    job->body = body;
+  } else {
+    // The thread that scanned a morsel also hands its hits to the sink,
+    // materialized in a scratch row of its own.
+    const uint64_t morsel = plan.morsel_size;
+    job->body = [&body, &row_of, sink, ctx, base, morsel](
+                    uint64_t begin, uint64_t end,
+                    const std::atomic<bool>& stop, MorselOutput* out) {
+      body(begin, end, stop, out);
+      Row scratch;
+      for (uint64_t rid : out->rids) {
+        if (MorselInterrupted(stop, ctx)) return;
+        sink->Consume(base + begin / morsel, row_of(rid, &scratch));
+      }
+    };
+  }
   job->ctx = ctx;
   job->helper_slots.store(plan.threads - 1, std::memory_order_relaxed);
   job->outputs.resize(job->num_morsels);
@@ -262,7 +281,13 @@ void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
     }
 
     MorselOutput& out = job->outputs[cursor];
-    for (size_t j = 0; j < out.rids.size(); ++j) {
+    if (sink != nullptr) {
+      // The worker consumed the morsel's rows; its slot is complete, and
+      // every slot before it is too.
+      *rows_output += out.rids.size();
+      sink->Finish(base + cursor);
+    }
+    for (size_t j = 0; sink == nullptr && j < out.rids.size(); ++j) {
       // Same per-emitted-row discipline as the serial loops.
       if (ctx != nullptr && !ctx->KeepGoing()) {
         tripped = true;

@@ -22,16 +22,26 @@ namespace bih {
 // Shape: a partition of N slots is cut into fixed-size row-id ranges
 // ("morsels"). Workers claim morsels with one atomic fetch_add, run the
 // engine's existing per-row temporal/predicate filters over their range and
-// record the *row ids* of the qualifying slots in a per-morsel buffer —
-// workers never build output rows. The coordinating query thread
-// participates too (so a scan makes progress even when every helper is busy
-// elsewhere) and *emits* morsels strictly in morsel order, materializing
-// each hit into one coordinator-owned scratch row through the engine's
-// MorselRowFn just before handing it to the consumer. Slot order inside a
-// morsel is preserved by construction, so the merged output is
-// byte-identical to the serial scan, including under early stop (LIMIT,
-// Top-N); and since every row is built, consumed and overwritten on one
-// thread, nothing is allocated per row or freed on another thread.
+// record the *row ids* of the qualifying slots in a per-morsel buffer. The
+// coordinating query thread participates too (so a scan makes progress even
+// when every helper is busy elsewhere). What happens to the hits depends on
+// the consumer:
+//
+//  * A plain row callback: the coordinator *emits* morsels strictly in
+//    morsel order, materializing each hit into one coordinator-owned scratch
+//    row through the engine's MorselRowFn just before handing it to the
+//    consumer. Slot order inside a morsel is preserved by construction, so
+//    the merged output is byte-identical to the serial scan, including under
+//    early stop (LIMIT, Top-N); and since every row is built, consumed and
+//    overwritten on one thread, nothing is allocated per row or freed on
+//    another thread.
+//  * A MorselSink (the plan executor's morsel pipelines, which never stop a
+//    scan early): the worker that scanned a morsel materializes its hits
+//    into a worker-local scratch row and hands them to the sink under the
+//    morsel's slot number. The sink keeps one partial result per slot, and
+//    the coordinator tells it, strictly in slot order, when a slot is
+//    complete, so the sink merges the partials in the serial row order
+//    while later morsels are still being scanned.
 //
 // Index access paths stay serial: they are already selective (Section
 // 5.3.3's observation), so the scan loops are the only place the threads
@@ -77,9 +87,38 @@ using MorselScanFn = std::function<void(
 // already stores (row stores) or `*scratch` after filling it (column and
 // reconstructed layouts); the reference is valid until the next call with
 // the same scratch. ParallelScanPartition calls it on the coordinator with
-// one scratch row for the whole scan; it must only read shared state, so
-// morsel bodies may reuse it with scratch rows of their own.
+// one scratch row for the whole scan, or on the workers with one scratch
+// row per morsel when the scan feeds a MorselSink; it must only read shared
+// state.
 using MorselRowFn = std::function<const Row&(uint64_t rid, Row* scratch)>;
+
+// The consumer of a scan whose rows may be processed on the workers that
+// scanned them: the plan executor's morsel pipelines (exec/plan.cc). Rows
+// arrive in numbered slots. Each parallel partition reserves one slot per
+// morsel, in morsel order, after every slot reserved before it, so slot
+// order is scan order. The rows of one slot are consumed by one thread, in
+// scan order; different slots may be consumed concurrently. Serial
+// partitions do not use the sink: they emit through the scan's row
+// callback on the coordinator, which the executor routes to a slot of its
+// own. A scan that ends early (its context tripped) leaves later slots
+// unfinished.
+class MorselSink {
+ public:
+  virtual ~MorselSink() = default;
+
+  // Reserves `n` consecutive slots and returns the first. Called on the
+  // coordinator before a partition's morsels start, never while any run.
+  virtual uint64_t Reserve(uint64_t n) = 0;
+
+  // Consumes one qualifying row of `slot`. May write only that slot's
+  // state; `row` is valid only during the call.
+  virtual void Consume(uint64_t slot, const Row& row) = 0;
+
+  // Every slot up to and including `slot` is complete: no row of them
+  // will be consumed again. Called on the coordinator, in slot order, while
+  // workers may be consuming later slots.
+  virtual void Finish(uint64_t slot) = 0;
+};
 
 // Per-row interruption poll for morsel bodies: the job's stop flag (set on
 // coordinator early-exit and teardown) or an external Cancel() on the
@@ -168,20 +207,25 @@ inline ParallelScanPlan ResolveScanPlan(const ExecOptions& opts) {
 }
 
 // Runs `body` over every morsel of a `slot_count`-slot partition using the
-// plan's pool and emits the qualifying slots, materialized through `row_of`,
-// through `emit` in exact serial order. Emission runs on the calling thread
-// (the coordinator), so `emit` may run arbitrary operator code without
-// synchronization. Counters accumulate into *rows_examined / *rows_output
-// with the same values the serial loop would produce, including when `emit`
-// returns false (early stop) or `ctx` trips mid-scan; *stopped is set
-// (never cleared) when the scan ended early for either reason. The
-// coordinator checks `ctx` per claimed morsel and per emitted row; workers
-// poll the job's stop flag and the context's cancel flag per row. On
-// return, no worker is still touching this scan's state.
+// plan's pool. Without a `sink`, emits the qualifying slots, materialized
+// through `row_of`, through `emit` in exact serial order. Emission runs on
+// the calling thread (the coordinator), so `emit` may run arbitrary
+// operator code without synchronization. With a `sink`, the partition
+// reserves one sink slot per morsel and each morsel's hits, materialized
+// through `row_of` on the thread that scanned the morsel, go to the sink
+// under that slot; the coordinator finishes the slots in morsel order, and
+// `emit` is not called. Counters accumulate into
+// *rows_examined / *rows_output with the same values the serial loop would
+// produce, including when `emit` returns false (early stop) or `ctx` trips
+// mid-scan; *stopped is set (never cleared) when the scan ended early for
+// either reason. The coordinator checks `ctx` per claimed morsel and per
+// emitted row; workers poll the job's stop flag and the context's cancel
+// flag per row. On return, no worker is still touching this scan's state.
 void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
                            QueryContext* ctx, const MorselScanFn& body,
-                           const MorselRowFn& row_of, uint64_t* rows_examined,
-                           uint64_t* rows_output, bool* stopped,
+                           const MorselRowFn& row_of, MorselSink* sink,
+                           uint64_t* rows_examined, uint64_t* rows_output,
+                           bool* stopped,
                            const std::function<bool(const Row&)>& emit);
 
 // How many morsels the plan cuts an `item_count`-item range into. Callers

@@ -193,6 +193,25 @@ void KeyInto(const Row& row, const std::vector<int>& cols, Row* key) {
   }
 }
 
+// The right-input columns a joined row of `join` carries when the right
+// rows are `right_width` wide, ascending: the layout of a hash join's build
+// payload.
+std::vector<int> RightCols(const PlanNode& join, size_t right_width) {
+  std::vector<int> cols;
+  if (!join.emit.has_value()) {
+    cols.resize(right_width);
+    std::iota(cols.begin(), cols.end(), 0);
+    return cols;
+  }
+  const int lw = static_cast<int>(join.left_width);
+  for (int c : *join.emit) {
+    if (c >= lw && static_cast<size_t>(c - lw) < right_width) {
+      cols.push_back(c - lw);
+    }
+  }
+  return cols;
+}
+
 // Assembles a join's output rows in one scratch row, writing only the
 // cells the tree above reads (PlanNode::emit; every cell when unset). A
 // cell outside the demand is never written, so it keeps the NULL it got
@@ -201,25 +220,6 @@ void KeyInto(const Row& row, const std::vector<int>& cols, Row* key) {
 class JoinAssembler {
  public:
   explicit JoinAssembler(const PlanNode& join) : join_(join) {}
-
-  // The right-input columns a joined row carries when the right rows are
-  // `right_width` wide, ascending: the layout of a hash join's build
-  // payload.
-  std::vector<int> RightCols(size_t right_width) const {
-    std::vector<int> cols;
-    if (!join_.emit.has_value()) {
-      cols.resize(right_width);
-      std::iota(cols.begin(), cols.end(), 0);
-      return cols;
-    }
-    const int lw = static_cast<int>(join_.left_width);
-    for (int c : *join_.emit) {
-      if (c >= lw && static_cast<size_t>(c - lw) < right_width) {
-        cols.push_back(c - lw);
-      }
-    }
-    return cols;
-  }
 
   // Starts the joined rows of left row `l` with `right_width`-wide right
   // rows: writes l's cells.
@@ -269,7 +269,7 @@ class JoinAssembler {
         }
       }
     }
-    right_cols_ = RightCols(rw);
+    right_cols_ = RightCols(join_, rw);
     row_.assign(lw + rw, Value::Null());
   }
 
@@ -550,61 +550,40 @@ void FoldRow(const Row& row, const std::vector<AggSpec>& aggs,
   }
 }
 
-// Aggregates a materialized input on the morsel pool into *groups. Returns
-// false when `ctx` tripped first (the groups are then incomplete).
-bool ParallelAggregateKernel(const Rows& in, const std::vector<int>& group_cols,
-                             const std::vector<AggSpec>& aggs,
-                             QueryContext* ctx, const ParallelScanPlan& plan,
-                             GroupTable<AggState>* groups) {
-  std::vector<GroupTable<AggPartial>> partials(
-      PlanMorselCount(plan, in.size()), GroupTable<AggPartial>(aggs.size()));
-  if (!ParallelMorselRun(plan, in.size(), ctx,
-                         [&](uint64_t m, uint64_t begin, uint64_t end,
-                             const std::atomic<bool>& stop) {
-                           Row key;
-                           for (uint64_t r = begin; r < end; ++r) {
-                             if (MorselInterrupted(stop, ctx)) return;
-                             KeyInto(in[r], group_cols, &key);
-                             FoldRow(in[r], aggs, &partials[m].Find(key));
-                           }
-                         })) {
-    return false;
-  }
-
-  // Final merge on the coordinator, in morsel order: group discovery order
-  // equals the serial first-seen order, and each group's addends fold in
-  // the serial row order.
-  for (const GroupTable<AggPartial>& part : partials) {
-    for (size_t g = 0; g < part.size(); ++g) {
-      std::vector<AggState>& st = groups->Find(part.key(g));
-      const std::vector<AggPartial>& ps = part.states(g);
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        const AggPartial& p = ps[i];
-        AggState& s = st[i];
-        switch (aggs[i].kind) {
-          case AggKind::kSum:
-          case AggKind::kAvg:
-            for (double a : p.addends) s.AddNumber(a);
-            break;
-          case AggKind::kCount:
-            s.count += p.count;
-            break;
-          case AggKind::kMin:
-            if (p.has && (!s.has || p.min.Compare(s.min) < 0)) s.min = p.min;
-            s.has |= p.has;
-            break;
-          case AggKind::kMax:
-            if (p.has && (!s.has || p.max.Compare(s.max) > 0)) s.max = p.max;
-            s.has |= p.has;
-            break;
-          case AggKind::kCountDistinct:
-            s.distinct.insert(p.distinct.begin(), p.distinct.end());
-            break;
-        }
+// Folds one morsel's partial into the final groups. Merging the partials
+// in morsel order makes the group discovery order the serial first-seen
+// order, and each group's addends fold in the serial row order.
+void MergePartial(const GroupTable<AggPartial>& part,
+                  const std::vector<AggSpec>& aggs,
+                  GroupTable<AggState>* groups) {
+  for (size_t g = 0; g < part.size(); ++g) {
+    std::vector<AggState>& st = groups->Find(part.key(g));
+    const std::vector<AggPartial>& ps = part.states(g);
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      const AggPartial& p = ps[i];
+      AggState& s = st[i];
+      switch (aggs[i].kind) {
+        case AggKind::kSum:
+        case AggKind::kAvg:
+          for (double a : p.addends) s.AddNumber(a);
+          break;
+        case AggKind::kCount:
+          s.count += p.count;
+          break;
+        case AggKind::kMin:
+          if (p.has && (!s.has || p.min.Compare(s.min) < 0)) s.min = p.min;
+          s.has |= p.has;
+          break;
+        case AggKind::kMax:
+          if (p.has && (!s.has || p.max.Compare(s.max) > 0)) s.max = p.max;
+          s.has |= p.has;
+          break;
+        case AggKind::kCountDistinct:
+          s.distinct.insert(p.distinct.begin(), p.distinct.end());
+          break;
       }
     }
   }
-  return true;
 }
 
 // Output row of group `g`: its key columns, then one value per aggregate.
@@ -674,13 +653,22 @@ Rows SortKernel(Rows in, const std::vector<SortSpec>& keys,
 // call (producers overwrite one scratch row), so whoever keeps rows copies
 // them. A consumer that returns false stops its producer, and the stop
 // travels down to the engine scan, whose counters then equal a serial scan
-// stopped at that row. An Aggregate folds a streamed input row by row, in
-// serial order; only an input a breaker already materialized is worth
-// partitioning over the morsel pool.
+// stopped at that row.
+//
+// With one thread a breaker's input streams on the coordinator and an
+// Aggregate folds it row by row, in serial order. With more, the Filter,
+// Project and hash-join probe stages between a parallel scan and the
+// Aggregate fold or hash-join build it feeds form a morsel pipeline
+// (MorselPipeline below) that runs on the workers; an Aggregate over a
+// breaker's materialized rows runs the same pipeline over the morsels of
+// those rows. Either way the per-morsel partials merge in morsel order,
+// which is the serial row order.
 
 // The key table of a hash join's build side. Build rows are numbered in
 // the order they arrive; each distinct non-NULL key names the chain of its
-// rows (first and last; Next() links the rest in build order). Keys are
+// rows (first and last; Next() links the rest in build order), and each
+// row carries a pointer to its payload cells beside its link, so a probe's
+// walk down a chain reads one array. Keys are
 // matched by cached hash, then Value::Compare equality, over open
 // addressing, and their cells live in one flat array — no allocation per
 // key or per row.
@@ -688,38 +676,44 @@ class JoinKeyTable {
  public:
   static constexpr size_t kEnd = static_cast<size_t>(-1);
 
-  // Numbers the next build row and chains it under the key in `row`'s
-  // `cols`. Returns false, keeping nothing, when a key cell is NULL (NULL
-  // never matches).
-  bool Insert(const Row& row, const std::vector<int>& cols) {
+  // Numbers the next build row, whose payload is at `cells`, and chains it
+  // under the key in `row`'s `cols`. Returns false, keeping nothing, when a
+  // key cell is NULL (NULL never matches).
+  bool Insert(const Row& row, const std::vector<int>& cols,
+              const Value* cells) {
     if (HasNull(row, cols)) return false;
-    if (2 * (chains_.size() + 1) > slots_.size()) Grow();
-    const size_t hash = HashRowKey(row, cols);
-    Slot& slot = slots_[Probe(row, cols, hash)];
-    const size_t id = next_.size();
-    next_.push_back(kEnd);
-    if (slot.key == kEnd) {
-      slot = Slot{hash, chains_.size()};
-      chains_.push_back(Chain{id, id});
-      for (int c : cols) key_cells_.push_back(row[static_cast<size_t>(c)]);
-    } else {
-      Chain& chain = chains_[slot.key];
-      next_[chain.tail] = id;
-      chain.tail = id;
-    }
+    InsertAt(HashRowKey(row, cols), cols.size(), cells,
+             [&](size_t i) -> const Value& {
+               return row[static_cast<size_t>(cols[i])];
+             });
     return true;
+  }
+
+  // Insert for a key a morsel already gathered: its `width` non-NULL cells
+  // and their HashRowKey hash.
+  void InsertHashed(const Value* key, size_t width, size_t hash,
+                    const Value* cells) {
+    InsertAt(hash, width, cells,
+             [key](size_t i) -> const Value& { return key[i]; });
   }
 
   // The first build row whose key equals the one in `row`'s `cols`, or
   // kEnd.
   size_t Find(const Row& row, const std::vector<int>& cols) const {
     if (slots_.empty() || HasNull(row, cols)) return kEnd;
-    const Slot& slot = slots_[Probe(row, cols, HashRowKey(row, cols))];
+    const Slot& slot =
+        slots_[Probe(HashRowKey(row, cols), cols.size(),
+                     [&](size_t i) -> const Value& {
+                       return row[static_cast<size_t>(cols[i])];
+                     })];
     return slot.key == kEnd ? kEnd : chains_[slot.key].head;
   }
 
   // The build row after `id` with the same key, or kEnd.
-  size_t Next(size_t id) const { return next_[id]; }
+  size_t Next(size_t id) const { return links_[id].next; }
+
+  // The payload cells of build row `id`.
+  const Value* Cells(size_t id) const { return links_[id].cells; }
 
  private:
   struct Slot {
@@ -729,6 +723,10 @@ class JoinKeyTable {
   struct Chain {
     size_t head;
     size_t tail;
+  };
+  struct Link {
+    size_t next;  // the key's next build row, or kEnd
+    const Value* cells;
   };
 
   static bool HasNull(const Row& row, const std::vector<int>& cols) {
@@ -742,19 +740,38 @@ class JoinKeyTable {
     return (hash * 0x9e3779b97f4a7c15ULL) >> shift_;
   }
 
-  // The slot holding the key in `row`'s `cols`, or the empty slot where it
-  // would go.
-  size_t Probe(const Row& row, const std::vector<int>& cols,
-               size_t hash) const {
+  // Chains the next build row under the `width`-cell key `cell(i)`.
+  template <class Cell>
+  void InsertAt(size_t hash, size_t width, const Value* cells,
+                const Cell& cell) {
+    if (2 * (chains_.size() + 1) > slots_.size()) Grow();
+    Slot& slot = slots_[Probe(hash, width, cell)];
+    const size_t id = links_.size();
+    links_.push_back(Link{kEnd, cells});
+    if (slot.key == kEnd) {
+      slot = Slot{hash, chains_.size()};
+      chains_.push_back(Chain{id, id});
+      for (size_t i = 0; i < width; ++i) key_cells_.push_back(cell(i));
+    } else {
+      Chain& chain = chains_[slot.key];
+      links_[chain.tail].next = id;
+      chain.tail = id;
+    }
+  }
+
+  // The slot holding the `width`-cell key `cell(i)`, or the empty slot
+  // where it would go.
+  template <class Cell>
+  size_t Probe(size_t hash, size_t width, const Cell& cell) const {
     const size_t mask = slots_.size() - 1;
     for (size_t s = Home(hash);; s = (s + 1) & mask) {
       const Slot& slot = slots_[s];
       if (slot.key == kEnd) return s;
       if (slot.hash != hash) continue;
-      const Value* key = key_cells_.data() + slot.key * cols.size();
+      const Value* key = key_cells_.data() + slot.key * width;
       bool same = true;
-      for (size_t i = 0; i < cols.size() && same; ++i) {
-        same = row[static_cast<size_t>(cols[i])].Compare(key[i]) == 0;
+      for (size_t i = 0; i < width && same; ++i) {
+        same = cell(i).Compare(key[i]) == 0;
       }
       if (same) return s;
     }
@@ -778,12 +795,305 @@ class JoinKeyTable {
   int shift_ = 64;
   std::vector<Chain> chains_;
   std::vector<Value> key_cells_;  // cols.size() cells per distinct key
-  std::vector<size_t> next_;
+  std::vector<Link> links_;
 };
 
 bool IsPipelineBreaker(PlanNode::Kind kind) {
   return kind == PlanNode::Kind::kMergeJoin ||
          kind == PlanNode::Kind::kSort || kind == PlanNode::Kind::kDistinct;
+}
+
+// A hash join's finished build side: the key table, and per kept row the
+// cells its joined rows carry (RightCols of the build rows' width). The
+// cells live in chunks that never reallocate, so a row's cells stay where
+// they were first written and a morsel's cells join the build by moving
+// its buffer in whole. Rows with a NULL key never match and are not kept.
+struct HashBuild {
+  // Build rows per chunk filled row by row.
+  static constexpr size_t kChunkRows = 1024;
+
+  explicit HashBuild(const PlanNode& n) : join(n), width(n.right_width) {}
+
+  // Fixes the cell layout from the build rows' width.
+  void Size(size_t w) {
+    sized = true;
+    width = w;
+    cols = RightCols(join, w);
+  }
+
+  // Adds the next build row.
+  void Add(const Row& r) {
+    if (!sized) Size(r.size());
+    if (chunks.empty() ||
+        chunks.back().size() + cols.size() > chunks.back().capacity()) {
+      chunks.emplace_back().reserve(kChunkRows * cols.size());
+    }
+    std::vector<Value>& chunk = chunks.back();
+    if (keys.Insert(r, join.right_keys, chunk.data() + chunk.size())) {
+      for (int c : cols) chunk.push_back(r[static_cast<size_t>(c)]);
+    }
+  }
+
+  // Adds the kept rows a morsel gathered, in build order: their key cells
+  // (join.right_keys.size() per row), key hashes and payload cells
+  // (cols.size() per row).
+  void AddGathered(const std::vector<Value>& key_cells,
+                   const std::vector<size_t>& hashes,
+                   std::vector<Value> cells) {
+    chunks.push_back(std::move(cells));
+    const Value* row = chunks.back().data();
+    const size_t nk = join.right_keys.size();
+    for (size_t r = 0; r < hashes.size(); ++r, row += cols.size()) {
+      keys.InsertHashed(key_cells.data() + r * nk, nk, hashes[r], row);
+    }
+  }
+
+  const PlanNode& join;
+  JoinKeyTable keys;
+  std::vector<std::vector<Value>> chunks;
+  std::vector<int> cols;
+  size_t width;
+  bool sized = false;
+};
+
+// Joins left row `l` against a finished build, handing each joined row to
+// `push` with the key chain's build order; a left outer join pads an
+// unmatched row. Returns false as soon as `push` does.
+template <class Push>
+bool ProbeRow(const PlanNode& n, const HashBuild& build, JoinAssembler* join,
+              const Row& l, const Push& push) {
+  bool matched = false;
+  size_t id = build.keys.Find(l, n.left_keys);
+  if (id != JoinKeyTable::kEnd) join->Left(l, build.width);
+  for (; id != JoinKeyTable::kEnd; id = build.keys.Next(id)) {
+    join->Right(build.keys.Cells(id));
+    if (n.predicate != nullptr && !n.predicate->Test(join->row())) continue;
+    matched = true;
+    if (!push(join->row())) return false;
+  }
+  if (matched || n.join_type != JoinType::kLeftOuter) return true;
+  join->Left(l, n.right_width);
+  join->Pad();
+  return push(join->row());
+}
+
+// A morsel pipeline (Leis et al., SIGMOD 2014): the Filter, Project and
+// hash-join probe stages between a source and the breaker they feed — an
+// Aggregate's fold or a hash-join build — run per slot, on the thread that
+// produced the slot's rows. A slot is one morsel of a parallel scan
+// partition, one run of rows a scan emitted serially, or one morsel of a
+// materialized input. Each slot owns its stage scratch rows, its per-node
+// row counts and its partial: a GroupTable<AggPartial> for an Aggregate,
+// the gathered keys, hashes and payload cells for a build. The coordinator
+// merges each finished slot into the breaker's state in slot order, which
+// is the serial row order, so the groups, float sums, key chains and
+// counters come out exactly as the serial fold or build makes them.
+class MorselPipeline : public MorselSink {
+ public:
+  // `source` is the Scan the rows come from (null for a materialized input,
+  // whose producer counted its rows); `stages` run bottom-up; the breaker is
+  // the Aggregate whose `groups` the rows fold into, or the HashJoin whose
+  // `build` they are.
+  MorselPipeline(const PlanNode* source, std::vector<const PlanNode*> stages,
+                 const PlanNode& aggregate, GroupTable<AggState>* groups)
+      : MorselPipeline(source, std::move(stages), aggregate) {
+    groups_ = groups;
+  }
+  MorselPipeline(const PlanNode* source, std::vector<const PlanNode*> stages,
+                 HashBuild* build)
+      : MorselPipeline(source, std::move(stages), build->join) {
+    build_ = build;
+  }
+
+  const PlanNode* source() const { return source_; }
+  const std::vector<const PlanNode*>& stages() const { return stages_; }
+  // The build probe stage `i` reads; the executor fills it before any row
+  // enters the pipeline.
+  HashBuild* build(size_t i) { return builds_[i].get(); }
+
+  uint64_t Reserve(uint64_t n) override {
+    const uint64_t base = slots_.size();
+    slots_.resize(base + n);
+    serial_open_ = false;
+    return base;
+  }
+
+  void Consume(uint64_t slot, const Row& row) override {
+    std::unique_ptr<Slot>& s = slots_[slot];
+    if (s == nullptr) s = std::make_unique<Slot>(*this);
+    ++s->counts[0];
+    Feed(*s, 0, row);
+  }
+
+  // Merges the slots up to `slot` into the breaker's state and frees them.
+  void Finish(uint64_t slot) override {
+    for (; merged_ <= slot; ++merged_) {
+      if (slots_[merged_] == nullptr) continue;
+      Merge(*slots_[merged_]);
+      slots_[merged_].reset();
+    }
+  }
+
+  // A row the scan emitted on the coordinator: consecutive ones share a
+  // slot, placed after every slot reserved before it.
+  bool ConsumeSerial(const Row& row) {
+    if (!serial_open_) {
+      serial_slot_ = Reserve(1);
+      serial_open_ = true;
+    }
+    Consume(serial_slot_, row);
+    return true;
+  }
+
+  // Finishes every slot, once the source has no rows left.
+  void FinishAll() {
+    if (!slots_.empty()) Finish(slots_.size() - 1);
+  }
+
+ private:
+  MorselPipeline(const PlanNode* source, std::vector<const PlanNode*> stages,
+                 const PlanNode& breaker)
+      : source_(source), stages_(std::move(stages)), breaker_(breaker) {
+    builds_.resize(stages_.size());
+    for (size_t i = 0; i < stages_.size(); ++i) {
+      if (stages_[i]->kind == PlanNode::Kind::kHashJoin) {
+        builds_[i] = std::make_unique<HashBuild>(*stages_[i]);
+      }
+    }
+  }
+
+  struct Slot {
+    explicit Slot(const MorselPipeline& p)
+        : counts(p.stages_.size() + 1, 0),
+          rows(p.stages_.size()),
+          groups(p.breaker_.aggs.size()) {
+      joins.reserve(p.stages_.size());
+      for (const PlanNode* n : p.stages_) joins.emplace_back(*n);
+    }
+
+    std::vector<uint64_t> counts;      // rows out of the source, stages
+    std::vector<Row> rows;             // per Project stage
+    std::vector<JoinAssembler> joins;  // per probe stage
+    // Aggregate breaker: the partial, and the states of the group the
+    // last row folded into, valid until the next Find.
+    GroupTable<AggPartial> groups;
+    Row key;
+    Row last_key;
+    std::vector<AggPartial>* states = nullptr;
+    // HashJoin breaker: the kept rows' key cells, hashes and payload cells.
+    size_t width = 0;  // of the build rows; 0 until the first one
+    std::vector<int> cols;
+    std::vector<size_t> hashes;
+    std::vector<Value> keys;
+    std::vector<Value> payload;
+  };
+
+  // Hands `row` to stage `i`, or to the breaker once past the last stage.
+  void Feed(Slot& s, size_t i, const Row& row) const {
+    if (i == stages_.size()) {
+      Sink(s, row);
+      return;
+    }
+    const PlanNode& n = *stages_[i];
+    auto next = [&](const Row& out) {
+      ++s.counts[i + 1];
+      Feed(s, i + 1, out);
+      return true;
+    };
+    switch (n.kind) {
+      case PlanNode::Kind::kFilter:
+        if (n.predicate->Test(row)) next(row);
+        break;
+      case PlanNode::Kind::kProject: {
+        Row& projected = s.rows[i];
+        projected.resize(n.exprs.size());
+        for (size_t e = 0; e < n.exprs.size(); ++e) {
+          projected[e] = n.exprs[e]->Eval(row);
+        }
+        next(projected);
+        break;
+      }
+      case PlanNode::Kind::kHashJoin:
+        ProbeRow(n, *builds_[i], &s.joins[i], row, next);
+        break;
+      default:
+        break;
+    }
+  }
+
+  void Sink(Slot& s, const Row& row) const {
+    if (groups_ != nullptr) {
+      // Consecutive rows often share a group (every row of an ungrouped
+      // aggregate, the joined rows of one probe row), so the last group's
+      // states serve while its key repeats, without a table lookup.
+      KeyInto(row, breaker_.group_cols, &s.key);
+      if (s.states == nullptr || !RowKeyEq()(s.key, s.last_key)) {
+        s.states = &s.groups.Find(s.key);
+        s.last_key = s.key;
+      }
+      FoldRow(row, breaker_.aggs, s.states);
+      return;
+    }
+    if (s.width == 0) {
+      s.width = row.size();
+      s.cols = RightCols(breaker_, s.width);
+    }
+    const std::vector<int>& keys = breaker_.right_keys;
+    for (int c : keys) {
+      if (row[static_cast<size_t>(c)].is_null()) return;  // never matches
+    }
+    s.hashes.push_back(HashRowKey(row, keys));
+    for (int c : keys) s.keys.push_back(row[static_cast<size_t>(c)]);
+    for (int c : s.cols) s.payload.push_back(row[static_cast<size_t>(c)]);
+  }
+
+  // Adds a finished slot's counts to the nodes' counters and its partial to
+  // the breaker's state.
+  void Merge(Slot& s) {
+    if (source_ != nullptr) source_->stats.rows_output += s.counts[0];
+    for (size_t i = 0; i < stages_.size(); ++i) {
+      stages_[i]->stats.rows_output += s.counts[i + 1];
+    }
+    if (groups_ != nullptr) {
+      MergePartial(s.groups, breaker_.aggs, groups_);
+      return;
+    }
+    if (!build_->sized && s.width != 0) build_->Size(s.width);
+    build_->AddGathered(s.keys, s.hashes, std::move(s.payload));
+  }
+
+  const PlanNode* source_;
+  std::vector<const PlanNode*> stages_;
+  const PlanNode& breaker_;
+  GroupTable<AggState>* groups_ = nullptr;
+  HashBuild* build_ = nullptr;
+  std::vector<std::unique_ptr<HashBuild>> builds_;
+  std::vector<std::unique_ptr<Slot>> slots_;
+  uint64_t merged_ = 0;  // slots before this one are merged
+  bool serial_open_ = false;
+  uint64_t serial_slot_ = 0;
+};
+
+// Aggregates a materialized input on the morsel pool into *groups: the
+// Aggregate's pipeline over the morsels of `in`. Returns false when `ctx`
+// tripped first (the groups are then incomplete).
+bool ParallelAggregateKernel(const Rows& in, const PlanNode& agg,
+                             QueryContext* ctx, const ParallelScanPlan& plan,
+                             GroupTable<AggState>* groups) {
+  MorselPipeline pipe(/*source=*/nullptr, {}, agg, groups);
+  const uint64_t base = pipe.Reserve(PlanMorselCount(plan, in.size()));
+  if (!ParallelMorselRun(plan, in.size(), ctx,
+                         [&](uint64_t m, uint64_t begin, uint64_t end,
+                             const std::atomic<bool>& stop) {
+                           for (uint64_t r = begin; r < end; ++r) {
+                             if (MorselInterrupted(stop, ctx)) return;
+                             pipe.Consume(base + m, in[r]);
+                           }
+                         })) {
+    return false;
+  }
+  pipe.FinishAll();
+  return true;
 }
 
 struct Executor {
@@ -799,6 +1109,69 @@ struct Executor {
 
   ParallelScanPlan OperatorPlan(const PlanNode& n) const {
     return ResolveScanPlan(MergeExecOptions(n.scan.exec, opts));
+  }
+
+  // The morsel pipeline feeding a breaker whose input is `top`: the chain
+  // of Filter, Project and hash-join probe stages below it (bottom-up into
+  // *stages) down to a Scan (*scan) that runs in parallel. False when the
+  // chain holds any other node or the scan is serial; such an input streams
+  // on the coordinator.
+  bool MorselChain(const PlanNode& top, const PlanNode** scan,
+                   std::vector<const PlanNode*>* stages) const {
+    stages->clear();
+    const PlanNode* n = &top;
+    while (n->kind == PlanNode::Kind::kFilter ||
+           n->kind == PlanNode::Kind::kProject ||
+           n->kind == PlanNode::Kind::kHashJoin) {
+      stages->push_back(n);
+      n = n->children[0].get();
+    }
+    if (n->kind != PlanNode::Kind::kScan) return false;
+    std::reverse(stages->begin(), stages->end());
+    *scan = n;
+    return OperatorPlan(*n).threads > 1;
+  }
+
+  // Runs `pipe` into its breaker's state: the builds its probe stages read
+  // complete first (the outermost first, as Stream runs them); then its
+  // scan hands the rows of parallel partitions to the pipeline on the
+  // workers and emits those of serial partitions here, into a slot of
+  // their own.
+  Status RunPipeline(MorselPipeline* pipe) {
+    const PlanNode& scan = *pipe->source();
+    const std::vector<const PlanNode*>& stages = pipe->stages();
+    scan.stats = PlanStats{};
+    for (const PlanNode* stage : stages) stage->stats = PlanStats{};
+    for (size_t i = stages.size(); i-- > 0;) {
+      if (stages[i]->kind == PlanNode::Kind::kHashJoin) {
+        BIH_RETURN_IF_ERROR(Build(*stages[i], pipe->build(i)));
+      }
+    }
+    ScanRequest req = scan.scan;
+    if (req.ctx == nullptr) req.ctx = ctx;
+    req.exec = MergeExecOptions(req.exec, opts);
+    req.stats = &scan.stats.scan;
+    req.sink = pipe;
+    engine.Scan(req,
+                [pipe](const Row& row) { return pipe->ConsumeSerial(row); });
+    BIH_RETURN_IF_ERROR(Boundary());
+    pipe->FinishAll();
+    return Status::OK();
+  }
+
+  // Builds hash join `n`'s right input into *build.
+  Status Build(const PlanNode& n, HashBuild* build) {
+    const PlanNode& right = *n.children[1];
+    const PlanNode* scan = nullptr;
+    std::vector<const PlanNode*> stages;
+    if (MorselChain(right, &scan, &stages)) {
+      MorselPipeline pipe(scan, std::move(stages), build);
+      return RunPipeline(&pipe);
+    }
+    return Stream(right, [build](const Row& r) {
+      build->Add(r);
+      return true;
+    });
   }
 
   // Runs `n` to completion, materializing its output into *out.
@@ -892,47 +1265,15 @@ struct Executor {
         break;
       }
       case PlanNode::Kind::kHashJoin: {
-        // Build: the right input streams into one flat payload holding, per
-        // kept row, the cells its joined rows carry (RightCols); `keys`
-        // chains the rows of one key in build order, so matches come out in
-        // the order the build side produced them. Rows with a NULL key
-        // never match and are not kept.
+        // The right input builds first (HashBuild); each left row then
+        // probes it, so matches come out in the order the build side
+        // produced them.
+        HashBuild build(n);
+        BIH_RETURN_IF_ERROR(Build(n, &build));
         JoinAssembler join(n);
-        JoinKeyTable keys;
-        std::vector<Value> payload;
-        std::vector<int> cols;
-        size_t build_width = n.right_width;
-        bool sized = false;
-        auto build = [&](const Row& r) {
-          if (!sized) {
-            sized = true;
-            build_width = r.size();
-            cols = join.RightCols(build_width);
-          }
-          if (keys.Insert(r, n.right_keys)) {
-            for (int c : cols) payload.push_back(r[static_cast<size_t>(c)]);
-          }
-          return true;
-        };
-        BIH_RETURN_IF_ERROR(Stream(*n.children[1], build));
-        auto probe = [&](const Row& l) {
-          bool matched = false;
-          size_t id = keys.Find(l, n.left_keys);
-          if (id != JoinKeyTable::kEnd) join.Left(l, build_width);
-          for (; id != JoinKeyTable::kEnd; id = keys.Next(id)) {
-            join.Right(payload.data() + id * cols.size());
-            if (n.predicate != nullptr && !n.predicate->Test(join.row())) {
-              continue;
-            }
-            matched = true;
-            if (!push(join.row())) return false;
-          }
-          if (matched || n.join_type != JoinType::kLeftOuter) return true;
-          join.Left(l, n.right_width);
-          join.Pad();
-          return push(join.row());
-        };
-        BIH_RETURN_IF_ERROR(Stream(*n.children[0], probe));
+        BIH_RETURN_IF_ERROR(Stream(*n.children[0], [&](const Row& l) {
+          return ProbeRow(n, build, &join, l, push);
+        }));
         break;
       }
       case PlanNode::Kind::kIndexJoin: {
@@ -998,13 +1339,14 @@ struct Executor {
           FoldRow(row, n.aggs, &groups.Find(key));
           return true;
         };
+        const PlanNode* scan = nullptr;
+        std::vector<const PlanNode*> stages;
         if (IsPipelineBreaker(child.kind)) {
           Rows in;
           BIH_RETURN_IF_ERROR(Collect(child, &in));
           const ParallelScanPlan plan = OperatorPlan(n);
           if (plan.Engage(in.size())) {
-            if (!ParallelAggregateKernel(in, n.group_cols, n.aggs, ctx, plan,
-                                         &groups)) {
+            if (!ParallelAggregateKernel(in, n, ctx, plan, &groups)) {
               return Boundary();
             }
           } else {
@@ -1013,6 +1355,9 @@ struct Executor {
               fold(row);
             }
           }
+        } else if (MorselChain(child, &scan, &stages)) {
+          MorselPipeline pipe(scan, std::move(stages), n, &groups);
+          BIH_RETURN_IF_ERROR(RunPipeline(&pipe));
         } else {
           BIH_RETURN_IF_ERROR(Stream(child, fold));
         }

@@ -28,14 +28,18 @@ namespace bih {
 // Only pipeline breakers hold rows: the hash-join and cross-join build
 // sides, both MergeJoin inputs, Sort, Distinct and the root result. A
 // hash-join build side holds a compact payload — only the right-hand cells
-// its joined rows carry, in one flat array — and every join kind assembles
+// its joined rows carry, in flat chunks — and every join kind assembles
 // just the cells the tree above reads (PlanNode::emit).
 //
 // Parallelism never changes what a consumer sees. Engine scans fan out over
-// the ScanScheduler morsel pool but emit on the calling thread in serial
-// order; sort-merge join and the aggregation of a materialized input (an
-// Aggregate over a breaker) run morsel-parallel and merge in morsel order.
-// Output rows, float sums and per-node counters are byte-identical to
+// the ScanScheduler morsel pool. Where a parallel scan feeds an Aggregate's
+// fold or a hash-join build through Filter, Project and hash-join probe
+// stages, those operators run per morsel on the worker that scanned it,
+// into per-morsel partials merged in morsel order (a morsel pipeline);
+// every other consumer sees the scan's rows on the calling thread in serial
+// order. Sort-merge join and the aggregation of a materialized input (an
+// Aggregate over a breaker) run morsel-parallel and merge in morsel order
+// too. Output rows, float sums and per-node counters are byte-identical to
 // serial execution at any thread count — see the notes in plan.cc.
 //
 // Every producing loop consults the QueryContext passed to Execute. When

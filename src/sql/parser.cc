@@ -414,13 +414,19 @@ class Parser {
 
   Status ParsePrimary(SqlExprPtr* out) {
     auto e = std::make_shared<SqlExpr>();
+    // A minus directly before a number is part of the literal, so a
+    // negative bound folds into a scan like a positive one.
+    const bool negative =
+        Check("-") && Peek(1).type == TokenType::kNumber;
+    if (negative) Advance();
     if (Peek().type == TokenType::kNumber) {
+      const std::string text = (negative ? "-" : "") + Peek().text;
       e->kind = SqlExpr::Kind::kLiteral;
-      if (Peek().text.find('.') == std::string::npos) {
-        e->literal = Value(static_cast<int64_t>(
-            std::strtoll(Peek().text.c_str(), nullptr, 10)));
+      if (text.find('.') == std::string::npos) {
+        e->literal = Value(
+            static_cast<int64_t>(std::strtoll(text.c_str(), nullptr, 10)));
       } else {
-        e->literal = Value(std::strtod(Peek().text.c_str(), nullptr));
+        e->literal = Value(std::strtod(text.c_str(), nullptr));
       }
       Advance();
       *out = std::move(e);
@@ -439,7 +445,7 @@ class Parser {
       return Expect(")");
     }
     if (Check("-")) {
-      // Unary minus: 0 - x.
+      // Unary minus over any other operand: 0 - x.
       Advance();
       SqlExprPtr inner;
       BIH_RETURN_IF_ERROR(ParsePrimary(&inner));

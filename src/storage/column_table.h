@@ -34,6 +34,18 @@ class ColumnTable {
   Value Get(RowId id, int col) const;
   Row GetRow(RowId id) const;
 
+  // Typed cell access for scan filters, which then build no Value: whether
+  // a cell is NULL, and the stored cells of an integer-backed column (int,
+  // date, timestamp; a NULL cell holds 0), or null for other column types.
+  bool IsNull(RowId id, int col) const {
+    return nulls_[id * static_cast<size_t>(schema_.num_columns()) +
+                  static_cast<size_t>(col)] != 0;
+  }
+  const std::vector<int64_t>* Ints(int col) const {
+    return std::get_if<std::vector<int64_t>>(
+        &columns_[static_cast<size_t>(col)]);
+  }
+
   // In-place single-cell update (System C uses this only for the hidden
   // system-time columns when invalidating a version).
   void Set(RowId id, int col, const Value& v);

@@ -7,6 +7,7 @@
 // engine's row callback) get the same check at every morsel size, and the
 // interrupt tests prove a deadline or cancel fired mid-pipeline surfaces as
 // the context's status and leaves the morsel pool drained.
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -70,26 +71,37 @@ ScanRequest Req(const std::string& table) {
 constexpr int kCustomerWidth = 11;
 constexpr int kOrdersWidth = 14;
 
-// The served AS OF CUSTOMER-ORDERS join by nation as the server runs it:
-// planned from SQL and narrowed by OptimizePlan, so its HashJoin assembles
-// only the columns read above it.
-PlanPtr ServedJoin(const std::string& letter) {
+// `text` planned as the server plans it: parsed, planned and narrowed by
+// OptimizePlan. "{t}" stands for the workload's mid-history system time and
+// "{d}" for its mid application time.
+PlanPtr SqlPlan(const std::string& letter, std::string text) {
   WorkloadContext& ctx = Workload(letter);
-  const std::string t = std::to_string(ctx.sys_mid.micros());
+  for (const auto& [name, value] :
+       {std::pair<std::string, int64_t>{"{t}", ctx.sys_mid.micros()},
+        std::pair<std::string, int64_t>{"{d}", ctx.app_mid}}) {
+    for (size_t at = text.find(name); at != std::string::npos;
+         at = text.find(name)) {
+      text.replace(at, name.size(), std::to_string(value));
+    }
+  }
   sql::SelectStatement stmt;
-  EXPECT_TRUE(sql::ParseSelect(
-                  "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM "
-                  "CUSTOMER FOR SYSTEM_TIME AS OF " + t +
-                      " c JOIN ORDERS FOR SYSTEM_TIME AS OF " + t +
-                      " o ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY "
-                      "ORDER BY C_NATIONKEY",
-                  &stmt)
-                  .ok());
+  EXPECT_TRUE(sql::ParseSelect(text, &stmt).ok()) << text;
   PlanPtr plan;
   std::vector<std::string> columns;
-  EXPECT_TRUE(sql::PlanSelect(ctx.eng(), stmt, &plan, &columns).ok());
+  EXPECT_TRUE(sql::PlanSelect(ctx.eng(), stmt, &plan, &columns).ok()) << text;
   OptimizePlan(&plan, ctx.eng());
   return plan;
+}
+
+// The served AS OF CUSTOMER-ORDERS join by nation as the server runs it, so
+// its HashJoin assembles only the columns read above it.
+constexpr const char* kJoinByNation =
+    "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM CUSTOMER "
+    "FOR SYSTEM_TIME AS OF {t} c JOIN ORDERS FOR SYSTEM_TIME AS OF {t} o "
+    "ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY ORDER BY C_NATIONKEY";
+
+PlanPtr ServedJoin(const std::string& letter) {
+  return SqlPlan(letter, kJoinByNation);
 }
 
 // The query classes of the sweeps: a scan, the two parallel operators
@@ -319,6 +331,187 @@ TEST(ParallelExecTest, StreamedShapesMatchSerialAtEveryMorselSize) {
   }
 }
 
+// ---- Morsel pipelines ------------------------------------------------------
+
+// The shapes whose operators run per morsel on the scanning worker once a
+// scan is parallel: the served T2 and T6 slices (an ungrouped AVG/COUNT
+// straight over a scan), a Filter+Project chain under a grouped aggregate
+// with a NULL input column, the served join by nation (the ORDERS scan
+// feeds the hash-join build; the CUSTOMER scan, the probe and the grouped
+// fold run on the workers), a left outer join whose residual pads NULLs
+// under an aggregate (SQL has no outer join, so that one is built by
+// hand), and an aggregate whose input is empty but must still yield its one
+// global row.
+PlanPtr PipelineShape(const std::string& letter, const std::string& shape) {
+  if (shape == "t2") {
+    return SqlPlan(letter,
+                   "SELECT AVG(O_TOTALPRICE), COUNT(*) FROM ORDERS "
+                   "FOR SYSTEM_TIME AS OF {t} FOR BUSINESS_TIME AS OF {d}");
+  }
+  if (shape == "t6-app") {
+    return SqlPlan(letter,
+                   "SELECT AVG(O_TOTALPRICE), COUNT(*) FROM ORDERS "
+                   "FOR SYSTEM_TIME ALL FOR BUSINESS_TIME AS OF {d}");
+  }
+  if (shape == "t6-sys") {
+    return SqlPlan(letter,
+                   "SELECT AVG(O_TOTALPRICE), COUNT(*) FROM ORDERS "
+                   "FOR SYSTEM_TIME AS OF {t} FOR BUSINESS_TIME ALL");
+  }
+  if (shape == "filter-project-grouped") {
+    return AggregatePlan(
+        ProjectPlan(FilterPlan(ScanPlan(Req("ORDERS")),
+                               Ne(Col(orders::kOrderStatus), Lit("F"))),
+                    {Col(orders::kOrderStatus),
+                     Mul(Col(orders::kTotalPrice), Lit(2.0)),
+                     Lit(Value::Null())}),
+        {0},
+        {{AggKind::kSum, Col(1)},
+         {AggKind::kAvg, Col(1)},
+         {AggKind::kMin, Col(1)},
+         {AggKind::kCount, nullptr},
+         {AggKind::kSum, Col(2)},
+         {AggKind::kMax, Col(2)},
+         {AggKind::kCount, Col(2)}});
+  }
+  if (shape == "join-by-nation") return ServedJoin(letter);
+  if (shape == "left-outer-residual-agg") {
+    return AggregatePlan(
+        HashJoinPlan(ScanPlan(Req("CUSTOMER")), ScanPlan(Req("ORDERS")),
+                     {customer::kCustKey}, {orders::kCustKey}, kOrdersWidth,
+                     JoinType::kLeftOuter,
+                     Gt(Col(kCustomerWidth + orders::kTotalPrice),
+                        Lit(150000.0))),
+        {customer::kNationKey},
+        {{AggKind::kCount, nullptr},
+         {AggKind::kCount, Col(kCustomerWidth + orders::kTotalPrice)},
+         {AggKind::kSum, Col(kCustomerWidth + orders::kTotalPrice)},
+         {AggKind::kMax, Col(kCustomerWidth + orders::kOrderDate)},
+         {AggKind::kCountDistinct, Col(kCustomerWidth + orders::kOrderKey)}});
+  }
+  // Empty input.
+  return SqlPlan(letter,
+                 "SELECT MIN(C_ACCTBAL), COUNT(*), SUM(C_ACCTBAL) FROM "
+                 "CUSTOMER FOR SYSTEM_TIME ALL WHERE C_CUSTKEY < 0");
+}
+
+const char* kPipelineShapes[] = {"t2",
+                                 "t6-app",
+                                 "t6-sys",
+                                 "filter-project-grouped",
+                                 "join-by-nation",
+                                 "left-outer-residual-agg",
+                                 "empty-global"};
+
+// Runs `plan` serially, then at 2-8 threads and each morsel size, and
+// expects the rows and every node's counters to match the serial run.
+void ExpectParallelMatchesSerial(const PlanNode& plan, TemporalEngine& eng,
+                                 const std::vector<uint64_t>& morsels,
+                                 const std::string& label, Rows* serial_rows) {
+  ExecOptions serial;
+  serial.scan_threads = 1;
+  Rows want;
+  ASSERT_TRUE(Execute(plan, eng, serial, nullptr, &want).ok()) << label;
+  std::vector<NodeStats> want_stats;
+  CollectStats(plan, &want_stats);
+  for (uint64_t morsel : morsels) {
+    for (int threads = 2; threads <= 8; ++threads) {
+      const std::string what = label + " morsel=" + std::to_string(morsel) +
+                               " threads=" + std::to_string(threads);
+      ExecOptions opts;
+      opts.scan_threads = threads;
+      opts.morsel_size = morsel;
+      opts.scheduler = &Pool();
+      Rows got;
+      ASSERT_TRUE(Execute(plan, eng, opts, nullptr, &got).ok()) << what;
+      ExpectRowsIdentical(want, got, what);
+      std::vector<NodeStats> got_stats;
+      CollectStats(plan, &got_stats);
+      EXPECT_EQ(want_stats, got_stats) << what << ": counters diverged";
+    }
+  }
+  *serial_rows = std::move(want);
+}
+
+TEST(ParallelExecTest, MorselPipelinesMatchSerial) {
+  for (const char* letter : kEngines) {
+    TemporalEngine& eng = Workload(letter).eng();
+    for (const char* shape : kPipelineShapes) {
+      PlanPtr plan = PipelineShape(letter, shape);
+      const std::string label = std::string(letter) + "/" + shape;
+      Rows want;
+      ExpectParallelMatchesSerial(*plan, eng, {1, 64, 1024}, label, &want);
+      if (std::string(shape) == "empty-global") {
+        // Exactly one global row, over no input: MIN and SUM are NULL.
+        ASSERT_EQ(1u, want.size()) << label;
+        EXPECT_TRUE(want[0][0].is_null()) << label;
+        EXPECT_EQ(0, want[0][1].AsInt()) << label;
+        EXPECT_TRUE(want[0][2].is_null()) << label;
+      } else if (std::string(shape) == "filter-project-grouped") {
+        // The NULL column: SUM and MAX are NULL, COUNT(col) is 0.
+        ASSERT_GT(want.size(), 0u) << label;
+        for (const Row& row : want) {
+          EXPECT_TRUE(row[5].is_null()) << label;
+          EXPECT_TRUE(row[6].is_null()) << label;
+          EXPECT_EQ(0, row[7].AsInt()) << label;
+        }
+      } else {
+        ASSERT_GT(want.size(), 0u) << label;
+      }
+    }
+  }
+}
+
+// System C after a merge and a few inserts: the delta partition holds fewer
+// rows than one morsel and runs serially, so its rows reach the pipeline on
+// the coordinator as one slot that must come before the slots of the
+// parallel main and history partitions.
+TEST(ParallelExecTest, SerialDeltaSlotKeepsScanOrderOnSystemC) {
+  WorkloadConfig cfg;
+  cfg.engine_letter = "C";
+  cfg.h = 0.001;
+  cfg.m = 0.001;
+  cfg.seed = 11;
+  WorkloadContext ctx = BuildWorkload(cfg);
+  TemporalEngine& eng = ctx.eng();
+  eng.Maintain();
+  Rows orders;
+  ASSERT_TRUE(Execute(*ScanPlan(Req("ORDERS")), eng, ExecOptions{}, nullptr,
+                      &orders)
+                  .ok());
+  ASSERT_GT(orders.size(), 5u);
+  // Five new orders for existing customers, priced to stand out in the
+  // sums: they land in the delta, ahead of main and history in scan order.
+  for (int i = 0; i < 5; ++i) {
+    Row row(orders[static_cast<size_t>(i)].begin(),
+            orders[static_cast<size_t>(i)].begin() + kOrdersWidth - 2);
+    row[orders::kOrderKey] = Value(int64_t{100000000} + i);
+    row[orders::kTotalPrice] = Value(1e9 + 0.125 * i);
+    ASSERT_TRUE(eng.Insert("ORDERS", row).ok());
+  }
+  const std::string now = std::to_string(eng.Now().micros());
+  for (const std::string& text : std::vector<std::string>{
+           "SELECT AVG(O_TOTALPRICE), COUNT(*) FROM ORDERS "
+           "FOR SYSTEM_TIME ALL",
+           "SELECT O_ORDERSTATUS, SUM(O_TOTALPRICE), COUNT(*) FROM ORDERS "
+           "FOR SYSTEM_TIME ALL GROUP BY O_ORDERSTATUS",
+           "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM CUSTOMER "
+           "FOR SYSTEM_TIME AS OF " +
+               now + " c JOIN ORDERS FOR SYSTEM_TIME AS OF " + now +
+               " o ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY "
+               "ORDER BY C_NATIONKEY"}) {
+    sql::SelectStatement stmt;
+    ASSERT_TRUE(sql::ParseSelect(text, &stmt).ok()) << text;
+    PlanPtr plan;
+    std::vector<std::string> columns;
+    ASSERT_TRUE(sql::PlanSelect(eng, stmt, &plan, &columns).ok()) << text;
+    OptimizePlan(&plan, eng);
+    Rows want;
+    ExpectParallelMatchesSerial(*plan, eng, {64}, "C " + text, &want);
+    ASSERT_GT(want.size(), 0u) << text;
+  }
+}
+
 // A satisfied Limit stops the scan beneath it: fewer rows examined than the
 // full scan, and the same number at every thread count.
 TEST(ParallelExecTest, LimitStopsItsScanEarlyWithSerialCounters) {
@@ -357,10 +550,12 @@ TEST(ParallelExecTest, LimitStopsItsScanEarlyWithSerialCounters) {
 // ---- Interrupts inside pipelines -------------------------------------------
 
 // A read-only engine view that runs `trip` on the query's context when the
-// `after`-th row of `table` passes through a scan callback — i.e. inside
-// whatever pipeline consumes that scan, on the emitting thread. The view
-// registers the inner engine's table definitions so the executor resolves
-// schemas through it; every row comes from the inner engine.
+// `after`-th row of `table` leaves a scan — through the row callback or,
+// for a scan feeding a morsel pipeline, through the request's sink — i.e.
+// inside whatever pipeline consumes that scan, on the thread that hands the
+// row on (a worker, for a sink). The view registers the inner engine's
+// table definitions so the executor resolves schemas through it; every row
+// comes from the inner engine.
 class TrippingEngine : public TemporalEngine {
  public:
   TrippingEngine(TemporalEngine* inner, std::string table, int after,
@@ -374,7 +569,7 @@ class TrippingEngine : public TemporalEngine {
     }
   }
 
-  bool tripped() const { return tripped_; }
+  bool tripped() const { return tripped_.load(); }
 
   std::string name() const override { return inner_->name(); }
   Status CreateIndex(const IndexSpec&) override { return ReadOnly(); }
@@ -383,12 +578,18 @@ class TrippingEngine : public TemporalEngine {
     return inner_->GetTableStats(t);
   }
   void Scan(const ScanRequest& req, const RowCallback& cb) override {
-    int seen = 0;
-    inner_->Scan(req, [&](const Row& row) {
-      if (req.table == table_ && ++seen == after_) {
-        tripped_ = true;
+    std::atomic<int> seen{0};
+    auto see = [&] {
+      if (req.table == table_ && seen.fetch_add(1) + 1 == after_) {
+        tripped_.store(true);
         trip_(req.ctx);
       }
+    };
+    SeeingSink sink(req.sink, see);
+    ScanRequest inner_req = req;
+    if (req.sink != nullptr) inner_req.sink = &sink;
+    inner_->Scan(inner_req, [&](const Row& row) {
+      see();
       return cb(row);
     });
   }
@@ -415,11 +616,28 @@ class TrippingEngine : public TemporalEngine {
  private:
   static Status ReadOnly() { return Status::Unimplemented("read-only view"); }
 
+  // Forwards to the executor's sink, seeing each row first.
+  class SeeingSink : public MorselSink {
+   public:
+    SeeingSink(MorselSink* inner, std::function<void()> see)
+        : inner_(inner), see_(std::move(see)) {}
+    uint64_t Reserve(uint64_t n) override { return inner_->Reserve(n); }
+    void Consume(uint64_t slot, const Row& row) override {
+      see_();
+      inner_->Consume(slot, row);
+    }
+    void Finish(uint64_t slot) override { inner_->Finish(slot); }
+
+   private:
+    MorselSink* inner_;
+    std::function<void()> see_;
+  };
+
   TemporalEngine* inner_;
   std::string table_;
   int after_;
   std::function<void(QueryContext*)> trip_;
-  bool tripped_ = false;
+  std::atomic<bool> tripped_{false};
 };
 
 bool PoolDrained() {
@@ -432,8 +650,22 @@ bool PoolDrained() {
 
 // Where the interrupt fires: inside the probe of a HashJoin that feeds an
 // Aggregate (ORDERS is the probe side; the CUSTOMER build is complete by
-// then), or inside a parallel scan's emit loop under a Filter.
+// then), inside a hash-join build fed by a parallel ORDERS scan, inside an
+// aggregate's Filter pipeline, or inside a parallel scan's emit loop under a
+// Filter. With more than one thread all but the last run on the workers.
 PlanPtr InterruptedPlan(const std::string& where) {
+  if (where == "hash-join-build") {
+    return HashJoinPlan(ScanPlan(Req("CUSTOMER")), ScanPlan(Req("ORDERS")),
+                        {customer::kCustKey}, {orders::kCustKey},
+                        kOrdersWidth);
+  }
+  if (where == "aggregate-pipeline") {
+    return AggregatePlan(FilterPlan(ScanPlan(Req("ORDERS")),
+                                    Gt(Col(orders::kTotalPrice), Lit(0.0))),
+                         {},
+                         {{AggKind::kAvg, Col(orders::kTotalPrice)},
+                          {AggKind::kCount, nullptr}});
+  }
   if (where == "hash-join-probe") {
     return AggregatePlan(
         HashJoinPlan(ScanPlan(Req("ORDERS")), ScanPlan(Req("CUSTOMER")),
@@ -449,7 +681,8 @@ TEST(ParallelExecTest, InterruptInsidePipelineReturnsStatusAndDrainsPool) {
   using Clock = QueryContext::Clock;
   for (const char* letter : kEngines) {
     TemporalEngine& inner = Workload(letter).eng();  // built before the clock
-    for (const char* where : {"hash-join-probe", "scan-emit"}) {
+    for (const char* where : {"hash-join-probe", "hash-join-build",
+                              "aggregate-pipeline", "scan-emit"}) {
       for (bool cancel : {true, false}) {
         const std::string label = std::string(letter) + "/" + where +
                                   (cancel ? "/cancel" : "/deadline");

@@ -1,9 +1,12 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "engine/system_a.h"
 #include "sql/executor.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "workload/context.h"
 
 namespace bih {
 namespace sql {
@@ -105,6 +108,22 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseSelect("SELECT * FROM T trailing garbage !", &stmt).ok());
   EXPECT_FALSE(
       ParseSelect("SELECT * FROM T FOR SYSTEM_TIME NEARBY 3", &stmt).ok());
+}
+
+TEST(ParserTest, MinusBeforeANumberIsANegativeLiteral) {
+  SelectStatement stmt;
+  ASSERT_TRUE(ParseSelect("SELECT A FROM T WHERE A >= -100", &stmt).ok());
+  const SqlExpr& bound = *stmt.where->children[1];
+  ASSERT_EQ(SqlExpr::Kind::kLiteral, bound.kind);
+  EXPECT_EQ(-100, bound.literal.AsInt());
+  ASSERT_TRUE(ParseSelect("SELECT A FROM T WHERE A < -2.5", &stmt).ok());
+  EXPECT_DOUBLE_EQ(-2.5, stmt.where->children[1]->literal.AsDouble());
+  // Any other operand keeps the 0 - x form.
+  ASSERT_TRUE(ParseSelect("SELECT A FROM T WHERE -A > 3", &stmt).ok());
+  EXPECT_EQ(SqlExpr::Kind::kBinary, stmt.where->children[0]->kind);
+  // A binary minus is still a subtraction.
+  ASSERT_TRUE(ParseSelect("SELECT A FROM T WHERE A -1 > 3", &stmt).ok());
+  EXPECT_EQ(SqlExpr::Kind::kBinary, stmt.where->children[0]->kind);
 }
 
 // --- end-to-end -----------------------------------------------------------
@@ -547,6 +566,44 @@ TEST_F(SqlExecTest, SameAnswerOnAllEngines) {
     } else {
       EXPECT_EQ(reference, all.rows) << letter;
     }
+  }
+}
+
+// A negative bound folds into the scan like a positive one: EXPLAIN shows
+// the folded range, and the rows equal those of the unfolded `0 - 100`.
+TEST(SqlNegativeLiteralTest, NegativeBoundFoldsIntoTheScanOnEveryEngine) {
+  const std::string kFolded =
+      "SELECT C_CUSTKEY FROM CUSTOMER WHERE C_ACCTBAL >= -100";
+  for (const std::string& letter : AllEngineLetters()) {
+    WorkloadConfig cfg;
+    cfg.engine_letter = letter;
+    cfg.h = 0.001;
+    cfg.m = 0.001;
+    cfg.seed = 7;
+    WorkloadContext w = BuildWorkload(cfg);
+    std::string json;
+    ASSERT_TRUE(Explain(w.eng(), kFolded, &json).ok()) << letter;
+    EXPECT_NE(std::string::npos, json.find("\"conjuncts_folded\":1"))
+        << letter << ": " << json;
+    EXPECT_NE(std::string::npos, json.find("\"range_lo\":\"-100\""))
+        << letter << ": " << json;
+
+    SqlResult folded, unfolded, all;
+    ASSERT_TRUE(ExecuteSql(w.eng(), kFolded, &folded).ok()) << letter;
+    ASSERT_TRUE(ExecuteSql(w.eng(),
+                           "SELECT C_CUSTKEY FROM CUSTOMER "
+                           "WHERE C_ACCTBAL >= 0 - 100",
+                           &unfolded)
+                    .ok())
+        << letter;
+    ASSERT_TRUE(
+        ExecuteSql(w.eng(), "SELECT C_CUSTKEY FROM CUSTOMER", &all).ok());
+    std::sort(folded.rows.begin(), folded.rows.end());
+    std::sort(unfolded.rows.begin(), unfolded.rows.end());
+    EXPECT_EQ(unfolded.rows, folded.rows) << letter;
+    // The bound excludes some customers and keeps others.
+    EXPECT_GT(folded.rows.size(), 0u) << letter;
+    EXPECT_LT(folded.rows.size(), all.rows.size()) << letter;
   }
 }
 
