@@ -1,6 +1,10 @@
 #include "engine/scan_util.h"
 
 #include <algorithm>
+#include <string>
+
+#include "engine/index_set.h"
+#include "storage/hash_index.h"
 
 namespace bih {
 
@@ -59,6 +63,23 @@ bool MatchesConstraints(const Row& row, const ScanRequest& req) {
   return true;
 }
 
+namespace {
+
+// Records that one partition of this scan was served by index `name`. Every
+// index access path reports through here so the ExecStats contract is
+// uniform: used_index means *some* partition used an index, and index_name
+// lists the chosen index of each served partition in scan order,
+// comma-separated (engine_test.cc asserts this).
+void RecordIndexUse(ExecStats* stats, const std::string& name) {
+  stats->used_index = true;
+  if (!stats->index_name.empty()) stats->index_name += ",";
+  stats->index_name += name;
+}
+
+// The system key index access path of the row stores (Systems A and B):
+// true when `req.equals` pins every primary-key column of `def`. `key` then
+// holds the key in key-column order, and the lookup is recorded as a use of
+// the index "pk_current(<table>)".
 bool PrimaryKeyLookup(const TableDef& def, const ScanRequest& req,
                       ExecStats* stats, IndexKey* key) {
   if (def.primary_key.empty() || req.equals.empty()) return false;
@@ -71,6 +92,36 @@ bool PrimaryKeyLookup(const TableDef& def, const ScanRequest& req,
     (*key)[i] = it->second;
   }
   RecordIndexUse(stats, "pk_current(" + def.name + ")");
+  return true;
+}
+
+}  // namespace
+
+PartitionScan::PartitionScan(const TableDef& def, const ScanRequest& req,
+                             int64_t now, const RowCallback& cb)
+    : def_(def),
+      req_(req),
+      tc_(ResolveTemporalCols(def, req.temporal.app_period_index)),
+      now_(now),
+      plan_(ResolveScanPlan(req.exec)),
+      stats_(req.stats != nullptr ? req.stats : &local_),
+      cb_(cb) {
+  *stats_ = ExecStats{};
+}
+
+bool PartitionScan::IndexAccess(size_t partition_rows, const IndexSet& tuning,
+                                const HashIndex* pk_current,
+                                const std::function<bool(RowId)>& visit) {
+  std::string index_name;
+  if (tuning.TryIndexAccess(req_, tc_, partition_rows, &index_name, visit)) {
+    RecordIndexUse(stats_, index_name);
+    return true;
+  }
+  IndexKey key;
+  if (pk_current == nullptr || !PrimaryKeyLookup(def_, req_, stats_, &key)) {
+    return false;
+  }
+  pk_current->Lookup(key, visit);
   return true;
 }
 

@@ -78,79 +78,20 @@ void SystemAEngine::CloseVersion(TableBase& table, VersionRef ref, Timestamp ts,
   t.history_indexes.OnInsert(t.history.Get(hid), hid);
 }
 
-void SystemAEngine::ScanPartition(const Table& t, bool is_history,
-                                  const ScanRequest& req,
-                                  const TemporalCols& tc,
-                                  const IndexSet& tuning,
-                                  const ParallelScanPlan& plan,
-                                  ExecStats* stats, bool* stopped,
-                                  const RowCallback& cb) {
-  const RowTable& part = is_history ? t.history : t.current;
-  ++stats->partitions_touched;
-  if (is_history) stats->touched_history = true;
-  const int64_t now = clock_.Now().micros();
-
-  auto consider = [&](const Row& row) -> bool {
-    if (req.ctx != nullptr && !req.ctx->KeepGoing()) {
-      *stopped = true;
-      return false;
-    }
-    ++stats->rows_examined;
-    if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
-    if (!MatchesConstraints(row, req)) return true;
-    ++stats->rows_output;
-    if (!cb(row)) {
-      *stopped = true;
-      return false;
-    }
-    return true;
-  };
-
-  // Access path: tuning indexes first; the system key index on the current
-  // partition next; table scan as the fallback.
-  std::string index_name;
-  auto emit_rid = [&](RowId rid) -> bool {
-    if (!part.IsLive(rid)) return true;
-    return consider(part.Get(rid));
-  };
-  if (tuning.TryIndexAccess(req, tc, part.LiveCount(), &index_name, emit_rid)) {
-    RecordIndexUse(stats, index_name);
-    return;
-  }
-  IndexKey key;
-  if (!is_history && PrimaryKeyLookup(t.def, req, stats, &key)) {
-    // The system-created key index serves full-key equality on current.
-    t.pk_current.Lookup(key, emit_rid);
-    return;
-  }
-  if (plan.Engage(part.SlotCount())) {
-    ParallelRowScan(
-        plan, part,
-        [&part](uint64_t rid, Row*) -> const Row& { return part.Get(rid); },
-        req, tc, now, stats, stopped, cb);
-    return;
-  }
-  part.Scan([&](RowId, const Row& row) { return consider(row); });
-}
-
 void SystemAEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
-  Table* t = &TableOf<Table>(req.table);
-  ExecStats local;
-  ExecStats* stats = req.stats != nullptr ? req.stats : &local;
-  *stats = ExecStats{};
-  const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
-  const ParallelScanPlan plan =
-      ResolveScanPlan(req.exec);
-  bool stopped = false;
-  // Partition pruning: only the implicit-current case avoids the history
-  // table. An explicit AS OF <now> is *not* recognized (Section 5.3.5).
-  ScanPartition(*t, /*is_history=*/false, req, tc, t->current_indexes, plan,
-                stats, &stopped, cb);
-  if (!stopped && t->def.system_versioned &&
-      req.temporal.system_time.kind != TemporalSelector::Kind::kImplicitCurrent) {
-    ScanPartition(*t, /*is_history=*/true, req, tc, t->history_indexes, plan,
-                  stats, &stopped, cb);
-  }
+  const Table& t = TableOf<const Table>(req.table);
+  PartitionScan scan(t.def, req, clock_.Now().micros(), cb);
+  // Both partitions store scan-schema rows; the system key index serves
+  // the current partition only.
+  auto stored = [](const RowTable& part) {
+    return [&part](uint64_t rid, Row*) -> const Row& { return part.Get(rid); };
+  };
+  scan.Touch(/*history=*/false);
+  scan.ScanRows(t.current, stored(t.current), t.current_indexes,
+                &t.pk_current);
+  if (scan.stopped() || !scan.needs_history()) return;
+  scan.Touch(/*history=*/true);
+  scan.ScanRows(t.history, stored(t.history), t.history_indexes);
 }
 
 Status SystemAEngine::DoInstallVersion(TableBase& table, const Row& stored) {

@@ -8,7 +8,6 @@
 #include "engine/engine.h"
 #include "engine/index_set.h"
 #include "engine/scan_util.h"
-#include "exec/parallel.h"
 #include "storage/hash_index.h"
 #include "storage/row_table.h"
 
@@ -62,11 +61,6 @@ class SystemAEngine : public TemporalEngine {
   // Appends a scan-schema row with an open system interval to the current
   // partition and its indexes.
   void AddCurrent(Table* t, Row stored);
-
-  void ScanPartition(const Table& t, bool is_history, const ScanRequest& req,
-                     const TemporalCols& tc, const IndexSet& tuning,
-                     const ParallelScanPlan& plan, ExecStats* stats,
-                     bool* stopped, const RowCallback& cb);
 };
 
 }  // namespace bih

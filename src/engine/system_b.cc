@@ -20,8 +20,9 @@ Status SystemBEngine::CreateIndex(const IndexSpec& spec) {
   if (spec.partition == PartitionSel::kCurrent) {
     t->current_indexes.AddIndex(
         spec, [&](const std::function<void(RowId, const Row&)>& fn) {
+          Row row;
           t->current.Scan([&](RowId rid, const Row&) {
-            fn(rid, StoredRowOf(*t, rid));
+            fn(rid, CurrentRow(*t, rid, &row));
             return true;
           });
         });
@@ -46,13 +47,14 @@ Status SystemBEngine::DropIndexes(const std::string& table) {
   return Status::OK();
 }
 
-Row SystemBEngine::StoredRowOf(const Table& t, RowId rid) const {
-  Row row = t.current.Get(rid);
+const Row& SystemBEngine::CurrentRow(const Table& t, RowId rid, Row* row) {
+  const Row& user_row = t.current.Get(rid);
+  row->assign(user_row.begin(), user_row.end());
   auto it = t.version_slot.find(rid);
   BIH_CHECK(it != t.version_slot.end());
-  row.push_back(Value(t.versions[it->second].sys_from));
-  row.push_back(Value(Period::kForever));
-  return row;
+  row->push_back(Value(t.versions[it->second].sys_from));
+  row->push_back(Value(Period::kForever));
+  return *row;
 }
 
 void SystemBEngine::CurrentVersions(TableBase& table,
@@ -62,7 +64,7 @@ void SystemBEngine::CurrentVersions(TableBase& table,
   auto& t = static_cast<Table&>(table);
   t.pk_current.Lookup(key, [&](RowId rid) {
     refs->push_back(rid);
-    rows->push_back(StoredRowOf(t, rid));
+    CurrentRow(t, rid, &rows->emplace_back());
     return true;
   });
 }
@@ -84,7 +86,8 @@ void SystemBEngine::OpenVersion(TableBase& table, Row user_row, Timestamp ts,
   t.version_slot[rid] = t.versions.size() - 1;
   t.pk_current.Insert(t.KeyOf(t.current.Get(rid)), rid);
   if (!t.current_indexes.empty()) {
-    t.current_indexes.OnInsert(StoredRowOf(t, rid), rid);
+    Row row;
+    t.current_indexes.OnInsert(CurrentRow(t, rid, &row), rid);
   }
 }
 
@@ -96,7 +99,8 @@ void SystemBEngine::CloseVersion(TableBase& table, VersionRef ref, Timestamp ts,
   BIH_CHECK(it != t.version_slot.end());
   VersionMeta& meta = t.versions[it->second];
   if (!t.current_indexes.empty()) {
-    t.current_indexes.OnDelete(StoredRowOf(t, rid), rid);
+    Row row;
+    t.current_indexes.OnDelete(CurrentRow(t, rid, &row), rid);
   }
   if (ever_visible) {
     Row hist = t.current.Get(rid);
@@ -148,21 +152,35 @@ void SystemBEngine::FlushUndo(Table* t) {
   }
 }
 
-void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
-                                                  const ScanRequest& req,
-                                                  const TemporalCols& tc,
-                                                  const ParallelScanPlan& plan,
-                                                  ExecStats* stats,
-                                                  bool* stopped,
-                                                  const RowCallback& cb) {
-  ++stats->partitions_touched;  // current
-  ++stats->partitions_touched;  // vertical temporal partition
-  const int64_t now = clock_.Now().micros();
+void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
+  Table* t = &TableOf<Table>(req.table);
+  PartitionScan scan(t->def, req, clock_.Now().micros(), cb);
 
+  if (!scan.needs_history()) {
+    // Fast path: current partition only; the system time of a current row
+    // is fetched through the row-reference without a join.
+    scan.Touch(/*history=*/false);
+    scan.ScanRows(
+        t->current,
+        [t](uint64_t rid, Row* row) -> const Row& {
+          return CurrentRow(*t, rid, row);
+        },
+        t->current_indexes, &t->pk_current);
+    return;
+  }
+
+  // System time involved: make pending history visible, reconstruct the
+  // current partition's temporal information, then union with history.
+  // Under the session layer PrepareForReads has already drained the undo
+  // log, making this call a no-op on the concurrent read path.
+  FlushUndo(t);
+  scan.Touch(/*history=*/false);  // current
+  scan.Touch(/*history=*/false);  // vertical temporal partition
   // Sort/merge join between the current table and its vertical temporal
   // partition. The version records are in update order, so the join has to
   // sort them — this is the reconstruction overhead the paper attributes
-  // System B's history-query penalty to (Sections 5.3.1, 5.5).
+  // System B's history-query penalty to (Sections 5.3.1, 5.5). The join
+  // result is built once, here; the scan (and its morsels) only read it.
   std::vector<VersionMeta> sorted = t->versions;
   std::sort(sorted.begin(), sorted.end(),
             [](const VersionMeta& a, const VersionMeta& b) {
@@ -172,162 +190,29 @@ void SystemBEngine::ScanCurrentWithReconstruction(Table* t,
   for (const VersionMeta& m : sorted) {
     if (m.row_ref != kInvalidRowId) sys_from_of[m.row_ref] = m.sys_from;
   }
+  scan.ScanRows(
+      t->current,
+      [t, &sys_from_of](uint64_t rid, Row* row) -> const Row& {
+        const Row& user_row = t->current.Get(rid);
+        row->assign(user_row.begin(), user_row.end());
+        row->push_back(Value(sys_from_of[rid]));
+        row->push_back(Value(Period::kForever));
+        return *row;
+      },
+      t->current_indexes);
+  if (scan.stopped()) return;
 
-  auto consider = [&](RowId rid, const Row& user_row) -> bool {
-    if (req.ctx != nullptr && !req.ctx->KeepGoing()) {
-      *stopped = true;
-      return false;
-    }
-    ++stats->rows_examined;
-    Row row = user_row;
-    row.push_back(Value(sys_from_of[rid]));
-    row.push_back(Value(Period::kForever));
-    if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
-    if (!MatchesConstraints(row, req)) return true;
-    ++stats->rows_output;
-    if (!cb(row)) {
-      *stopped = true;
-      return false;
-    }
-    return true;
-  };
-
-  std::string index_name;
-  if (t->current_indexes.TryIndexAccess(
-          req, tc, t->current.LiveCount(), &index_name, [&](RowId rid) {
-            if (!t->current.IsLive(rid)) return true;
-            return consider(rid, t->current.Get(rid));
-          })) {
-    RecordIndexUse(stats, index_name);
-    return;
-  }
-  if (plan.Engage(t->current.SlotCount())) {
-    // The sorted sys_from_of join result is built once on the coordinator
-    // above; the morsels only read it.
-    ParallelRowScan(
-        plan, t->current,
-        [t, &sys_from_of](uint64_t rid, Row* row) -> const Row& {
-          const Row& user_row = t->current.Get(rid);
-          row->assign(user_row.begin(), user_row.end());
-          row->push_back(Value(sys_from_of[rid]));
-          row->push_back(Value(Period::kForever));
-          return *row;
-        },
-        req, tc, now, stats, stopped, cb);
-    return;
-  }
-  t->current.Scan(
-      [&](RowId rid, const Row& row) { return consider(rid, row); });
-}
-
-void SystemBEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
-  Table* t = &TableOf<Table>(req.table);
-  ExecStats local;
-  ExecStats* stats = req.stats != nullptr ? req.stats : &local;
-  *stats = ExecStats{};
-  const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
-  const int64_t now = clock_.Now().micros();
-  const ParallelScanPlan plan =
-      ResolveScanPlan(req.exec);
-  const bool needs_history =
-      t->def.system_versioned &&
-      req.temporal.system_time.kind != TemporalSelector::Kind::kImplicitCurrent;
-  bool stopped = false;
-
-  if (!needs_history) {
-    // Fast path: current partition only; the system time of a current row
-    // is fetched through the row-reference without a join.
-    ++stats->partitions_touched;
-    auto consider = [&](RowId rid, const Row& user_row) -> bool {
-      if (req.ctx != nullptr && !req.ctx->KeepGoing()) return false;
-      ++stats->rows_examined;
-      Row row = user_row;
-      auto it = t->version_slot.find(rid);
-      row.push_back(Value(t->versions[it->second].sys_from));
-      row.push_back(Value(Period::kForever));
-      if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
-      if (!MatchesConstraints(row, req)) return true;
-      ++stats->rows_output;
-      return cb(row);
-    };
-    std::string index_name;
-    if (t->current_indexes.TryIndexAccess(
-            req, tc, t->current.LiveCount(), &index_name, [&](RowId rid) {
-              if (!t->current.IsLive(rid)) return true;
-              return consider(rid, t->current.Get(rid));
-            })) {
-      RecordIndexUse(stats, index_name);
-      return;
-    }
-    IndexKey key;
-    if (PrimaryKeyLookup(t->def, req, stats, &key)) {
-      t->pk_current.Lookup(key, [&](RowId rid) {
-        return consider(rid, t->current.Get(rid));
-      });
-      return;
-    }
-    if (plan.Engage(t->current.SlotCount())) {
-      ParallelRowScan(
-          plan, t->current,
-          [t](uint64_t rid, Row* row) -> const Row& {
-            const Row& user_row = t->current.Get(rid);
-            row->assign(user_row.begin(), user_row.end());
-            auto it = t->version_slot.find(rid);
-            row->push_back(Value(t->versions[it->second].sys_from));
-            row->push_back(Value(Period::kForever));
-            return *row;
-          },
-          req, tc, now, stats, &stopped, cb);
-    } else {
-      t->current.Scan(
-          [&](RowId rid, const Row& row) { return consider(rid, row); });
-    }
-    return;
-  }
-
-  // System time involved: make pending history visible, reconstruct the
-  // current partition's temporal information, then union with history.
-  // Under the session layer PrepareForReads has already drained the undo
-  // log, making this call a no-op on the concurrent read path.
-  FlushUndo(t);
-  ScanCurrentWithReconstruction(t, req, tc, plan, stats, &stopped, cb);
-
-  if (!stopped) {
-    ++stats->partitions_touched;
-    stats->touched_history = true;
-    const int scan_width = t->scan_schema.num_columns();
-    auto consider_hist = [&](const Row& hist_row) -> bool {
-      if (req.ctx != nullptr && !req.ctx->KeepGoing()) return false;
-      ++stats->rows_examined;
-      // History rows carry extra metadata columns; project to the scan
-      // schema.
-      Row row(hist_row.begin(), hist_row.begin() + scan_width);
-      if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
-      if (!MatchesConstraints(row, req)) return true;
-      ++stats->rows_output;
-      return cb(row);
-    };
-    std::string index_name;
-    if (t->history_indexes.TryIndexAccess(
-            req, tc, t->history.LiveCount(), &index_name, [&](RowId rid) {
-              if (!t->history.IsLive(rid)) return true;
-              return consider_hist(t->history.Get(rid));
-            })) {
-      RecordIndexUse(stats, index_name);
-    } else if (plan.Engage(t->history.SlotCount())) {
-      ParallelRowScan(
-          plan, t->history,
-          [t, scan_width](uint64_t rid, Row* row) -> const Row& {
-            const Row& hist_row = t->history.Get(rid);
-            row->assign(hist_row.begin(), hist_row.begin() + scan_width);
-            return *row;
-          },
-          req, tc, now, stats, &stopped, cb);
-    } else {
-      t->history.Scan(
-          [&](RowId, const Row& row) { return consider_hist(row); });
-    }
-  }
+  // History rows carry extra metadata columns; project to the scan schema.
+  scan.Touch(/*history=*/true);
+  const int scan_width = t->scan_schema.num_columns();
+  scan.ScanRows(
+      t->history,
+      [t, scan_width](uint64_t rid, Row* row) -> const Row& {
+        const Row& hist_row = t->history.Get(rid);
+        row->assign(hist_row.begin(), hist_row.begin() + scan_width);
+        return *row;
+      },
+      t->history_indexes);
 }
 
 void SystemBEngine::PrepareForReads() {

@@ -9,7 +9,6 @@
 #include "engine/engine.h"
 #include "engine/index_set.h"
 #include "engine/scan_util.h"
-#include "exec/parallel.h"
 #include "storage/hash_index.h"
 #include "storage/row_table.h"
 
@@ -90,14 +89,11 @@ class SystemBEngine : public TemporalEngine {
     explicit Table(const TableDef& d);
   };
 
-  Row StoredRowOf(const Table& t, RowId rid) const;
+  // Fills `row` with current slot `rid` as a scan-schema row: its user
+  // columns, then its start stamp from the vertical partition (looked up
+  // through the row reference) and an open end.
+  static const Row& CurrentRow(const Table& t, RowId rid, Row* row);
   void FlushUndo(Table* t);
-
-  void ScanCurrentWithReconstruction(Table* t, const ScanRequest& req,
-                                     const TemporalCols& tc,
-                                     const ParallelScanPlan& plan,
-                                     ExecStats* stats, bool* stopped,
-                                     const RowCallback& cb);
 };
 
 }  // namespace bih

@@ -138,8 +138,8 @@ class VersionFilter {
     if (req.range_col >= 0) constraint_cols_.push_back(req.range_col);
   }
 
-  // True when slot `rid` qualifies. `scratch` is a scan-schema-wide row;
-  // the constraint cells are fetched into it.
+  // True when slot `rid` qualifies. The constraint cells are fetched into
+  // `scratch`, widened to the scan schema.
   bool Matches(RowId rid, Row* scratch) const {
     if (sys_ && !req_.temporal.system_time.Matches(
                     PeriodAt(rid, tc_.sys_from, tc_.sys_to), now_)) {
@@ -150,6 +150,7 @@ class VersionFilter {
       return false;
     }
     if (constraint_cols_.empty()) return true;
+    scratch->resize(static_cast<size_t>(part_.schema().num_columns()));
     for (int c : constraint_cols_) {
       (*scratch)[static_cast<size_t>(c)] = part_.Get(rid, c);
     }
@@ -178,17 +179,11 @@ class VersionFilter {
 
 }  // namespace
 
-void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
-                                  bool is_history, const ScanRequest& req,
-                                  const TemporalCols& tc,
-                                  const ParallelScanPlan& plan,
-                                  ExecStats* stats, bool* stopped,
-                                  const RowCallback& cb) {
-  ++stats->partitions_touched;
-  if (is_history) stats->touched_history = true;
-  const int64_t now = clock_.Now().micros();
+void SystemCEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
+  const Table& t = TableOf<const Table>(req.table);
+  PartitionScan scan(t.def, req, clock_.Now().micros(), cb);
+  const TemporalCols& tc = scan.tc();
   const int ncols = t.scan_schema.num_columns();
-  const VersionFilter filter(part, req, tc, now);
 
   // Columns an emitted row carries: the ones predicates read, and the
   // projection with the system-time pair (every column when unprojected).
@@ -207,74 +202,32 @@ void SystemCEngine::ScanPartition(const Table& t, const ColumnTable& part,
     for (const auto& [c, v] : req.equals) fetched[static_cast<size_t>(c)] = 1;
     if (req.range_col >= 0) fetched[static_cast<size_t>(req.range_col)] = 1;
   }
-  // Materializes qualifying slot `rid`; the other columns stay null.
-  auto materialize = [&](uint64_t rid, Row* row) -> const Row& {
-    row->resize(static_cast<size_t>(ncols));
-    for (int c = 0; c < ncols; ++c) {
-      if (fetched[static_cast<size_t>(c)]) {
-        (*row)[static_cast<size_t>(c)] = part.Get(rid, c);
-      }
-    }
-    return *row;
-  };
 
-  if (plan.Engage(part.SlotCount())) {
-    ParallelScanPartition(
-        plan, part.SlotCount(), req.ctx,
-        [&](uint64_t begin, uint64_t end, const std::atomic<bool>& stop,
-            MorselOutput* out) {
-          Row scratch(static_cast<size_t>(ncols));
-          for (RowId rid = begin; rid < end; ++rid) {
-            if (MorselInterrupted(stop, req.ctx)) return;
-            if (!part.IsLive(rid)) continue;
-            ++out->rows_examined;
-            if (!filter.Matches(rid, &scratch)) continue;
-            out->rids.push_back(rid);
-            out->examined_at.push_back(out->rows_examined);
-          }
+  // Delta, main and history are scanned alike: versions qualify on their
+  // stored columns, and a qualifying one is materialized with the fetched
+  // columns only (the other columns stay null).
+  auto scan_part = [&](const ColumnTable& part, bool history) {
+    scan.Touch(history);
+    const VersionFilter filter(part, req, tc, scan.now());
+    scan.ScanSlots(
+        part.SlotCount(), [&part](uint64_t rid) { return part.IsLive(rid); },
+        [&filter](uint64_t rid, Row* scratch) {
+          return filter.Matches(rid, scratch);
         },
-        materialize, req.sink, &stats->rows_examined, &stats->rows_output,
-        stopped, cb);
-    return;
-  }
-
-  const size_t slots = part.SlotCount();
-  Row row(static_cast<size_t>(ncols));
-  for (RowId rid = 0; rid < slots; ++rid) {
-    if (req.ctx != nullptr && !req.ctx->KeepGoing()) {
-      *stopped = true;
-      return;
-    }
-    if (!part.IsLive(rid)) continue;
-    ++stats->rows_examined;
-    if (!filter.Matches(rid, &row)) continue;
-    ++stats->rows_output;
-    if (!cb(materialize(rid, &row))) {
-      *stopped = true;
-      return;
-    }
-  }
-}
-
-void SystemCEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
-  Table* t = &TableOf<Table>(req.table);
-  ExecStats local;
-  ExecStats* stats = req.stats != nullptr ? req.stats : &local;
-  *stats = ExecStats{};
-  const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
-  const ParallelScanPlan plan =
-      ResolveScanPlan(req.exec);
-  bool stopped = false;
-  ScanPartition(*t, t->delta, /*is_history=*/false, req, tc, plan, stats,
-                &stopped, cb);
-  if (!stopped) {
-    ScanPartition(*t, t->main, /*is_history=*/false, req, tc, plan, stats,
-                  &stopped, cb);
-  }
-  if (!stopped && t->def.system_versioned &&
-      req.temporal.system_time.kind != TemporalSelector::Kind::kImplicitCurrent) {
-    ScanPartition(*t, t->history, /*is_history=*/true, req, tc, plan, stats,
-                  &stopped, cb);
+        [&](uint64_t rid, Row* row) -> const Row& {
+          row->resize(static_cast<size_t>(ncols));
+          for (int c = 0; c < ncols; ++c) {
+            if (fetched[static_cast<size_t>(c)]) {
+              (*row)[static_cast<size_t>(c)] = part.Get(rid, c);
+            }
+          }
+          return *row;
+        });
+  };
+  scan_part(t.delta, /*history=*/false);
+  if (!scan.stopped()) scan_part(t.main, /*history=*/false);
+  if (!scan.stopped() && scan.needs_history()) {
+    scan_part(t.history, /*history=*/true);
   }
 }
 

@@ -9,7 +9,6 @@
 #include "engine/engine.h"
 #include "engine/index_set.h"
 #include "engine/scan_util.h"
-#include "exec/parallel.h"
 #include "storage/column_table.h"
 
 namespace bih {
@@ -113,11 +112,6 @@ class SystemCEngine : public TemporalEngine {
   }
 
   void MergeTable(Table* t);
-
-  void ScanPartition(const Table& t, const ColumnTable& part, bool is_history,
-                     const ScanRequest& req, const TemporalCols& tc,
-                     const ParallelScanPlan& plan, ExecStats* stats,
-                     bool* stopped, const RowCallback& cb);
 };
 
 }  // namespace bih

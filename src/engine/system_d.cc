@@ -84,45 +84,14 @@ Status SystemDEngine::DoBulkLoad(const std::string& table,
 }
 
 void SystemDEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
-  Table* t = &TableOf<Table>(req.table);
-  ExecStats local;
-  ExecStats* stats = req.stats != nullptr ? req.stats : &local;
-  *stats = ExecStats{};
-  const TemporalCols tc = ResolveTemporalCols(t->def, req.temporal.app_period_index);
-  const int64_t now = clock_.Now().micros();
-  stats->partitions_touched = 1;
+  const Table& t = TableOf<const Table>(req.table);
+  PartitionScan scan(t.def, req, clock_.Now().micros(), cb);
   // No current/history split: any scan sees all versions.
-  stats->touched_history = t->def.system_versioned;
-
-  auto consider = [&](const Row& row) -> bool {
-    if (req.ctx != nullptr && !req.ctx->KeepGoing()) return false;
-    ++stats->rows_examined;
-    if (!MatchesTemporal(row, req.temporal, tc, now)) return true;
-    if (!MatchesConstraints(row, req)) return true;
-    ++stats->rows_output;
-    return cb(row);
-  };
-
-  std::string index_name;
-  if (t->indexes.TryIndexAccess(req, tc, t->data.LiveCount(), &index_name,
-                                [&](RowId rid) {
-                                  if (!t->data.IsLive(rid)) return true;
-                                  return consider(t->data.Get(rid));
-                                })) {
-    RecordIndexUse(stats, index_name);
-  } else {
-    const ParallelScanPlan plan =
-        ResolveScanPlan(req.exec);
-    if (plan.Engage(t->data.SlotCount())) {
-      bool stopped = false;
-      ParallelRowScan(
-          plan, t->data,
-          [t](uint64_t rid, Row*) -> const Row& { return t->data.Get(rid); },
-          req, tc, now, stats, &stopped, cb);
-    } else {
-      t->data.Scan([&](RowId, const Row& row) { return consider(row); });
-    }
-  }
+  scan.Touch(/*history=*/t.def.system_versioned);
+  scan.ScanRows(
+      t.data,
+      [&t](uint64_t rid, Row*) -> const Row& { return t.data.Get(rid); },
+      t.indexes);
 }
 
 Status SystemDEngine::DoInstallVersion(TableBase& table, const Row& stored) {

@@ -8,7 +8,6 @@
 #include "engine/engine.h"
 #include "engine/index_set.h"
 #include "engine/scan_util.h"
-#include "exec/parallel.h"
 #include "storage/hash_index.h"
 #include "storage/row_table.h"
 

@@ -21,8 +21,10 @@ namespace bih {
 //
 // Shape: a partition of N slots is cut into fixed-size row-id ranges
 // ("morsels"). Workers claim morsels with one atomic fetch_add, run the
-// engine's existing per-row temporal/predicate filters over their range and
-// record the *row ids* of the qualifying slots in a per-morsel buffer. The
+// partition's slot test over their range and record the *row ids* of the
+// qualifying slots in a per-morsel buffer. The engines reach this file from
+// one place, the morsel leg of PartitionScan::ScanSlots
+// (engine/scan_util.h), which also runs the same slot test serially. The
 // coordinating query thread participates too (so a scan makes progress even
 // when every helper is busy elsewhere). What happens to the hits depends on
 // the consumer:
@@ -187,7 +189,8 @@ struct ParallelScanPlan {
 
   // Parallelism must pay for its fan-out: engage only when the scan is
   // wider than one morsel (a single-morsel scan is the serial loop with
-  // extra steps). threads <= 1 keeps the engines' untouched serial path.
+  // extra steps). threads <= 1 keeps PartitionScan's serial loop, which
+  // runs the same slot test and row shaping as the morsels.
   bool Engage(uint64_t slot_count) const {
     return threads > 1 && scheduler != nullptr && slot_count > morsel_size;
   }

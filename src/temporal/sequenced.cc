@@ -11,12 +11,13 @@ Row WithAssignments(Row row, const std::vector<ColumnAssignment>& set) {
   return row;
 }
 
-}  // namespace
-
+// Writes `p` into the period columns of `row`.
 void SetRowPeriod(Row* row, int begin_col, int end_col, const Period& p) {
   (*row)[static_cast<size_t>(begin_col)] = Value(p.begin);
   (*row)[static_cast<size_t>(end_col)] = Value(p.end);
 }
+
+}  // namespace
 
 SequencedOps PlanSequencedUpdate(const std::vector<Row>& versions,
                                  int begin_col, int end_col,

@@ -57,9 +57,6 @@ inline Period RowPeriod(const Row& row, int begin_col, int end_col) {
                 row[static_cast<size_t>(end_col)].AsInt());
 }
 
-// Writes `p` into the period columns of `row`.
-void SetRowPeriod(Row* row, int begin_col, int end_col, const Period& p);
-
 }  // namespace bih
 
 #endif  // TPCBIH_TEMPORAL_SEQUENCED_H_

@@ -109,12 +109,16 @@ Loaded BuildLoadedEngine(const std::string& letter, uint64_t seed,
   return l;
 }
 
-// The five query classes of the differential sweep.
+// The query classes of the differential sweep.
 struct QueryCase {
   std::string name;
   TemporalScanSpec spec;
   int64_t key = -1;       // -1: no key constraint
   bool aggregate = false; // compare SUM/COUNT instead of (only) rows
+  int range_col = -1;     // -1: no range constraint
+  Value range_lo;
+  Value range_hi;
+  std::vector<int> projection;  // empty: every column
 };
 
 std::vector<QueryCase> QueryCases(const Loaded& l) {
@@ -158,6 +162,31 @@ std::vector<QueryCase> QueryCases(const Loaded& l) {
     q.aggregate = true;
     cases.push_back(q);
   }
+  {
+    QueryCase q;  // implicit current: the current partitions only
+    q.name = "implicit_current";
+    q.spec.system_time = TemporalSelector::ImplicitCurrent();
+    q.spec.app_time = TemporalSelector::All();
+    cases.push_back(q);
+  }
+  {
+    QueryCase q;  // a PRICE range over every version
+    q.name = "price_range";
+    q.spec.system_time = TemporalSelector::All();
+    q.spec.app_time = TemporalSelector::All();
+    q.range_col = 1;
+    q.range_lo = Value(250.0);
+    q.range_hi = Value(750.0);
+    cases.push_back(q);
+  }
+  {
+    QueryCase q;  // projected: unread columns may stay unfetched
+    q.name = "projected";
+    q.spec.system_time = TemporalSelector::AsOf(late_ts);
+    q.spec.app_time = TemporalSelector::All();
+    q.projection = {0, 1};
+    cases.push_back(q);
+  }
   return cases;
 }
 
@@ -167,6 +196,10 @@ ScanRequest MakeRequest(const QueryCase& qc, int threads, uint64_t morsel,
   req.table = "ITEM";
   req.temporal = qc.spec;
   if (qc.key >= 0) req.equals = {{0, Value(qc.key)}};
+  req.range_col = qc.range_col;
+  req.range_lo = qc.range_lo;
+  req.range_hi = qc.range_hi;
+  req.projection = qc.projection;
   req.exec.scan_threads = threads;
   req.exec.morsel_size = morsel;
   req.exec.scheduler = pool;

@@ -34,6 +34,11 @@
 //   exec-api            no operator-kernel call outside src/exec/, and no
 //                       engine Scan() call under src/sql/: queries and SQL
 //                       reads run as plans through Execute()
+//   scan-loop           under src/engine/, only scan_util.{h,cc} calls
+//                       MatchesTemporal, ParallelScanPartition or
+//                       RecordIndexUse: the partition-scan loop exists once
+//                       (PartitionScan) and the engines supply only how a
+//                       stored slot qualifies and becomes a row
 //
 // Suppressions (always with a reason in the surrounding code):
 //   // bih-lint: allow(<rule>)       this line or the next line
@@ -571,12 +576,49 @@ void CheckScanCtx(const FileText& f, std::vector<Finding>* out) {
   }
 }
 
+// --- rule: scan-loop --------------------------------------------------------
+//
+// The partition walk exists once: PartitionScan (src/engine/scan_util.{h,cc})
+// owns the context poll, the counters, the temporal and constraint match,
+// the morsel leg and the index-access bookkeeping, and each engine supplies
+// only its physical traits. A measured gap between two engines should trace
+// to those traits, not to two copies of a loop that drifted apart, so under
+// src/engine/ no other file may call the loop's building blocks.
+
+const char* kScanLoopTokens[] = {"MatchesTemporal", "ParallelScanPartition",
+                                 "RecordIndexUse"};
+
+void CheckScanLoop(const FileText& f, std::vector<Finding>* out) {
+  if (f.path.find("src/engine/") == std::string::npos) return;
+  const std::string base = fs::path(f.path).filename().string();
+  if (base == "scan_util.h" || base == "scan_util.cc") return;
+  for (size_t i = 0; i < f.code.size(); ++i) {
+    const std::string& line = f.code[i];
+    for (const char* tok : kScanLoopTokens) {
+      size_t pos = FindToken(line, tok);
+      if (pos == std::string::npos) continue;
+      size_t nb = line.find_first_not_of(' ', pos + std::strlen(tok));
+      if (nb == std::string::npos || line[nb] != '(') continue;
+      if (!Suppressed(f, i, "scan-loop")) {
+        out->push_back({f.path, i + 1, "scan-loop",
+                        std::string(tok) +
+                            "() outside engine/scan_util; partition scans "
+                            "run through PartitionScan::ScanSlots/ScanRows, "
+                            "and an engine supplies only how a slot "
+                            "qualifies and becomes a row"});
+      }
+      break;  // one finding per line is enough
+    }
+  }
+}
+
 // --- driver -----------------------------------------------------------------
 
 const char* kRuleNames[] = {"include-guard",      "naked-mutex",
                             "ignored-status",     "assert-side-effect",
                             "scan-ctx",           "raw-io",
-                            "raw-socket",         "exec-api"};
+                            "raw-socket",         "exec-api",
+                            "scan-loop"};
 
 int Usage() {
   std::fprintf(stderr,
@@ -632,6 +674,7 @@ int main(int argc, char** argv) {
     CheckRawIo(f, &findings);
     CheckRawSocket(f, &findings);
     CheckExecApi(f, &findings);
+    CheckScanLoop(f, &findings);
   }
 
   return ReportFindings(&findings, texts.size(), "bih_lint");
