@@ -14,9 +14,11 @@
 // workload on System C, planned and run through OptimizePlan, at 1, 2 and 4
 // threads: the T6 slice (an ungrouped AVG/COUNT straight over a parallel
 // scan) and the AS OF CUSTOMER-ORDERS revenue by nation (the hash join
-// whose build side and row assembly the column demand narrows). With more
-// than one thread both run as morsel pipelines on the scanning workers.
-// These lanes are reported, never gated.
+// that builds its smaller input, CUSTOMER, and whose build side and row
+// assembly the column demand narrows). Beside them runs an AS OF COUNT
+// grouped by customer, an aggregate whose morsels each find thousands of
+// groups. With more than one thread all three run as morsel pipelines on
+// the scanning workers. These lanes are reported, never gated.
 //
 // Knobs: BIH_JSCALE_H / BIH_JSCALE_M workload scale (0.02), BIH_JSCALE_REPS
 // timed repetitions per lane (3). Output: a human table plus
@@ -142,7 +144,7 @@ bool ServedLanes(TemporalEngine& eng, const std::string& label,
     return false;
   }
   // Rows into the top operator below the final projection: the joined rows
-  // for the join, the scanned versions for the slice.
+  // for the join, the scanned versions for the slice and the grouping.
   const PlanNode* join = FindNode(*plan, PlanNode::Kind::kHashJoin);
   const PlanNode* counted =
       join != nullptr ? join : FindNode(*plan, PlanNode::Kind::kScan);
@@ -172,7 +174,7 @@ bool ServedLanes(TemporalEngine& eng, const std::string& label,
     }
     const double mrows_s =
         best_ms > 0.0 ? static_cast<double>(rows) / best_ms / 1000.0 : 0.0;
-    std::printf("served %-5s %d thread(s)  %9.2f ms  %8.2f Mrows/s\n",
+    std::printf("served %-6s %d thread(s)  %9.2f ms  %8.2f Mrows/s\n",
                 label.c_str(), threads, best_ms, mrows_s);
     char buf[160];
     std::snprintf(buf, sizeof(buf),
@@ -186,9 +188,11 @@ bool ServedLanes(TemporalEngine& eng, const std::string& label,
 }
 
 // The served lanes over one System C instance: the T6 slice at system time
-// `t`, all application time, and the AS OF join by nation at `t`.
+// `t`, all application time, the AS OF join by nation at `t`, and the AS OF
+// order count per customer at `t`.
 bool ServedQueryLanes(double h, double m, int reps, ScanScheduler* pool,
-                      std::string* t6_json, std::string* join_json) {
+                      std::string* t6_json, std::string* join_json,
+                      std::string* groups_json) {
   WorkloadConfig cfg;
   cfg.engine_letter = "C";
   cfg.h = h;
@@ -209,7 +213,11 @@ bool ServedQueryLanes(double h, double m, int reps, ScanScheduler* pool,
                          " c JOIN ORDERS FOR SYSTEM_TIME AS OF " + t +
                          " o ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY "
                          "ORDER BY C_NATIONKEY",
-                     reps, pool, join_json);
+                     reps, pool, join_json) &&
+         ServedLanes(eng, "groups",
+                     "SELECT O_CUSTKEY, COUNT(*) FROM ORDERS "
+                     "FOR SYSTEM_TIME AS OF " + t + " GROUP BY O_CUSTKEY",
+                     reps, pool, groups_json);
 }
 
 int Run() {
@@ -315,8 +323,11 @@ int Run() {
               static_cast<unsigned long long>(examined_opt),
               rep.ToString().c_str());
 
-  std::string t6_json, join_json;
-  if (!ServedQueryLanes(h, m, reps, &pool, &t6_json, &join_json)) return 1;
+  std::string t6_json, join_json, groups_json;
+  if (!ServedQueryLanes(h, m, reps, &pool, &t6_json, &join_json,
+                        &groups_json)) {
+    return 1;
+  }
 
   const char* path = std::getenv("BIH_JOIN_SCALING_JSON");
   const std::string out = path != nullptr ? path : "BENCH_join_scaling.json";
@@ -332,12 +343,12 @@ int Run() {
       "\"rows_examined_unopt\":%llu,\"rows_examined_opt\":%llu,"
       "\"predicates_pushed\":%d,\"conjuncts_folded\":%d,"
       "\"temporal_rewrites\":%d,\"scans_pruned\":%d},\"served_t6\":%s,"
-      "\"served_join\":%s}\n",
+      "\"served_join\":%s,\"served_groups\":%s}\n",
       h, m, static_cast<unsigned long long>(joined), speedup4,
       json_lanes.c_str(), static_cast<unsigned long long>(examined_unopt),
       static_cast<unsigned long long>(examined_opt), rep.predicates_pushed,
       rep.conjuncts_folded, rep.temporal_rewrites, rep.scans_pruned,
-      t6_json.c_str(), join_json.c_str());
+      t6_json.c_str(), join_json.c_str(), groups_json.c_str());
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());
 

@@ -51,16 +51,9 @@ bool MatchesTemporal(const Row& row, const TemporalScanSpec& spec,
 }
 
 bool MatchesConstraints(const Row& row, const ScanRequest& req) {
-  for (const auto& [col, val] : req.equals) {
-    if (row[static_cast<size_t>(col)].Compare(val) != 0) return false;
-  }
-  if (req.range_col >= 0) {
-    const Value& v = row[static_cast<size_t>(req.range_col)];
-    if (v.is_null()) return false;
-    if (!req.range_lo.is_null() && v.Compare(req.range_lo) < 0) return false;
-    if (!req.range_hi.is_null() && v.Compare(req.range_hi) > 0) return false;
-  }
-  return true;
+  return MatchesConstraintCells(
+      [&row](int col) -> const Value& { return row[static_cast<size_t>(col)]; },
+      req);
 }
 
 namespace {

@@ -40,7 +40,23 @@ Period RowAppPeriod(const Row& row, const TemporalCols& tc);
 bool MatchesTemporal(const Row& row, const TemporalScanSpec& spec,
                      const TemporalCols& tc, int64_t now);
 
-// Non-temporal residual predicates (equality list + range constraint).
+// Non-temporal residual predicates (equality list + range constraint) over
+// the cells `cell(col)` reads.
+template <class Cell>
+bool MatchesConstraintCells(const Cell& cell, const ScanRequest& req) {
+  for (const auto& [col, val] : req.equals) {
+    if (cell(col).Compare(val) != 0) return false;
+  }
+  if (req.range_col >= 0) {
+    const auto& v = cell(req.range_col);
+    if (v.is_null()) return false;
+    if (!req.range_lo.is_null() && v.Compare(req.range_lo) < 0) return false;
+    if (!req.range_hi.is_null() && v.Compare(req.range_hi) > 0) return false;
+  }
+  return true;
+}
+
+// The same over a scan-schema row.
 bool MatchesConstraints(const Row& row, const ScanRequest& req);
 
 class HashIndex;

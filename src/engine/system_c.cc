@@ -1,6 +1,7 @@
 #include "engine/system_c.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace bih {
 
@@ -123,7 +124,8 @@ namespace {
 // NULL begin is the beginning of time and a NULL end is forever, as in
 // RowSystemPeriod/RowAppPeriod), so a version the selectors reject never
 // builds a Value. Equality and range constraints keep the Value path over
-// the cells they read. Thread-safe for concurrent morsels (pure reads).
+// the cells they read, which go into no emitted row. Thread-safe for
+// concurrent morsels (pure reads).
 class VersionFilter {
  public:
   VersionFilter(const ColumnTable& part, const ScanRequest& req,
@@ -134,13 +136,11 @@ class VersionFilter {
     app_ = tc.app_begin >= 0 &&
            spec.app_time.kind != TemporalSelector::Kind::kImplicitCurrent &&
            spec.app_time.kind != TemporalSelector::Kind::kAll;
-    for (const auto& [c, v] : req.equals) constraint_cols_.push_back(c);
-    if (req.range_col >= 0) constraint_cols_.push_back(req.range_col);
+    constrained_ = !req.equals.empty() || req.range_col >= 0;
   }
 
-  // True when slot `rid` qualifies. The constraint cells are fetched into
-  // `scratch`, widened to the scan schema.
-  bool Matches(RowId rid, Row* scratch) const {
+  // True when slot `rid` qualifies.
+  bool Matches(RowId rid) const {
     if (sys_ && !req_.temporal.system_time.Matches(
                     PeriodAt(rid, tc_.sys_from, tc_.sys_to), now_)) {
       return false;
@@ -149,12 +149,9 @@ class VersionFilter {
                     PeriodAt(rid, tc_.app_begin, tc_.app_end), now_)) {
       return false;
     }
-    if (constraint_cols_.empty()) return true;
-    scratch->resize(static_cast<size_t>(part_.schema().num_columns()));
-    for (int c : constraint_cols_) {
-      (*scratch)[static_cast<size_t>(c)] = part_.Get(rid, c);
-    }
-    return MatchesConstraints(*scratch, req_);
+    return !constrained_ ||
+           MatchesConstraintCells(
+               [this, rid](int col) { return part_.Get(rid, col); }, req_);
   }
 
  private:
@@ -174,7 +171,7 @@ class VersionFilter {
   const int64_t now_;
   bool sys_ = false;
   bool app_ = false;
-  std::vector<int> constraint_cols_;
+  bool constrained_ = false;
 };
 
 }  // namespace
@@ -185,22 +182,14 @@ void SystemCEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
   const TemporalCols& tc = scan.tc();
   const int ncols = t.scan_schema.num_columns();
 
-  // Columns an emitted row carries: the ones predicates read, and the
-  // projection with the system-time pair (every column when unprojected).
-  // Only qualifying versions fetch them — the column store's advantage.
-  std::vector<uint8_t> fetched(static_cast<size_t>(ncols), 0);
-  if (req.projection.empty()) {
-    std::fill(fetched.begin(), fetched.end(), 1);
-  } else {
-    for (int c : req.projection) fetched[static_cast<size_t>(c)] = 1;
-    fetched[static_cast<size_t>(tc.sys_from)] = 1;
-    fetched[static_cast<size_t>(tc.sys_to)] = 1;
-    if (tc.app_begin >= 0) {
-      fetched[static_cast<size_t>(tc.app_begin)] = 1;
-      fetched[static_cast<size_t>(tc.app_end)] = 1;
-    }
-    for (const auto& [c, v] : req.equals) fetched[static_cast<size_t>(c)] = 1;
-    if (req.range_col >= 0) fetched[static_cast<size_t>(req.range_col)] = 1;
+  // Columns an emitted row carries: the projection (every column when
+  // unprojected). The period and constraint cells the filter tested are
+  // not fetched again unless projected. Only qualifying versions fetch
+  // them — the column store's advantage.
+  std::vector<int> fetched = req.projection;
+  if (fetched.empty()) {
+    fetched.resize(static_cast<size_t>(ncols));
+    std::iota(fetched.begin(), fetched.end(), 0);
   }
 
   // Delta, main and history are scanned alike: versions qualify on their
@@ -211,15 +200,11 @@ void SystemCEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
     const VersionFilter filter(part, req, tc, scan.now());
     scan.ScanSlots(
         part.SlotCount(), [&part](uint64_t rid) { return part.IsLive(rid); },
-        [&filter](uint64_t rid, Row* scratch) {
-          return filter.Matches(rid, scratch);
-        },
+        [&filter](uint64_t rid, Row*) { return filter.Matches(rid); },
         [&](uint64_t rid, Row* row) -> const Row& {
           row->resize(static_cast<size_t>(ncols));
-          for (int c = 0; c < ncols; ++c) {
-            if (fetched[static_cast<size_t>(c)]) {
-              (*row)[static_cast<size_t>(c)] = part.Get(rid, c);
-            }
+          for (int c : fetched) {
+            (*row)[static_cast<size_t>(c)] = part.Get(rid, c);
           }
           return *row;
         });

@@ -12,7 +12,8 @@ std::string OptimizerReport::ToString() const {
   return "pushed=" + std::to_string(predicates_pushed) +
          " folded=" + std::to_string(conjuncts_folded) +
          " temporal=" + std::to_string(temporal_rewrites) +
-         " pruned=" + std::to_string(scans_pruned);
+         " pruned=" + std::to_string(scans_pruned) +
+         " build_left=" + std::to_string(builds_left);
 }
 
 namespace {
@@ -467,6 +468,80 @@ void PruneColumns(PlanNode& n, const Demand& demand,
   }
 }
 
+// ---- Rule 5: hash-join build side --------------------------------------
+
+// The first node at or below `n` that is not a Filter or Project.
+PlanNode* BelowFilterProject(PlanNode* n) {
+  while (n->kind == PlanNode::Kind::kFilter ||
+         n->kind == PlanNode::Kind::kProject) {
+    n = n->children[0].get();
+  }
+  return n;
+}
+
+// Versions `table` stores: current, history and pending undo. The total
+// is the same on every engine holding the same data, so the build side
+// does not depend on the architecture.
+size_t StoredVersions(const TemporalEngine& engine, const std::string& table) {
+  const TableStats s = engine.GetTableStats(table);
+  return s.current_rows + s.history_rows + s.pending_undo;
+}
+
+// True when `sort` orders on every group column of an Aggregate with
+// `groups` of them: a bare Col(g) key for each g. Distinct groups then
+// never tie, so the sorted order does not depend on the order the
+// Aggregate found its groups in.
+bool SortsOnGroups(const PlanNode* sort, size_t groups) {
+  if (sort == nullptr) return false;
+  for (size_t g = 0; g < groups; ++g) {
+    bool keyed = false;
+    for (const SortSpec& k : sort->sort_keys) {
+      keyed |= IsCol(k.key) && k.key->column() == static_cast<int>(g);
+    }
+    if (!keyed) return false;
+  }
+  return true;
+}
+
+// Builds an inner hash join on its left input when the two inputs are
+// scans (under Filter/Project) and the left table stores fewer versions.
+void ChooseBuildSide(PlanNode& join, const TemporalEngine& engine,
+                     OptimizerReport* rep) {
+  if (join.join_type != JoinType::kInner) return;
+  const PlanNode* left = BelowFilterProject(join.children[0].get());
+  const PlanNode* right = BelowFilterProject(join.children[1].get());
+  if (left->kind != PlanNode::Kind::kScan ||
+      right->kind != PlanNode::Kind::kScan ||
+      !engine.HasTable(left->scan.table) ||
+      !engine.HasTable(right->scan.table)) {
+    return;
+  }
+  if (StoredVersions(engine, left->scan.table) <
+      StoredVersions(engine, right->scan.table)) {
+    join.build_left = true;
+    ++rep->builds_left;
+  }
+}
+
+// Walks the tree for hash joins whose row order nothing observes: a join
+// feeding an Aggregate through Filter/Project only, where the Aggregate is
+// ungrouped or under a Sort (through Filters) on all of its group columns.
+// `sort` is that Sort for the nodes a Sort reaches through Filters only.
+void ChooseBuildSides(PlanNode& n, const PlanNode* sort,
+                      const TemporalEngine& engine, OptimizerReport* rep) {
+  if (n.kind == PlanNode::Kind::kAggregate &&
+      (n.group_cols.empty() || SortsOnGroups(sort, n.group_cols.size()))) {
+    PlanNode* input = BelowFilterProject(n.children[0].get());
+    if (input->kind == PlanNode::Kind::kHashJoin) {
+      ChooseBuildSide(*input, engine, rep);
+    }
+  }
+  const PlanNode* below = n.kind == PlanNode::Kind::kSort     ? &n
+                          : n.kind == PlanNode::Kind::kFilter ? sort
+                                                               : nullptr;
+  for (PlanPtr& c : n.children) ChooseBuildSides(*c, below, engine, rep);
+}
+
 }  // namespace
 
 void OptimizePlan(PlanPtr* plan, const TemporalEngine& engine,
@@ -476,6 +551,7 @@ void OptimizePlan(PlanPtr* plan, const TemporalEngine& engine,
   PushDownFilters(plan, engine, rep);
   FoldFilterIntoScan(plan, engine, rep);
   PruneColumns(**plan, Demand::All(), engine, rep);
+  ChooseBuildSides(**plan, /*sort=*/nullptr, engine, rep);
 }
 
 }  // namespace bih

@@ -8,9 +8,11 @@
 namespace bih {
 
 // Rule-based plan rewriter. Every rule preserves the observable result of
-// the tree (the rows Execute materializes at the root, in order); what the
-// rules change is how much of the version space the engines touch, which is
-// exactly the axis the paper's Section 5 measures. Three rewrites:
+// the tree (the rows Execute materializes at the root, in order), with one
+// stated exception below; what the rules change is how much of the version
+// space the engines touch, which is exactly the axis the paper's Section 5
+// measures. Four rewrites (rules 1-5 in optimizer.cc; scan folding is
+// rules 2 and 3):
 //
 //  * Predicate pushdown: AND-conjuncts of a Filter sitting on a join move
 //    below the join when they reference only one side (right-side column
@@ -29,10 +31,28 @@ namespace bih {
 //    partition pruning until it is recognized as one.
 //  * Column pruning: each Scan is told which columns the tree above it
 //    actually consumes (ScanRequest::projection). Row width is unchanged —
-//    column stores simply skip materializing dead attributes. Each join
-//    records the same demand for its own output (PlanNode::emit): a hash
-//    join's build side keeps, and every join's row assembly writes, only
-//    the cells read above it, and the other cells stay NULL.
+//    column stores materialize only the projected cells and leave the
+//    others NULL. Each join records the same demand for its own output
+//    (PlanNode::emit): a hash join's build side keeps, and every join's row
+//    assembly writes, only the cells read above it, and the other cells
+//    stay NULL.
+//  * Build side: an inner hash join whose two inputs are Scans (under
+//    Filter/Project only) builds its hash table on the left input
+//    (PlanNode::build_left) when the left table stores fewer versions —
+//    current + history + pending undo, the same total on every engine —
+//    than the right (Shapiro, TODS 1986). The joined rows keep their
+//    layout but come out in probe (right-input) order, so the rule fires
+//    only where that order cannot be observed: the join feeds an Aggregate
+//    through Filter/Project only, and the Aggregate is ungrouped or sits
+//    under a Sort (through Filters only) keyed on all of its group columns.
+//    DISTINCT, ungrouped-order GROUP BY (no covering ORDER BY), left outer
+//    joins and joins under anything else keep the right input as build
+//    side. The exception to result preservation: the Aggregate folds its
+//    rows in the other order, so a SUM or AVG over doubles may differ in
+//    the last bits from the right-build plan (COUNT, MIN, MAX, COUNT
+//    DISTINCT, the groups and their final order do not change).
+//    Execution at any thread count stays byte-identical to serial
+//    execution of the same plan.
 //
 // The optimizer needs the engine only for schema arity (column counts,
 // period column positions); it never executes anything.
@@ -42,6 +62,7 @@ struct OptimizerReport {
   int conjuncts_folded = 0;    // conjuncts absorbed into equals/range
   int temporal_rewrites = 0;   // visibility filters folded into selectors
   int scans_pruned = 0;        // scans given a projection list
+  int builds_left = 0;         // hash joins set to build their left input
 
   std::string ToString() const;
 };

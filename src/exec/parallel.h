@@ -69,8 +69,10 @@ void SetDefaultScanThreads(int threads);
 // Qualifying slots of one morsel, ascending. `examined_at[j]` is the number
 // of rows the morsel had examined when slot rids[j] qualified, so a consumer
 // that stops at rids[j] can reconstruct the exact rows_examined count the
-// serial scan would have reported at that point.
-struct MorselOutput {
+// serial scan would have reported at that point. Cache-line aligned:
+// neighbouring morsels of a job are usually scanned at the same time by
+// different threads, and a morsel's body updates its output per row.
+struct alignas(64) MorselOutput {
   std::vector<uint64_t> rids;
   std::vector<uint64_t> examined_at;
   uint64_t rows_examined = 0;

@@ -180,22 +180,49 @@ struct RowKeyEq {
   }
 };
 
-// The scratch-row helpers below assign cell by cell into the previous
-// row's slots: the row keeps its storage and same-typed cells are simply
-// overwritten, where rebuilding the row would destroy and re-create them.
+// The cell accessor of the key in `row`'s `cols`, for the key tables below.
+auto RowCells(const Row& row, const std::vector<int>& cols) {
+  return [&row, &cols](size_t i) -> const Value& {
+    return row[static_cast<size_t>(cols[i])];
+  };
+}
 
-// Overwrites *key with the `cols` columns of `row`: a group key, in which
-// NULL is an ordinary value.
-void KeyInto(const Row& row, const std::vector<int>& cols, Row* key) {
-  key->resize(cols.size());
-  for (size_t i = 0; i < cols.size(); ++i) {
-    (*key)[i] = row[static_cast<size_t>(cols[i])];
+// HashRowKey of the `width` cells at `key`.
+size_t HashCells(const Value* key, size_t width) {
+  size_t h = 0x345678;
+  for (size_t i = 0; i < width; ++i) h = h * 1000003ULL ^ key[i].Hash();
+  return h;
+}
+
+// A hash join's build input (the child index) and the key columns of its
+// build and probe rows: the right input unless PlanNode::build_left.
+size_t BuildChild(const PlanNode& join) { return join.build_left ? 0 : 1; }
+const std::vector<int>& BuildKeys(const PlanNode& join) {
+  return join.build_left ? join.left_keys : join.right_keys;
+}
+const std::vector<int>& ProbeKeys(const PlanNode& join) {
+  return join.build_left ? join.right_keys : join.left_keys;
+}
+
+// The left-input columns a joined row of `join` carries when the left rows
+// are `left_width` wide, ascending.
+std::vector<int> LeftCols(const PlanNode& join, size_t left_width) {
+  std::vector<int> cols;
+  if (!join.emit.has_value()) {
+    cols.resize(left_width);
+    std::iota(cols.begin(), cols.end(), 0);
+    return cols;
   }
+  for (int c : *join.emit) {
+    if (static_cast<size_t>(c) < std::min(left_width, join.left_width)) {
+      cols.push_back(c);
+    }
+  }
+  return cols;
 }
 
 // The right-input columns a joined row of `join` carries when the right
-// rows are `right_width` wide, ascending: the layout of a hash join's build
-// payload.
+// rows are `right_width` wide, ascending.
 std::vector<int> RightCols(const PlanNode& join, size_t right_width) {
   std::vector<int> cols;
   if (!join.emit.has_value()) {
@@ -212,6 +239,12 @@ std::vector<int> RightCols(const PlanNode& join, size_t right_width) {
   return cols;
 }
 
+// The build-input columns a hash join's joined rows carry when the build
+// rows are `width` wide: the layout of its build payload.
+std::vector<int> BuildCols(const PlanNode& join, size_t width) {
+  return join.build_left ? LeftCols(join, width) : RightCols(join, width);
+}
+
 // Assembles a join's output rows in one scratch row, writing only the
 // cells the tree above reads (PlanNode::emit; every cell when unset). A
 // cell outside the demand is never written, so it keeps the NULL it got
@@ -224,23 +257,34 @@ class JoinAssembler {
   // Starts the joined rows of left row `l` with `right_width`-wide right
   // rows: writes l's cells.
   void Left(const Row& l, size_t right_width) {
-    if (!bound_ || l.size() != lw_ || right_width != rw_) {
-      Bind(l.size(), right_width);
-    }
+    Size(l.size(), right_width);
     for (int c : left_cols_) {
       row_[static_cast<size_t>(c)] = l[static_cast<size_t>(c)];
-    }
-  }
-  // Writes the right cells: `cells` holds them in RightCols order.
-  void Right(const Value* cells) {
-    for (size_t j = 0; j < right_cols_.size(); ++j) {
-      row_[lw_ + static_cast<size_t>(right_cols_[j])] = cells[j];
     }
   }
   // Writes the right cells from a whole right row.
   void Right(const Row& r) {
     for (int c : right_cols_) {
       row_[lw_ + static_cast<size_t>(c)] = r[static_cast<size_t>(c)];
+    }
+  }
+  // Starts the joined rows of hash-join probe row `p` with `build_width`-
+  // wide build rows: writes p's cells on its side of the layout.
+  void Probe(const Row& p, size_t build_width) {
+    if (!join_.build_left) {
+      Left(p, build_width);
+      return;
+    }
+    Size(build_width, p.size());
+    Right(p);
+  }
+  // Writes one match's build cells: `cells` holds them in BuildCols order.
+  void Build(const Value* cells) {
+    const std::vector<int>& cols =
+        join_.build_left ? left_cols_ : right_cols_;
+    const size_t base = join_.build_left ? 0 : lw_;
+    for (size_t j = 0; j < cols.size(); ++j) {
+      row_[base + static_cast<size_t>(cols[j])] = cells[j];
     }
   }
   // NULLs in place of the right cells (the unmatched side of a left outer
@@ -254,21 +298,13 @@ class JoinAssembler {
   const Row& row() const { return row_; }
 
  private:
-  void Bind(size_t lw, size_t rw) {
+  // Lays the row out for `lw`-wide left and `rw`-wide right rows.
+  void Size(size_t lw, size_t rw) {
+    if (bound_ && lw == lw_ && rw == rw_) return;
     bound_ = true;
     lw_ = lw;
     rw_ = rw;
-    left_cols_.clear();
-    if (!join_.emit.has_value()) {
-      left_cols_.resize(lw);
-      std::iota(left_cols_.begin(), left_cols_.end(), 0);
-    } else {
-      for (int c : *join_.emit) {
-        if (static_cast<size_t>(c) < std::min(lw, join_.left_width)) {
-          left_cols_.push_back(c);
-        }
-      }
-    }
+    left_cols_ = LeftCols(join_, lw);
     right_cols_ = RightCols(join_, rw);
     row_.assign(lw + rw, Value::Null());
   }
@@ -457,7 +493,98 @@ Rows MergeJoinKernel(const Rows& left, const Rows& right, const PlanNode& n,
   return out;
 }
 
-// Running state of one aggregate in one group.
+// Dense ids for distinct keys of `width` cells, numbered in first-insert
+// order. Keys are matched by cached hash (HashRowKey's), then
+// Value::Compare equality, over open addressing, and their cells live in
+// one flat array — no allocation per key. `cell(i)` reads cell i of the key
+// a call asks about.
+class KeyIds {
+ public:
+  static constexpr size_t kEnd = static_cast<size_t>(-1);
+
+  explicit KeyIds(size_t width) : width_(width) {}
+
+  size_t size() const { return size_; }
+  size_t width() const { return width_; }
+  const Value* key(size_t id) const {
+    return key_cells_.data() + id * width_;
+  }
+
+  // Forgets every key, keeping the arrays' capacity.
+  void Clear() {
+    size_ = 0;
+    key_cells_.clear();
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+  }
+
+  // The id of the key hashing to `hash`, or kEnd.
+  template <class Cell>
+  size_t Find(size_t hash, const Cell& cell) const {
+    return slots_.empty() ? kEnd : slots_[Probe(hash, cell)].id;
+  }
+
+  // The id of the key hashing to `hash`, numbering it next when new.
+  template <class Cell>
+  size_t Intern(size_t hash, const Cell& cell) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    Slot& slot = slots_[Probe(hash, cell)];
+    if (slot.id == kEnd) {
+      slot = Slot{hash, size_++};
+      for (size_t i = 0; i < width_; ++i) key_cells_.push_back(cell(i));
+    }
+    return slot.id;
+  }
+
+ private:
+  struct Slot {
+    size_t hash = 0;
+    size_t id = kEnd;  // kEnd for an empty slot
+  };
+
+  size_t Home(size_t hash) const {
+    return (hash * 0x9e3779b97f4a7c15ULL) >> shift_;
+  }
+
+  // The slot holding the key, or the empty slot where it would go.
+  template <class Cell>
+  size_t Probe(size_t hash, const Cell& cell) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = Home(hash);; s = (s + 1) & mask) {
+      const Slot& slot = slots_[s];
+      if (slot.id == kEnd) return s;
+      if (slot.hash != hash) continue;
+      const Value* key = this->key(slot.id);
+      bool same = true;
+      for (size_t i = 0; i < width_ && same; ++i) {
+        same = cell(i).Compare(key[i]) == 0;
+      }
+      if (same) return s;
+    }
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+    shift_ = 64;
+    for (size_t n = slots_.size(); n > 1; n >>= 1) --shift_;
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kEnd) continue;
+      size_t s = Home(slot.hash);
+      while (slots_[s].id != kEnd) s = (s + 1) & mask;
+      slots_[s] = slot;
+    }
+  }
+
+  size_t width_;
+  size_t size_ = 0;
+  std::vector<Slot> slots_;  // a power of two, at most half full
+  int shift_ = 64;
+  std::vector<Value> key_cells_;  // width_ cells per key
+};
+
+// Running state of one aggregate in one group. In a morsel's partial, SUM
+// and AVG keep no sum here: their addends go to the morsel's addend log.
 struct AggState {
   double sum = 0.0;
   int64_t count = 0;
@@ -471,102 +598,131 @@ struct AggState {
   }
 };
 
-// Per-morsel aggregation partial. Floating-point addition is not
-// associative, so kSum/kAvg partials keep the evaluated addends in row
-// order instead of a partial sum; the coordinator folds them group by
-// group in morsel order, which is exactly the serial per-group addition
-// sequence — that is what makes the parallel aggregate byte-identical,
-// not merely numerically close.
-struct AggPartial {
-  int64_t count = 0;
-  bool has = false;
-  Value min, max;
-  std::set<std::string> distinct;
-  std::vector<double> addends;
-
-  void AddNumber(double v) { addends.push_back(v); }
-};
-
-// Groups in first-seen order, each with one State per aggregate.
-template <class State>
+// Groups in first-seen order, each with one AggState per aggregate: the
+// keys in one flat array (KeyIds) and the states in one vector, so a new
+// group allocates nothing of its own. NULL is an ordinary key value.
 class GroupTable {
  public:
-  explicit GroupTable(size_t num_aggs) : num_aggs_(num_aggs) {}
+  GroupTable(size_t width, size_t num_aggs) : ids_(width), num_aggs_(num_aggs) {}
 
-  std::vector<State>& Find(const Row& key) {
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      it = index_.emplace(key, keys_.size()).first;
-      keys_.push_back(key);
-      states_.emplace_back(num_aggs_);
+  // The group whose key is `row`'s `cols`, added when new.
+  size_t Find(const Row& row, const std::vector<int>& cols) {
+    return Add(ids_.Intern(HashRowKey(row, cols), RowCells(row, cols)));
+  }
+  // The group whose key is the width() cells at `key`, added when new.
+  size_t Find(const Value* key) {
+    return Add(ids_.Intern(HashCells(key, ids_.width()),
+                           [key](size_t i) -> const Value& { return key[i]; }));
+  }
+  // True when `row`'s `cols` hold group g's key.
+  bool Holds(size_t g, const Row& row, const std::vector<int>& cols) const {
+    const Value* key = ids_.key(g);
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (row[static_cast<size_t>(cols[i])].Compare(key[i]) != 0) return false;
     }
-    return states_[it->second];
+    return true;
   }
 
-  size_t size() const { return keys_.size(); }
-  const Row& key(size_t g) const { return keys_[g]; }
-  const std::vector<State>& states(size_t g) const { return states_[g]; }
+  // Forgets every group, keeping the arrays' capacity.
+  void Clear() {
+    ids_.Clear();
+    states_.clear();
+  }
+
+  size_t size() const { return ids_.size(); }
+  const Value* key(size_t g) const { return ids_.key(g); }
+  size_t width() const { return ids_.width(); }
+  // Group g's states, one per aggregate; valid until the next Find.
+  AggState* states(size_t g) { return states_.data() + g * num_aggs_; }
+  const AggState* states(size_t g) const {
+    return states_.data() + g * num_aggs_;
+  }
 
  private:
+  size_t Add(size_t g) {
+    states_.resize(ids_.size() * num_aggs_);
+    return g;
+  }
+
+  KeyIds ids_;
   size_t num_aggs_;
-  std::unordered_map<Row, size_t, RowKeyHash, RowKeyEq> index_;
-  std::vector<Row> keys_;
-  std::vector<std::vector<State>> states_;
+  std::vector<AggState> states_;
 };
 
-// Folds one input row into its group's states.
-template <class State>
-void FoldRow(const Row& row, const std::vector<AggSpec>& aggs,
-             std::vector<State>* st) {
+// Folds one input row into `st`, one state per aggregate. A SUM or AVG
+// addend goes to `add(i, v)` for aggregate i. A bare-column argument is read
+// in place; other arguments are evaluated into a temporary.
+template <class Add>
+void FoldRow(const Row& row, const std::vector<AggSpec>& aggs, AggState* st,
+             const Add& add) {
   for (size_t i = 0; i < aggs.size(); ++i) {
     const AggSpec& a = aggs[i];
-    State& s = (*st)[i];
+    AggState& s = st[i];
     if (a.kind == AggKind::kCount && a.expr == nullptr) {
       ++s.count;
       continue;
     }
-    Value v = a.expr->Eval(row);
-    if (v.is_null()) continue;  // SQL aggregates skip NULLs
+    Value tmp;
+    const Value* v;
+    if (a.expr->op() == Expr::Op::kColumn) {
+      v = &row[static_cast<size_t>(a.expr->column())];
+    } else {
+      tmp = a.expr->Eval(row);
+      v = &tmp;
+    }
+    if (v->is_null()) continue;  // SQL aggregates skip NULLs
     switch (a.kind) {
       case AggKind::kSum:
       case AggKind::kAvg:
-        s.AddNumber(v.AsDouble());
+        add(i, v->AsDouble());
         break;
       case AggKind::kCount:
         ++s.count;
         break;
       case AggKind::kMin:
-        if (!s.has || v.Compare(s.min) < 0) s.min = v;
+        if (!s.has || v->Compare(s.min) < 0) s.min = *v;
         s.has = true;
         break;
       case AggKind::kMax:
-        if (!s.has || v.Compare(s.max) > 0) s.max = v;
+        if (!s.has || v->Compare(s.max) > 0) s.max = *v;
         s.has = true;
         break;
       case AggKind::kCountDistinct:
-        s.distinct.insert(v.ToString());
+        s.distinct.insert(v->ToString());
         break;
     }
   }
 }
 
-// Folds one morsel's partial into the final groups. Merging the partials
-// in morsel order makes the group discovery order the serial first-seen
-// order, and each group's addends fold in the serial row order.
-void MergePartial(const GroupTable<AggPartial>& part,
-                  const std::vector<AggSpec>& aggs,
-                  GroupTable<AggState>* groups) {
+// One SUM/AVG addend of a morsel's partial: aggregate `agg` of the
+// partial's group `group`.
+struct Addend {
+  uint32_t group;
+  uint32_t agg;
+  double value;
+};
+
+// Folds one morsel's partial — its groups and its addend log, in row
+// order — into the final groups. Floating-point addition is not
+// associative, so a partial keeps the addends instead of a partial sum.
+// Merging the partials in morsel order makes the group discovery order the
+// serial first-seen order, and replaying each log in order adds every
+// group's addends in the serial row order: the result is byte-identical,
+// not merely numerically close.
+void MergePartial(const GroupTable& part, const std::vector<Addend>& addends,
+                  const std::vector<AggSpec>& aggs, GroupTable* groups) {
+  std::vector<size_t> to(part.size());
   for (size_t g = 0; g < part.size(); ++g) {
-    std::vector<AggState>& st = groups->Find(part.key(g));
-    const std::vector<AggPartial>& ps = part.states(g);
+    to[g] = groups->Find(part.key(g));
+    const AggState* ps = part.states(g);
+    AggState* st = groups->states(to[g]);
     for (size_t i = 0; i < aggs.size(); ++i) {
-      const AggPartial& p = ps[i];
+      const AggState& p = ps[i];
       AggState& s = st[i];
       switch (aggs[i].kind) {
         case AggKind::kSum:
         case AggKind::kAvg:
-          for (double a : p.addends) s.AddNumber(a);
-          break;
+          break;  // in the addend log
         case AggKind::kCount:
           s.count += p.count;
           break;
@@ -584,13 +740,16 @@ void MergePartial(const GroupTable<AggPartial>& part,
       }
     }
   }
+  for (const Addend& a : addends) {
+    groups->states(to[a.group])[a.agg].AddNumber(a.value);
+  }
 }
 
 // Output row of group `g`: its key columns, then one value per aggregate.
-void FinishGroup(const GroupTable<AggState>& groups, size_t g,
+void FinishGroup(const GroupTable& groups, size_t g,
                  const std::vector<AggSpec>& aggs, Row* r) {
-  *r = groups.key(g);
-  const std::vector<AggState>& st = groups.states(g);
+  r->assign(groups.key(g), groups.key(g) + groups.width());
+  const AggState* st = groups.states(g);
   for (size_t i = 0; i < aggs.size(); ++i) {
     const AggState& s = st[i];
     switch (aggs[i].kind) {
@@ -665,16 +824,16 @@ Rows SortKernel(Rows in, const std::vector<SortSpec>& keys,
 // which is the serial row order.
 
 // The key table of a hash join's build side. Build rows are numbered in
-// the order they arrive; each distinct non-NULL key names the chain of its
-// rows (first and last; Next() links the rest in build order), and each
-// row carries a pointer to its payload cells beside its link, so a probe's
-// walk down a chain reads one array. Keys are
-// matched by cached hash, then Value::Compare equality, over open
-// addressing, and their cells live in one flat array — no allocation per
-// key or per row.
+// the order they arrive; each distinct non-NULL key (a KeyIds id) names the
+// chain of its rows (first and last; Next() links the rest in build order),
+// and each row carries a pointer to its payload cells beside its link, so a
+// probe's walk down a chain reads one array. No allocation per key or per
+// row.
 class JoinKeyTable {
  public:
-  static constexpr size_t kEnd = static_cast<size_t>(-1);
+  static constexpr size_t kEnd = KeyIds::kEnd;
+
+  explicit JoinKeyTable(size_t width) : ids_(width) {}
 
   // Numbers the next build row, whose payload is at `cells`, and chains it
   // under the key in `row`'s `cols`. Returns false, keeping nothing, when a
@@ -682,31 +841,23 @@ class JoinKeyTable {
   bool Insert(const Row& row, const std::vector<int>& cols,
               const Value* cells) {
     if (HasNull(row, cols)) return false;
-    InsertAt(HashRowKey(row, cols), cols.size(), cells,
-             [&](size_t i) -> const Value& {
-               return row[static_cast<size_t>(cols[i])];
-             });
+    Chain(ids_.Intern(HashRowKey(row, cols), RowCells(row, cols)), cells);
     return true;
   }
 
-  // Insert for a key a morsel already gathered: its `width` non-NULL cells
-  // and their HashRowKey hash.
-  void InsertHashed(const Value* key, size_t width, size_t hash,
-                    const Value* cells) {
-    InsertAt(hash, width, cells,
-             [key](size_t i) -> const Value& { return key[i]; });
+  // Insert for a key a morsel already gathered: its non-NULL cells and
+  // their HashRowKey hash.
+  void InsertHashed(const Value* key, size_t hash, const Value* cells) {
+    Chain(ids_.Intern(hash, [key](size_t i) -> const Value& { return key[i]; }),
+          cells);
   }
 
   // The first build row whose key equals the one in `row`'s `cols`, or
   // kEnd.
   size_t Find(const Row& row, const std::vector<int>& cols) const {
-    if (slots_.empty() || HasNull(row, cols)) return kEnd;
-    const Slot& slot =
-        slots_[Probe(HashRowKey(row, cols), cols.size(),
-                     [&](size_t i) -> const Value& {
-                       return row[static_cast<size_t>(cols[i])];
-                     })];
-    return slot.key == kEnd ? kEnd : chains_[slot.key].head;
+    if (ids_.size() == 0 || HasNull(row, cols)) return kEnd;
+    const size_t key = ids_.Find(HashRowKey(row, cols), RowCells(row, cols));
+    return key == kEnd ? kEnd : chains_[key].head;
   }
 
   // The build row after `id` with the same key, or kEnd.
@@ -716,11 +867,7 @@ class JoinKeyTable {
   const Value* Cells(size_t id) const { return links_[id].cells; }
 
  private:
-  struct Slot {
-    size_t hash = 0;
-    size_t key = kEnd;  // index into chains_; kEnd for an empty slot
-  };
-  struct Chain {
+  struct ChainEnds {
     size_t head;
     size_t tail;
   };
@@ -736,66 +883,21 @@ class JoinKeyTable {
     return false;
   }
 
-  size_t Home(size_t hash) const {
-    return (hash * 0x9e3779b97f4a7c15ULL) >> shift_;
-  }
-
-  // Chains the next build row under the `width`-cell key `cell(i)`.
-  template <class Cell>
-  void InsertAt(size_t hash, size_t width, const Value* cells,
-                const Cell& cell) {
-    if (2 * (chains_.size() + 1) > slots_.size()) Grow();
-    Slot& slot = slots_[Probe(hash, width, cell)];
+  // Chains the next build row under key `key`.
+  void Chain(size_t key, const Value* cells) {
     const size_t id = links_.size();
     links_.push_back(Link{kEnd, cells});
-    if (slot.key == kEnd) {
-      slot = Slot{hash, chains_.size()};
-      chains_.push_back(Chain{id, id});
-      for (size_t i = 0; i < width; ++i) key_cells_.push_back(cell(i));
+    if (key == chains_.size()) {
+      chains_.push_back(ChainEnds{id, id});
     } else {
-      Chain& chain = chains_[slot.key];
-      links_[chain.tail].next = id;
-      chain.tail = id;
+      links_[chains_[key].tail].next = id;
+      chains_[key].tail = id;
     }
   }
 
-  // The slot holding the `width`-cell key `cell(i)`, or the empty slot
-  // where it would go.
-  template <class Cell>
-  size_t Probe(size_t hash, size_t width, const Cell& cell) const {
-    const size_t mask = slots_.size() - 1;
-    for (size_t s = Home(hash);; s = (s + 1) & mask) {
-      const Slot& slot = slots_[s];
-      if (slot.key == kEnd) return s;
-      if (slot.hash != hash) continue;
-      const Value* key = key_cells_.data() + slot.key * width;
-      bool same = true;
-      for (size_t i = 0; i < width && same; ++i) {
-        same = cell(i).Compare(key[i]) == 0;
-      }
-      if (same) return s;
-    }
-  }
-
-  void Grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
-    shift_ = 64;
-    for (size_t n = slots_.size(); n > 1; n >>= 1) --shift_;
-    const size_t mask = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.key == kEnd) continue;
-      size_t s = Home(slot.hash);
-      while (slots_[s].key != kEnd) s = (s + 1) & mask;
-      slots_[s] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;  // a power of two, at most half full
-  int shift_ = 64;
-  std::vector<Chain> chains_;
-  std::vector<Value> key_cells_;  // cols.size() cells per distinct key
-  std::vector<Link> links_;
+  KeyIds ids_;
+  std::vector<ChainEnds> chains_;  // per key id
+  std::vector<Link> links_;        // per build row
 };
 
 bool IsPipelineBreaker(PlanNode::Kind kind) {
@@ -804,7 +906,7 @@ bool IsPipelineBreaker(PlanNode::Kind kind) {
 }
 
 // A hash join's finished build side: the key table, and per kept row the
-// cells its joined rows carry (RightCols of the build rows' width). The
+// cells its joined rows carry (BuildCols of the build rows' width). The
 // cells live in chunks that never reallocate, so a row's cells stay where
 // they were first written and a morsel's cells join the build by moving
 // its buffer in whole. Rows with a NULL key never match and are not kept.
@@ -812,13 +914,14 @@ struct HashBuild {
   // Build rows per chunk filled row by row.
   static constexpr size_t kChunkRows = 1024;
 
-  explicit HashBuild(const PlanNode& n) : join(n), width(n.right_width) {}
+  explicit HashBuild(const PlanNode& n)
+      : join(n), key_cols(BuildKeys(n)), keys(key_cols.size()) {}
 
   // Fixes the cell layout from the build rows' width.
   void Size(size_t w) {
     sized = true;
     width = w;
-    cols = RightCols(join, w);
+    cols = BuildCols(join, w);
   }
 
   // Adds the next build row.
@@ -829,53 +932,77 @@ struct HashBuild {
       chunks.emplace_back().reserve(kChunkRows * cols.size());
     }
     std::vector<Value>& chunk = chunks.back();
-    if (keys.Insert(r, join.right_keys, chunk.data() + chunk.size())) {
+    if (keys.Insert(r, key_cols, chunk.data() + chunk.size())) {
       for (int c : cols) chunk.push_back(r[static_cast<size_t>(c)]);
     }
   }
 
   // Adds the kept rows a morsel gathered, in build order: their key cells
-  // (join.right_keys.size() per row), key hashes and payload cells
-  // (cols.size() per row).
+  // (key_cols.size() per row), key hashes and payload cells (cols.size()
+  // per row).
   void AddGathered(const std::vector<Value>& key_cells,
                    const std::vector<size_t>& hashes,
                    std::vector<Value> cells) {
     chunks.push_back(std::move(cells));
     const Value* row = chunks.back().data();
-    const size_t nk = join.right_keys.size();
+    const size_t nk = key_cols.size();
     for (size_t r = 0; r < hashes.size(); ++r, row += cols.size()) {
-      keys.InsertHashed(key_cells.data() + r * nk, nk, hashes[r], row);
+      keys.InsertHashed(key_cells.data() + r * nk, hashes[r], row);
     }
   }
 
   const PlanNode& join;
+  const std::vector<int>& key_cols;  // of the build rows
   JoinKeyTable keys;
   std::vector<std::vector<Value>> chunks;
   std::vector<int> cols;
-  size_t width;
+  size_t width = 0;  // of the build rows, once sized
   bool sized = false;
 };
 
-// Joins left row `l` against a finished build, handing each joined row to
-// `push` with the key chain's build order; a left outer join pads an
-// unmatched row. Returns false as soon as `push` does.
+// Joins probe row `p` against a finished build, handing each joined row to
+// `push` with the key chain's build order; a left outer join (which always
+// builds right) pads an unmatched row. Returns false as soon as `push`
+// does.
 template <class Push>
 bool ProbeRow(const PlanNode& n, const HashBuild& build, JoinAssembler* join,
-              const Row& l, const Push& push) {
+              const Row& p, const Push& push) {
   bool matched = false;
-  size_t id = build.keys.Find(l, n.left_keys);
-  if (id != JoinKeyTable::kEnd) join->Left(l, build.width);
+  size_t id = build.keys.Find(p, ProbeKeys(n));
+  if (id != JoinKeyTable::kEnd) join->Probe(p, build.width);
   for (; id != JoinKeyTable::kEnd; id = build.keys.Next(id)) {
-    join->Right(build.keys.Cells(id));
+    join->Build(build.keys.Cells(id));
     if (n.predicate != nullptr && !n.predicate->Test(join->row())) continue;
     matched = true;
     if (!push(join->row())) return false;
   }
   if (matched || n.join_type != JoinType::kLeftOuter) return true;
-  join->Left(l, n.right_width);
+  join->Left(p, n.right_width);
   join->Pad();
   return push(join->row());
 }
+
+// Objects handed back for reuse, taken by any thread.
+template <class T>
+class FreeList {
+ public:
+  // A returned object, or null when none is left.
+  std::unique_ptr<T> Take() {
+    MutexLock lock(mu_);
+    if (free_.empty()) return nullptr;
+    std::unique_ptr<T> t = std::move(free_.back());
+    free_.pop_back();
+    return t;
+  }
+  void Put(std::unique_ptr<T> t) {
+    MutexLock lock(mu_);
+    free_.push_back(std::move(t));
+  }
+
+ private:
+  Mutex mu_;
+  std::vector<std::unique_ptr<T>> free_ GUARDED_BY(mu_);
+};
 
 // A morsel pipeline (Leis et al., SIGMOD 2014): the Filter, Project and
 // hash-join probe stages between a source and the breaker they feed — an
@@ -883,11 +1010,12 @@ bool ProbeRow(const PlanNode& n, const HashBuild& build, JoinAssembler* join,
 // produced the slot's rows. A slot is one morsel of a parallel scan
 // partition, one run of rows a scan emitted serially, or one morsel of a
 // materialized input. Each slot owns its stage scratch rows, its per-node
-// row counts and its partial: a GroupTable<AggPartial> for an Aggregate,
-// the gathered keys, hashes and payload cells for a build. The coordinator
-// merges each finished slot into the breaker's state in slot order, which
-// is the serial row order, so the groups, float sums, key chains and
-// counters come out exactly as the serial fold or build makes them.
+// row counts and its partial: a GroupTable and an addend log for an
+// Aggregate, the gathered keys, hashes and payload cells for a build. The
+// coordinator merges each finished slot into the breaker's state in slot
+// order, which is the serial row order, so the groups, float sums, key
+// chains and counters come out exactly as the serial fold or build makes
+// them; the merged slot, cleared, serves a later one.
 class MorselPipeline : public MorselSink {
  public:
   // `source` is the Scan the rows come from (null for a materialized input,
@@ -895,7 +1023,7 @@ class MorselPipeline : public MorselSink {
   // the Aggregate whose `groups` the rows fold into, or the HashJoin whose
   // `build` they are.
   MorselPipeline(const PlanNode* source, std::vector<const PlanNode*> stages,
-                 const PlanNode& aggregate, GroupTable<AggState>* groups)
+                 const PlanNode& aggregate, GroupTable* groups)
       : MorselPipeline(source, std::move(stages), aggregate) {
     groups_ = groups;
   }
@@ -920,17 +1048,20 @@ class MorselPipeline : public MorselSink {
 
   void Consume(uint64_t slot, const Row& row) override {
     std::unique_ptr<Slot>& s = slots_[slot];
-    if (s == nullptr) s = std::make_unique<Slot>(*this);
+    if (s == nullptr) s = TakeSlot();
     ++s->counts[0];
     Feed(*s, 0, row);
   }
 
-  // Merges the slots up to `slot` into the breaker's state and frees them.
+  // Merges the slots up to `slot` into the breaker's state and recycles
+  // them.
   void Finish(uint64_t slot) override {
     for (; merged_ <= slot; ++merged_) {
-      if (slots_[merged_] == nullptr) continue;
-      Merge(*slots_[merged_]);
-      slots_[merged_].reset();
+      std::unique_ptr<Slot>& s = slots_[merged_];
+      if (s == nullptr) continue;
+      Merge(*s);
+      s->Clear();
+      free_.Put(std::move(s));
     }
   }
 
@@ -966,20 +1097,31 @@ class MorselPipeline : public MorselSink {
     explicit Slot(const MorselPipeline& p)
         : counts(p.stages_.size() + 1, 0),
           rows(p.stages_.size()),
-          groups(p.breaker_.aggs.size()) {
+          groups(p.breaker_.group_cols.size(), p.breaker_.aggs.size()) {
       joins.reserve(p.stages_.size());
       for (const PlanNode* n : p.stages_) joins.emplace_back(*n);
+    }
+
+    // Empties the slot for its next morsel; its buffers keep their
+    // capacity.
+    void Clear() {
+      std::fill(counts.begin(), counts.end(), 0);
+      groups.Clear();
+      addends.clear();
+      last = KeyIds::kEnd;
+      hashes.clear();
+      keys.clear();
+      payload.clear();
     }
 
     std::vector<uint64_t> counts;      // rows out of the source, stages
     std::vector<Row> rows;             // per Project stage
     std::vector<JoinAssembler> joins;  // per probe stage
-    // Aggregate breaker: the partial, and the states of the group the
-    // last row folded into, valid until the next Find.
-    GroupTable<AggPartial> groups;
-    Row key;
-    Row last_key;
-    std::vector<AggPartial>* states = nullptr;
+    // Aggregate breaker: the partial's groups, its SUM/AVG addends in row
+    // order, and the group the last row folded into.
+    GroupTable groups;
+    std::vector<Addend> addends;
+    size_t last = KeyIds::kEnd;
     // HashJoin breaker: the kept rows' key cells, hashes and payload cells.
     size_t width = 0;  // of the build rows; 0 until the first one
     std::vector<int> cols;
@@ -987,6 +1129,15 @@ class MorselPipeline : public MorselSink {
     std::vector<Value> keys;
     std::vector<Value> payload;
   };
+
+  // A merged slot, cleared, or a new one. Merged slots are reused rather
+  // than freed: the coordinator merges while the workers fill later slots,
+  // and freeing a slot's buffers there made the workers' next allocations
+  // contend with the frees of memory they had allocated themselves.
+  std::unique_ptr<Slot> TakeSlot() {
+    std::unique_ptr<Slot> s = free_.Take();
+    return s != nullptr ? std::move(s) : std::make_unique<Slot>(*this);
+  }
 
   // Hands `row` to stage `i`, or to the breaker once past the last stage.
   void Feed(Slot& s, size_t i, const Row& row) const {
@@ -1024,21 +1175,25 @@ class MorselPipeline : public MorselSink {
   void Sink(Slot& s, const Row& row) const {
     if (groups_ != nullptr) {
       // Consecutive rows often share a group (every row of an ungrouped
-      // aggregate, the joined rows of one probe row), so the last group's
-      // states serve while its key repeats, without a table lookup.
-      KeyInto(row, breaker_.group_cols, &s.key);
-      if (s.states == nullptr || !RowKeyEq()(s.key, s.last_key)) {
-        s.states = &s.groups.Find(s.key);
-        s.last_key = s.key;
+      // aggregate, the joined rows of one probe row), so the last group
+      // serves while its key repeats, without a table lookup.
+      const std::vector<int>& cols = breaker_.group_cols;
+      if (s.last == KeyIds::kEnd || !s.groups.Holds(s.last, row, cols)) {
+        s.last = s.groups.Find(row, cols);
       }
-      FoldRow(row, breaker_.aggs, s.states);
+      const uint32_t group = static_cast<uint32_t>(s.last);
+      FoldRow(row, breaker_.aggs, s.groups.states(s.last),
+              [&s, group](size_t i, double v) {
+                s.addends.push_back(
+                    Addend{group, static_cast<uint32_t>(i), v});
+              });
       return;
     }
     if (s.width == 0) {
       s.width = row.size();
-      s.cols = RightCols(breaker_, s.width);
+      s.cols = BuildCols(breaker_, s.width);
     }
-    const std::vector<int>& keys = breaker_.right_keys;
+    const std::vector<int>& keys = BuildKeys(breaker_);
     for (int c : keys) {
       if (row[static_cast<size_t>(c)].is_null()) return;  // never matches
     }
@@ -1055,7 +1210,7 @@ class MorselPipeline : public MorselSink {
       stages_[i]->stats.rows_output += s.counts[i + 1];
     }
     if (groups_ != nullptr) {
-      MergePartial(s.groups, breaker_.aggs, groups_);
+      MergePartial(s.groups, s.addends, breaker_.aggs, groups_);
       return;
     }
     if (!build_->sized && s.width != 0) build_->Size(s.width);
@@ -1065,11 +1220,12 @@ class MorselPipeline : public MorselSink {
   const PlanNode* source_;
   std::vector<const PlanNode*> stages_;
   const PlanNode& breaker_;
-  GroupTable<AggState>* groups_ = nullptr;
+  GroupTable* groups_ = nullptr;
   HashBuild* build_ = nullptr;
   std::vector<std::unique_ptr<HashBuild>> builds_;
   std::vector<std::unique_ptr<Slot>> slots_;
   uint64_t merged_ = 0;  // slots before this one are merged
+  FreeList<Slot> free_;
   bool serial_open_ = false;
   uint64_t serial_slot_ = 0;
 };
@@ -1079,7 +1235,7 @@ class MorselPipeline : public MorselSink {
 // tripped first (the groups are then incomplete).
 bool ParallelAggregateKernel(const Rows& in, const PlanNode& agg,
                              QueryContext* ctx, const ParallelScanPlan& plan,
-                             GroupTable<AggState>* groups) {
+                             GroupTable* groups) {
   MorselPipeline pipe(/*source=*/nullptr, {}, agg, groups);
   const uint64_t base = pipe.Reserve(PlanMorselCount(plan, in.size()));
   if (!ParallelMorselRun(plan, in.size(), ctx,
@@ -1113,9 +1269,9 @@ struct Executor {
 
   // The morsel pipeline feeding a breaker whose input is `top`: the chain
   // of Filter, Project and hash-join probe stages below it (bottom-up into
-  // *stages) down to a Scan (*scan) that runs in parallel. False when the
-  // chain holds any other node or the scan is serial; such an input streams
-  // on the coordinator.
+  // *stages; a join's chain continues down its probe input) to a Scan
+  // (*scan) that runs in parallel. False when the chain holds any other
+  // node or the scan is serial; such an input streams on the coordinator.
   bool MorselChain(const PlanNode& top, const PlanNode** scan,
                    std::vector<const PlanNode*>* stages) const {
     stages->clear();
@@ -1124,7 +1280,9 @@ struct Executor {
            n->kind == PlanNode::Kind::kProject ||
            n->kind == PlanNode::Kind::kHashJoin) {
       stages->push_back(n);
-      n = n->children[0].get();
+      n = n->kind == PlanNode::Kind::kHashJoin
+              ? n->children[1 - BuildChild(*n)].get()
+              : n->children[0].get();
     }
     if (n->kind != PlanNode::Kind::kScan) return false;
     std::reverse(stages->begin(), stages->end());
@@ -1159,16 +1317,16 @@ struct Executor {
     return Status::OK();
   }
 
-  // Builds hash join `n`'s right input into *build.
+  // Builds hash join `n`'s build input into *build.
   Status Build(const PlanNode& n, HashBuild* build) {
-    const PlanNode& right = *n.children[1];
+    const PlanNode& input = *n.children[BuildChild(n)];
     const PlanNode* scan = nullptr;
     std::vector<const PlanNode*> stages;
-    if (MorselChain(right, &scan, &stages)) {
+    if (MorselChain(input, &scan, &stages)) {
       MorselPipeline pipe(scan, std::move(stages), build);
       return RunPipeline(&pipe);
     }
-    return Stream(right, [build](const Row& r) {
+    return Stream(input, [build](const Row& r) {
       build->Add(r);
       return true;
     });
@@ -1265,15 +1423,17 @@ struct Executor {
         break;
       }
       case PlanNode::Kind::kHashJoin: {
-        // The right input builds first (HashBuild); each left row then
-        // probes it, so matches come out in the order the build side
-        // produced them.
+        // The build input (the right one unless build_left) builds first
+        // (HashBuild); each row of the other input then probes it, so
+        // joined rows come out in probe order and, per probe row, in the
+        // order the build side produced its matches.
         HashBuild build(n);
         BIH_RETURN_IF_ERROR(Build(n, &build));
         JoinAssembler join(n);
-        BIH_RETURN_IF_ERROR(Stream(*n.children[0], [&](const Row& l) {
-          return ProbeRow(n, build, &join, l, push);
-        }));
+        BIH_RETURN_IF_ERROR(
+            Stream(*n.children[1 - BuildChild(n)], [&](const Row& p) {
+              return ProbeRow(n, build, &join, p, push);
+            }));
         break;
       }
       case PlanNode::Kind::kIndexJoin: {
@@ -1332,11 +1492,11 @@ struct Executor {
       }
       case PlanNode::Kind::kAggregate: {
         const PlanNode& child = *n.children[0];
-        GroupTable<AggState> groups(n.aggs.size());
-        Row key;
+        GroupTable groups(n.group_cols.size(), n.aggs.size());
         auto fold = [&](const Row& row) {
-          KeyInto(row, n.group_cols, &key);
-          FoldRow(row, n.aggs, &groups.Find(key));
+          AggState* st = groups.states(groups.Find(row, n.group_cols));
+          FoldRow(row, n.aggs, st,
+                  [st](size_t i, double v) { st[i].AddNumber(v); });
           return true;
         };
         const PlanNode* scan = nullptr;
@@ -1362,7 +1522,9 @@ struct Executor {
           BIH_RETURN_IF_ERROR(Stream(child, fold));
         }
         BIH_RETURN_IF_ERROR(Boundary());
-        if (n.group_cols.empty() && groups.size() == 0) groups.Find(Row{});
+        if (n.group_cols.empty() && groups.size() == 0) {
+          groups.Find(Row{}, n.group_cols);
+        }
         Row out;
         for (size_t g = 0; g < groups.size(); ++g) {
           FinishGroup(groups, g, n.aggs, &out);
@@ -1477,6 +1639,8 @@ void NodeToJson(const PlanNode& n, std::string* out) {
                                                 ? "left_outer"
                                                 : "inner");
       *out += ",\"keys\":" + std::to_string(n.left_keys.size());
+      *out += std::string(",\"build\":") +
+              (n.build_left ? "\"left\"" : "\"right\"");
       AppendEmitJson(n, out);
       break;
     case PlanNode::Kind::kMergeJoin:

@@ -27,9 +27,10 @@ namespace bih {
 // scratch row, and a Limit that is satisfied stops the scan beneath it.
 // Only pipeline breakers hold rows: the hash-join and cross-join build
 // sides, both MergeJoin inputs, Sort, Distinct and the root result. A
-// hash-join build side holds a compact payload — only the right-hand cells
-// its joined rows carry, in flat chunks — and every join kind assembles
-// just the cells the tree above reads (PlanNode::emit).
+// hash-join build side (the right input, or the left one under
+// PlanNode::build_left) holds a compact payload — only the cells its joined
+// rows carry, in flat chunks — and every join kind assembles just the cells
+// the tree above reads (PlanNode::emit).
 //
 // Parallelism never changes what a consumer sees. Engine scans fan out over
 // the ScanScheduler morsel pool. Where a parallel scan feeds an Aggregate's
@@ -123,6 +124,12 @@ struct PlanNode {
   // column.
   std::optional<std::vector<int>> emit;
   size_t left_width = 0;
+  // kHashJoin: build the hash table on the left input and probe it with
+  // the right one (default: build right, probe left). Joined rows keep the
+  // left-then-right layout either way; only their order changes, to probe
+  // order. Set by the optimizer only, on inner joins whose row order
+  // nothing above observes (see optimizer.h).
+  bool build_left = false;
   // kIndexJoin probe target.
   std::string index_table;
   TemporalScanSpec index_spec;

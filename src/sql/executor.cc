@@ -645,6 +645,7 @@ Status Explain(TemporalEngine& engine, const std::string& text,
           ",\"temporal_rewrites\":" +
           std::to_string(report.temporal_rewrites) +
           ",\"scans_pruned\":" + std::to_string(report.scans_pruned) +
+          ",\"builds_left\":" + std::to_string(report.builds_left) +
           "},\"plan\":" + PlanToJson(*plan) + "}";
   return Status::OK();
 }

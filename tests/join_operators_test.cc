@@ -1,5 +1,6 @@
-// Join-operator equivalence and golden-answer checks for the temporal
-// TPC-H queries on a hand-verifiable configuration.
+// Join-operator equivalence (merge join, and hash join built on either
+// input) and golden-answer checks for the temporal TPC-H queries on a
+// hand-verifiable configuration.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -43,10 +44,17 @@ TEST(MergeJoinTest, MatchesHashJoinOnRandomInputs) {
     Rows merge = Canonical(RunPlan(
         *MergeJoinPlan(ValuesPlan(left), ValuesPlan(right), {0}, {0}),
         *engine));
-    ASSERT_EQ(hash.size(), merge.size()) << "trial " << trial;
-    for (size_t i = 0; i < hash.size(); ++i) {
-      for (size_t c = 0; c < hash[i].size(); ++c) {
-        ASSERT_EQ(0, hash[i][c].Compare(merge[i][c]));
+    // The hash join built on its left input: same rows, probe order.
+    PlanPtr flipped =
+        HashJoinPlan(ValuesPlan(left), ValuesPlan(right), {0}, {0}, 2);
+    flipped->build_left = true;
+    Rows left_built = Canonical(RunPlan(*flipped, *engine));
+    for (const Rows* other : {&merge, &left_built}) {
+      ASSERT_EQ(hash.size(), other->size()) << "trial " << trial;
+      for (size_t i = 0; i < hash.size(); ++i) {
+        for (size_t c = 0; c < hash[i].size(); ++c) {
+          ASSERT_EQ(0, hash[i][c].Compare((*other)[i][c]));
+        }
       }
     }
   }
@@ -64,6 +72,16 @@ TEST(MergeJoinTest, ResidualAndNullKeys) {
                      *engine);
   ASSERT_EQ(1u, out.size());
   EXPECT_EQ(20, out[0][3].AsInt());
+  // A hash join built on either input keeps the same one row.
+  for (bool build_left : {false, true}) {
+    PlanPtr hash = HashJoinPlan(ValuesPlan(left), ValuesPlan(right), {0}, {0},
+                                2, JoinType::kInner, Lt(Col(1), Col(3)));
+    hash->build_left = build_left;
+    Rows got = RunPlan(*hash, *engine);
+    ASSERT_EQ(1u, got.size()) << build_left;
+    EXPECT_EQ(10, got[0][1].AsInt()) << build_left;
+    EXPECT_EQ(20, got[0][3].AsInt()) << build_left;
+  }
 }
 
 TEST(IndexJoinPlanTest, ProbesEngineWithKeyLookups) {

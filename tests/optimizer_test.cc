@@ -15,6 +15,7 @@
 #include "sql/parser.h"
 #include "tpch/schema.h"
 #include "workload/context.h"
+#include "workload/queries.h"
 
 namespace bih {
 namespace {
@@ -80,24 +81,64 @@ const PlanNode* FindJoin(const PlanNode& n) {
   return nullptr;
 }
 
-// The join the served history_analytics workload asks for: revenue by
-// nation over CUSTOMER and ORDERS, both AS OF the middle of the history.
-// Unoptimized, as the SQL layer plans it.
-PlanPtr ServedJoin(WorkloadContext& ctx) {
+// `text` with each "{t}" replaced by the workload's mid-history system time.
+std::string AtMid(const WorkloadContext& ctx, std::string text) {
   const std::string t = std::to_string(ctx.sys_mid.micros());
+  for (size_t at = text.find("{t}"); at != std::string::npos;
+       at = text.find("{t}")) {
+    text.replace(at, 3, t);
+  }
+  return text;
+}
+
+// AtMid(`query`) as the SQL layer plans it, unoptimized.
+PlanPtr SqlPlan(WorkloadContext& ctx, const std::string& query) {
+  const std::string text = AtMid(ctx, query);
   sql::SelectStatement stmt;
-  EXPECT_TRUE(sql::ParseSelect(
-                  "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM "
-                  "CUSTOMER FOR SYSTEM_TIME AS OF " + t +
-                      " c JOIN ORDERS FOR SYSTEM_TIME AS OF " + t +
-                      " o ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY "
-                      "ORDER BY C_NATIONKEY",
-                  &stmt)
-                  .ok());
+  EXPECT_TRUE(sql::ParseSelect(text, &stmt).ok()) << text;
   PlanPtr plan;
   std::vector<std::string> columns;
-  EXPECT_TRUE(sql::PlanSelect(ctx.eng(), stmt, &plan, &columns).ok());
+  EXPECT_TRUE(sql::PlanSelect(ctx.eng(), stmt, &plan, &columns).ok())
+      << text;
   return plan;
+}
+
+// The join the served history_analytics workload asks for: revenue by
+// nation over CUSTOMER and ORDERS, both AS OF the middle of the history.
+constexpr const char* kServedJoin =
+    "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM CUSTOMER "
+    "FOR SYSTEM_TIME AS OF {t} c JOIN ORDERS FOR SYSTEM_TIME AS OF {t} o "
+    "ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY ORDER BY C_NATIONKEY";
+// The same query with the join's inputs swapped: unoptimized, it builds
+// CUSTOMER and probes with ORDERS in scan order, the order in which the
+// optimized served join, built on CUSTOMER, folds its rows.
+constexpr const char* kServedJoinOrdersFirst =
+    "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM ORDERS "
+    "FOR SYSTEM_TIME AS OF {t} o JOIN CUSTOMER FOR SYSTEM_TIME AS OF {t} c "
+    "ON O_CUSTKEY = C_CUSTKEY GROUP BY C_NATIONKEY ORDER BY C_NATIONKEY";
+
+// Unoptimized, as the SQL layer plans it.
+PlanPtr ServedJoin(WorkloadContext& ctx) { return SqlPlan(ctx, kServedJoin); }
+
+// Optimizes the served join in *plan and checks its result. The build-side
+// rule makes it fold its joined rows in ORDERS order, so its SUMs may
+// differ in the last bits from the unoptimized plan's: the rows must equal
+// those of the unoptimized ORDERS-first plan byte for byte, and the group
+// keys and COUNTs those of the unoptimized original.
+void CheckServedJoin(WorkloadContext& ctx, PlanPtr* plan,
+                     OptimizerReport* report) {
+  TemporalEngine& eng = ctx.eng();
+  Rows original = RunPlan(**plan, eng);
+  Rows swapped = RunPlan(*SqlPlan(ctx, kServedJoinOrdersFirst), eng);
+  OptimizePlan(plan, eng, report);
+  Rows got = RunPlan(**plan, eng);
+  ExpectRowsIdentical(swapped, got);
+  ASSERT_EQ(original.size(), got.size());
+  ASSERT_GT(got.size(), 0u);
+  for (size_t r = 0; r < got.size(); ++r) {
+    EXPECT_TRUE(original[r][0] == got[r][0]) << "row " << r;
+    EXPECT_TRUE(original[r][1] == got[r][1]) << "row " << r;
+  }
 }
 
 // Runs, optimizes, re-runs; asserts result identity and returns the
@@ -254,7 +295,7 @@ TEST(OptimizerTest, ColumnPruningNarrowsTheServedJoinsRows) {
   TemporalEngine& eng = ctx.eng();
   PlanPtr plan = ServedJoin(ctx);
   OptimizerReport rep;
-  CheckPreserves(&plan, eng, &rep);
+  CheckServedJoin(ctx, &plan, &rep);
   const PlanNode* join = FindJoin(*plan);
   ASSERT_NE(nullptr, join);
   ASSERT_EQ(PlanNode::Kind::kHashJoin, join->kind);
@@ -340,8 +381,6 @@ std::vector<std::pair<std::string, PlanPtr>> PartialDemandJoins(
                                  {customer::kCustKey}, {orders::kCustKey}, 14),
                     {}, {{AggKind::kSum, Col(11 + orders::kTotalPrice)},
                          {AggKind::kCount, nullptr}}));
-  // The served shape: an Aggregate over the AS OF join.
-  shapes.emplace_back("served-as-of-join", ServedJoin(ctx));
   // The other join kinds assemble through the same demand.
   shapes.emplace_back(
       "merge-join",
@@ -391,7 +430,16 @@ TEST(OptimizerTest, EveryRuleIsResultPreservingOnEveryEngine) {
     EXPECT_LE(after, before) << letter;
 
     // Joins whose parents read part of the row: each join assembles only
-    // the demanded cells, and the result does not move.
+    // the demanded cells, and the result does not move. The served shape,
+    // an Aggregate over the AS OF join, also gets its build side flipped.
+    {
+      SCOPED_TRACE(std::string(letter) + "/served-as-of-join");
+      PlanPtr served = ServedJoin(ctx);
+      CheckServedJoin(ctx, &served, nullptr);
+      const PlanNode* join = FindJoin(*served);
+      ASSERT_NE(nullptr, join);
+      EXPECT_TRUE(join->emit.has_value());
+    }
     for (auto& [label, shape] : PartialDemandJoins(ctx)) {
       SCOPED_TRACE(std::string(letter) + "/" + label);
       CheckPreserves(&shape, eng, nullptr);
@@ -399,6 +447,129 @@ TEST(OptimizerTest, EveryRuleIsResultPreservingOnEveryEngine) {
       ASSERT_NE(nullptr, join);
       EXPECT_TRUE(join->emit.has_value());
     }
+  }
+}
+
+// EXPLAIN of AtMid(`query`) as the server returns it.
+std::string Explain(WorkloadContext& ctx, const std::string& query) {
+  const std::string text = AtMid(ctx, query);
+  sql::SqlResult result;
+  Status st = sql::ExecuteSql(ctx.eng(), "EXPLAIN " + text, &result);
+  EXPECT_TRUE(st.ok()) << st.ToString() << ": " << text;
+  if (!st.ok() || result.rows.empty()) return "";
+  return result.rows[0][0].AsString();
+}
+
+// Every hash join of the tree builds the side `build_left` says.
+void ExpectBuildSides(const PlanNode& n, bool build_left,
+                      const std::string& what) {
+  if (n.kind == PlanNode::Kind::kHashJoin) {
+    EXPECT_EQ(build_left, n.build_left) << what;
+  }
+  for (const PlanPtr& c : n.children) ExpectBuildSides(*c, build_left, what);
+}
+
+TEST(OptimizerTest, BuildSideRuleBuildsTheServedJoinOnCustomerEverywhere) {
+  // CUSTOMER stores far fewer versions than ORDERS, and the totals are the
+  // same on every engine: all four build the served join on its left
+  // input, and EXPLAIN says so.
+  for (const char* letter : {"A", "B", "C", "D"}) {
+    SCOPED_TRACE(letter);
+    WorkloadContext& ctx = Workload(letter);
+    TemporalEngine& eng = ctx.eng();
+    const TableStats c = eng.GetTableStats("CUSTOMER");
+    const TableStats o = eng.GetTableStats("ORDERS");
+    EXPECT_LT(c.current_rows + c.history_rows + c.pending_undo,
+              o.current_rows + o.history_rows + o.pending_undo);
+    PlanPtr plan = ServedJoin(ctx);
+    OptimizerReport rep;
+    OptimizePlan(&plan, eng, &rep);
+    EXPECT_EQ(1, rep.builds_left);
+    ExpectBuildSides(*plan, true, letter);
+    const std::string json = Explain(ctx, kServedJoin);
+    EXPECT_NE(std::string::npos, json.find("\"builds_left\":1")) << json;
+    EXPECT_NE(std::string::npos, json.find("\"build\":\"left\"")) << json;
+    // Written ORDERS-first, the join already builds its smaller input.
+    PlanPtr swapped = SqlPlan(ctx, kServedJoinOrdersFirst);
+    OptimizePlan(&swapped, eng, &rep);
+    ExpectBuildSides(*swapped, false, std::string(letter) + " swapped");
+  }
+}
+
+TEST(OptimizerTest, BuildSideRuleKeepsJoinsWhoseRowOrderShows) {
+  WorkloadContext& ctx = Workload("C");
+  TemporalEngine& eng = ctx.eng();
+  const std::vector<std::pair<std::string, std::string>> kept = {
+      // The joined rows themselves reach the result.
+      {"no-aggregate",
+       "SELECT C_NAME, O_TOTALPRICE FROM CUSTOMER FOR SYSTEM_TIME AS OF {t} "
+       "c JOIN ORDERS FOR SYSTEM_TIME AS OF {t} o ON C_CUSTKEY = O_CUSTKEY"},
+      // Groups come out in first-seen order (R6's shape).
+      {"grouped-unsorted",
+       "SELECT C_NATIONKEY, COUNT(*) FROM CUSTOMER FOR SYSTEM_TIME AS OF {t} "
+       "c JOIN ORDERS FOR SYSTEM_TIME AS OF {t} o ON C_CUSTKEY = O_CUSTKEY "
+       "GROUP BY C_NATIONKEY"},
+      // The Sort leaves ties between groups in first-seen order.
+      {"sort-on-some-groups",
+       "SELECT C_NATIONKEY, C_MKTSEGMENT, COUNT(*) FROM CUSTOMER FOR "
+       "SYSTEM_TIME AS OF {t} c JOIN ORDERS FOR SYSTEM_TIME AS OF {t} o ON "
+       "C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY, C_MKTSEGMENT "
+       "ORDER BY C_NATIONKEY"},
+      // DISTINCT keeps first occurrences, in row order.
+      {"distinct",
+       "SELECT DISTINCT C_NATIONKEY FROM CUSTOMER FOR SYSTEM_TIME AS OF {t} "
+       "c JOIN ORDERS FOR SYSTEM_TIME AS OF {t} o ON C_CUSTKEY = O_CUSTKEY"},
+  };
+  for (const auto& [label, text] : kept) {
+    PlanPtr plan = SqlPlan(ctx, text);
+    OptimizerReport rep;
+    CheckPreserves(&plan, eng, &rep);
+    EXPECT_EQ(0, rep.builds_left) << label;
+    ExpectBuildSides(*plan, false, label);
+    EXPECT_EQ(std::string::npos,
+              Explain(ctx, text).find("\"build\":\"left\""))
+        << label;
+  }
+  // A left outer join under an ungrouped aggregate: the padding needs the
+  // right input as build side.
+  PlanPtr outer = AggregatePlan(
+      HashJoinPlan(ScanPlan(Req("CUSTOMER", TemporalScanSpec::Current())),
+                   ScanPlan(Req("ORDERS", TemporalScanSpec::Current())),
+                   {customer::kCustKey}, {orders::kCustKey}, 14,
+                   JoinType::kLeftOuter),
+      {}, {{AggKind::kCount, nullptr}});
+  OptimizerReport rep;
+  CheckPreserves(&outer, eng, &rep);
+  EXPECT_EQ(0, rep.builds_left);
+  ExpectBuildSides(*outer, false, "left-outer");
+  // The same inner join under the same aggregate flips.
+  PlanPtr inner = AggregatePlan(
+      HashJoinPlan(ScanPlan(Req("CUSTOMER", TemporalScanSpec::Current())),
+                   ScanPlan(Req("ORDERS", TemporalScanSpec::Current())),
+                   {customer::kCustKey}, {orders::kCustKey}, 14),
+      {}, {{AggKind::kCount, nullptr}});
+  CheckPreserves(&inner, eng, &rep);
+  EXPECT_EQ(1, rep.builds_left);
+  ExpectBuildSides(*inner, true, "inner");
+}
+
+TEST(OptimizerTest, WorkloadJoinsKeepTheirBuildSide) {
+  // R5 (DISTINCT), R6 (GROUP BY without ORDER BY), B3 (DISTINCT), T3 and
+  // R1 (joined rows returned) keep building their right input.
+  WorkloadContext& ctx = Workload("B");
+  TemporalEngine& eng = ctx.eng();
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"R5", QuerySql(eng, "R5", {}, {Value(5000.0), Value(100000.0)})},
+      {"R6", QuerySql(eng, "R6")},
+      {"B3", B3Sql(eng, 0, 1, ctx.app_mid, ctx.sys_mid)},
+      {"T3", QuerySql(eng, "T3", {},
+                      {Value(ctx.app_mid), Value(ctx.app_mid + 30)})},
+      {"R1", QuerySql(eng, "R1")},
+  };
+  for (const auto& [label, text] : queries) {
+    const std::string json = Explain(ctx, text);
+    EXPECT_NE(std::string::npos, json.find("\"build\":\"right\"")) << label;
+    EXPECT_EQ(std::string::npos, json.find("\"build\":\"left\"")) << label;
   }
 }
 

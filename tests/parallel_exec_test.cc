@@ -94,11 +94,17 @@ PlanPtr SqlPlan(const std::string& letter, std::string text) {
 }
 
 // The served AS OF CUSTOMER-ORDERS join by nation as the server runs it, so
-// its HashJoin assembles only the columns read above it.
+// its HashJoin assembles only the columns read above it and builds its
+// left input, CUSTOMER (PlanNode::build_left).
 constexpr const char* kJoinByNation =
     "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM CUSTOMER "
     "FOR SYSTEM_TIME AS OF {t} c JOIN ORDERS FOR SYSTEM_TIME AS OF {t} o "
     "ON C_CUSTKEY = O_CUSTKEY GROUP BY C_NATIONKEY ORDER BY C_NATIONKEY";
+// The same join written ORDERS-first: it builds its right input, CUSTOMER.
+constexpr const char* kJoinByNationOrdersFirst =
+    "SELECT C_NATIONKEY, COUNT(*), SUM(O_TOTALPRICE) FROM ORDERS "
+    "FOR SYSTEM_TIME AS OF {t} o JOIN CUSTOMER FOR SYSTEM_TIME AS OF {t} c "
+    "ON O_CUSTKEY = C_CUSTKEY GROUP BY C_NATIONKEY ORDER BY C_NATIONKEY";
 
 PlanPtr ServedJoin(const std::string& letter) {
   return SqlPlan(letter, kJoinByNation);
@@ -375,6 +381,16 @@ PlanPtr PipelineShape(const std::string& letter, const std::string& shape) {
          {AggKind::kCount, Col(2)}});
   }
   if (shape == "join-by-nation") return ServedJoin(letter);
+  if (shape == "many-groups") {
+    // A group per customer: most morsels find most of their groups new.
+    return SqlPlan(letter,
+                   "SELECT O_CUSTKEY, COUNT(*), SUM(O_TOTALPRICE), "
+                   "MIN(O_ORDERDATE), AVG(O_TOTALPRICE) FROM ORDERS "
+                   "FOR SYSTEM_TIME AS OF {t} GROUP BY O_CUSTKEY");
+  }
+  if (shape == "join-by-nation-orders-first") {
+    return SqlPlan(letter, kJoinByNationOrdersFirst);
+  }
   if (shape == "left-outer-residual-agg") {
     return AggregatePlan(
         HashJoinPlan(ScanPlan(Req("CUSTOMER")), ScanPlan(Req("ORDERS")),
@@ -400,6 +416,8 @@ const char* kPipelineShapes[] = {"t2",
                                  "t6-sys",
                                  "filter-project-grouped",
                                  "join-by-nation",
+                                 "join-by-nation-orders-first",
+                                 "many-groups",
                                  "left-outer-residual-agg",
                                  "empty-global"};
 
@@ -457,6 +475,15 @@ TEST(ParallelExecTest, MorselPipelinesMatchSerial) {
         }
       } else {
         ASSERT_GT(want.size(), 0u) << label;
+      }
+      if (std::string(shape).rfind("join-by-nation", 0) == 0) {
+        // Both orientations of the served join, each built on CUSTOMER.
+        const PlanNode* join = plan.get();
+        while (join->kind != PlanNode::Kind::kHashJoin) {
+          join = join->children[0].get();
+        }
+        EXPECT_EQ(std::string(shape) == "join-by-nation", join->build_left)
+            << label;
       }
     }
   }
