@@ -14,6 +14,7 @@
 #include "common/value.h"
 #include "durability/group_commit.h"
 #include "durability/wal.h"
+#include "exec/aggregate.h"
 #include "exec/exec_options.h"
 #include "temporal/clock.h"
 #include "temporal/sequenced.h"
@@ -74,6 +75,22 @@ struct ScanRequest {
   // Columns the consumer will read; empty means all. Column-store engines
   // only guarantee the projected columns are populated in emitted rows.
   std::vector<int> projection;
+  // The conjuncts of a WHERE clause that fit neither `equals` nor the range
+  // (may be null). A version qualifies only when this predicate, evaluated
+  // on its scan-schema cells after the temporal and constraint match, is
+  // true; NULL counts as false. Set by the optimizer only.
+  ExprPtr residual;
+  // Ungrouped aggregates folded into the scan (may be empty): COUNT(*), or
+  // COUNT, SUM, AVG, MIN or MAX of a bare column. When set, the scan emits
+  // no row and hands none to the sink: it folds every qualifying version
+  // into `fold`, one AggState per aggregate, in scan order, so the states
+  // are byte-identical to folding the serial scan's rows at any thread
+  // count. Set by the optimizer only.
+  std::vector<AggSpec> aggs;
+  // Where a folding scan leaves its states (borrowed, aggs.size() of them,
+  // folded into as they are); set by the executor, like `stats`. A folding
+  // scan without it discards them.
+  AggState* fold = nullptr;
   // Cooperative deadline/cancellation token (borrowed, may be null). The
   // scan loops consult it per row and stop early once it trips; the token
   // then carries kDeadlineExceeded or kCancelled. Engine state is never

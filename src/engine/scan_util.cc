@@ -1,6 +1,7 @@
 #include "engine/scan_util.h"
 
 #include <algorithm>
+#include <set>
 #include <string>
 
 #include "engine/index_set.h"
@@ -100,6 +101,30 @@ PartitionScan::PartitionScan(const TableDef& def, const ScanRequest& req,
       stats_(req.stats != nullptr ? req.stats : &local_),
       cb_(cb) {
   *stats_ = ExecStats{};
+  std::set<int> cols;
+  CollectColumns(req.residual, &cols);
+  residual_cols_.assign(cols.begin(), cols.end());
+  if (req.aggs.empty()) return;
+  for (const AggSpec& a : req.aggs) {
+    agg_cols_.push_back(a.expr == nullptr ? -1 : a.expr->column());
+  }
+  fold_ = req.fold;
+  if (fold_ == nullptr) {
+    local_fold_.resize(req.aggs.size());
+    fold_ = local_fold_.data();
+  }
+}
+
+void PartitionScan::MergeFold(FoldPartial* part) {
+  stats_->rows_examined += part->rows_examined;
+  stats_->rows_output += part->rows_output;
+  MergeStates(req_.aggs, part->states.data(), fold_);
+  for (size_t i = 0; i < part->addends.size(); ++i) {
+    for (double v : part->addends[i]) fold_[i].AddNumber(v);
+  }
+  // Merged morsels free their logs, so a wide scan holds only the partials
+  // of its in-flight morsels.
+  *part = FoldPartial{};
 }
 
 bool PartitionScan::IndexAccess(size_t partition_rows, const IndexSet& tuning,

@@ -1,6 +1,7 @@
 #include "engine/system_c.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 namespace bih {
@@ -119,59 +120,166 @@ void SystemCEngine::Maintain() {
 
 namespace {
 
+// A partition's cells read in place: per column its int64 or double cells
+// (null for a string column) and the null bitmap, hoisted once per
+// partition, so a per-slot read indexes an array instead of resolving the
+// column's variant and building a Value. Thread-safe for concurrent morsels
+// (pure reads).
+class StoredCells {
+ public:
+  explicit StoredCells(const ColumnTable& part)
+      : part_(part),
+        width_(static_cast<size_t>(part.schema().num_columns())),
+        nulls_(part.NullBitmap()) {
+    for (int c = 0; c < part.schema().num_columns(); ++c) {
+      const std::vector<int64_t>* ints = part.Ints(c);
+      const std::vector<double>* doubles = part.Doubles(c);
+      ints_.push_back(ints != nullptr ? ints->data() : nullptr);
+      doubles_.push_back(doubles != nullptr ? doubles->data() : nullptr);
+    }
+  }
+
+  const ColumnTable& part() const { return part_; }
+  // The int64 cells of column `col`, or null when it stores another type.
+  const int64_t* ints(int col) const {
+    return ints_[static_cast<size_t>(col)];
+  }
+  bool IsNull(RowId rid, int col) const {
+    return nulls_[rid * width_ + static_cast<size_t>(col)] != 0;
+  }
+  // An int-backed cell of `ints` (column `col`'s ints()), or `if_null`.
+  int64_t Int(RowId rid, int col, const int64_t* ints, int64_t if_null) const {
+    if (IsNull(rid, col)) return if_null;
+    return ints != nullptr ? ints[rid] : part_.Get(rid, col).AsInt();
+  }
+  // Calls f with the cell, an int64_t, double or (strings) Value, unless it
+  // is NULL.
+  template <class F>
+  void Read(RowId rid, int col, const F& f) const {
+    if (IsNull(rid, col)) return;
+    const size_t c = static_cast<size_t>(col);
+    if (ints_[c] != nullptr) {
+      f(ints_[c][rid]);
+    } else if (doubles_[c] != nullptr) {
+      f(doubles_[c][rid]);
+    } else {
+      f(part_.Get(rid, col));
+    }
+  }
+
+ private:
+  const ColumnTable& part_;
+  const size_t width_;
+  const uint8_t* const nulls_;
+  std::vector<const int64_t*> ints_;
+  std::vector<const double*> doubles_;
+};
+
 // Qualifies System C's stored versions on their typed columns. The temporal
-// selectors read the int64 period cells and the null bitmap directly (a
-// NULL begin is the beginning of time and a NULL end is forever, as in
-// RowSystemPeriod/RowAppPeriod), so a version the selectors reject never
-// builds a Value. Equality and range constraints keep the Value path over
-// the cells they read, which go into no emitted row. Thread-safe for
-// concurrent morsels (pure reads).
+// selectors read the int64 period cells through pointers hoisted once per
+// partition (a NULL begin is the beginning of time and a NULL end is
+// forever, as in RowSystemPeriod/RowAppPeriod), and so does a range
+// constraint with integer bounds on an int-backed column; a version they
+// reject builds no Value. Equality constraints and other ranges keep the
+// Value path over the cells they read, which go into no emitted row.
+// Thread-safe for concurrent morsels (pure reads).
 class VersionFilter {
  public:
-  VersionFilter(const ColumnTable& part, const ScanRequest& req,
+  VersionFilter(const StoredCells& cells, const ScanRequest& req,
                 const TemporalCols& tc, int64_t now)
-      : part_(part), req_(req), tc_(tc), now_(now) {
+      : cells_(cells), req_(req), tc_(tc) {
     const TemporalScanSpec& spec = req.temporal;
     sys_ = spec.system_time.kind != TemporalSelector::Kind::kAll;
     app_ = tc.app_begin >= 0 &&
            spec.app_time.kind != TemporalSelector::Kind::kImplicitCurrent &&
            spec.app_time.kind != TemporalSelector::Kind::kAll;
-    constrained_ = !req.equals.empty() || req.range_col >= 0;
+    sys_window_ = WindowOf(spec.system_time, now);
+    app_window_ = WindowOf(spec.app_time, now);
+    sys_from_ = cells.ints(tc.sys_from);
+    sys_to_ = cells.ints(tc.sys_to);
+    if (app_) {
+      app_begin_ = cells.ints(tc.app_begin);
+      app_end_ = cells.ints(tc.app_end);
+    }
+    auto int_bound = [](const Value& v) { return v.is_null() || v.is_int(); };
+    range_ints_ = req.range_col >= 0 ? cells.ints(req.range_col) : nullptr;
+    if (range_ints_ != nullptr && int_bound(req.range_lo) &&
+        int_bound(req.range_hi)) {
+      lo_ = req.range_lo.is_null() ? INT64_MIN : req.range_lo.AsInt();
+      hi_ = req.range_hi.is_null() ? INT64_MAX : req.range_hi.AsInt();
+    } else {
+      range_ints_ = nullptr;
+    }
+    by_value_ = !req.equals.empty() ||
+                (req.range_col >= 0 && range_ints_ == nullptr);
   }
 
-  // True when slot `rid` qualifies.
+  // True when slot `rid` qualifies. The typed tests combine without
+  // short-circuiting: whether a version passes one of them is data, and a
+  // branch on it would mispredict.
   bool Matches(RowId rid) const {
-    if (sys_ && !req_.temporal.system_time.Matches(
-                    PeriodAt(rid, tc_.sys_from, tc_.sys_to), now_)) {
-      return false;
+    bool ok = true;
+    if (sys_) {
+      ok = InWindow(rid, sys_window_, tc_.sys_from, sys_from_, tc_.sys_to,
+                    sys_to_);
     }
-    if (app_ && !req_.temporal.app_time.Matches(
-                    PeriodAt(rid, tc_.app_begin, tc_.app_end), now_)) {
-      return false;
+    if (app_) {
+      ok &= InWindow(rid, app_window_, tc_.app_begin, app_begin_, tc_.app_end,
+                     app_end_);
     }
-    return !constrained_ ||
-           MatchesConstraintCells(
-               [this, rid](int col) { return part_.Get(rid, col); }, req_);
+    if (range_ints_ != nullptr) {
+      const int64_t v = range_ints_[rid];
+      ok &= !cells_.IsNull(rid, req_.range_col) & (v >= lo_) & (v <= hi_);
+    }
+    if (by_value_ && ok) {
+      ok = MatchesConstraintCells(
+          [this, rid](int col) { return cells_.part().Get(rid, col); }, req_);
+    }
+    return ok;
   }
 
  private:
-  int64_t Cell(RowId rid, int col, int64_t if_null) const {
-    if (part_.IsNull(rid, col)) return if_null;
-    const std::vector<int64_t>* ints = part_.Ints(col);
-    return ints != nullptr ? (*ints)[rid] : part_.Get(rid, col).AsInt();
+  // A selector as a window [lo, hi) that a version's period [b, e)
+  // overlaps, b < hi and lo < e: a point t (AS OF, or now for the implicit
+  // current) is [t, t + 1), so the test is Period::Contains(t), and a range
+  // is itself (Period::Overlaps).
+  struct Window {
+    int64_t lo = 0;
+    int64_t hi = 0;
+  };
+  static Window WindowOf(const TemporalSelector& s, int64_t now) {
+    if (s.kind == TemporalSelector::Kind::kRange) {
+      return {s.range.begin, s.range.end};
+    }
+    const int64_t t =
+        s.kind == TemporalSelector::Kind::kPoint ? s.point : now;
+    // No period contains INT64_MAX (lo < e fails), so hi may stay there.
+    return {t, t == INT64_MAX ? t : t + 1};
   }
-  Period PeriodAt(RowId rid, int begin, int end) const {
-    return Period(Cell(rid, begin, Period::kBeginningOfTime),
-                  Cell(rid, end, Period::kForever));
+  bool InWindow(RowId rid, const Window& w, int begin, const int64_t* begins,
+                int end, const int64_t* ends) const {
+    const int64_t b =
+        cells_.Int(rid, begin, begins, Period::kBeginningOfTime);
+    const int64_t e = cells_.Int(rid, end, ends, Period::kForever);
+    return (b < w.hi) & (w.lo < e);
   }
 
-  const ColumnTable& part_;
+  const StoredCells& cells_;
   const ScanRequest& req_;
   const TemporalCols& tc_;
-  const int64_t now_;
   bool sys_ = false;
   bool app_ = false;
-  bool constrained_ = false;
+  Window sys_window_;
+  Window app_window_;
+  const int64_t* sys_from_ = nullptr;
+  const int64_t* sys_to_ = nullptr;
+  const int64_t* app_begin_ = nullptr;
+  const int64_t* app_end_ = nullptr;
+  // A range constraint read as int64 cells, when it has one: [lo_, hi_].
+  const int64_t* range_ints_ = nullptr;
+  int64_t lo_ = 0;
+  int64_t hi_ = 0;
+  bool by_value_ = false;
 };
 
 }  // namespace
@@ -193,20 +301,35 @@ void SystemCEngine::Scan(const ScanRequest& req, const RowCallback& cb) {
   }
 
   // Delta, main and history are scanned alike: versions qualify on their
-  // stored columns, and a qualifying one is materialized with the fetched
-  // columns only (the other columns stay null).
+  // stored columns, a residual predicate reads only its own cells of the
+  // versions that pass them, and a qualifying version is materialized with
+  // the fetched columns only (the other columns stay null) or, in a folding
+  // scan, folded from its cells in place.
   auto scan_part = [&](const ColumnTable& part, bool history) {
     scan.Touch(history);
-    const VersionFilter filter(part, req, tc, scan.now());
+    const StoredCells cells(part);
+    const VersionFilter filter(cells, req, tc, scan.now());
     scan.ScanSlots(
         part.SlotCount(), [&part](uint64_t rid) { return part.IsLive(rid); },
-        [&filter](uint64_t rid, Row*) { return filter.Matches(rid); },
+        [&](uint64_t rid, Row* row) {
+          const bool match = filter.Matches(rid);
+          if (req.residual == nullptr) return match;
+          if (!match) return false;
+          row->resize(static_cast<size_t>(ncols));
+          for (int c : scan.residual_cols()) {
+            (*row)[static_cast<size_t>(c)] = part.Get(rid, c);
+          }
+          return scan.Residual(*row);
+        },
         [&](uint64_t rid, Row* row) -> const Row& {
           row->resize(static_cast<size_t>(ncols));
           for (int c : fetched) {
             (*row)[static_cast<size_t>(c)] = part.Get(rid, c);
           }
           return *row;
+        },
+        [&cells](uint64_t rid, int col, const auto& f) {
+          cells.Read(rid, col, f);
         });
   };
   scan_part(t.delta, /*history=*/false);

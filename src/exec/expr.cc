@@ -172,4 +172,63 @@ ExprPtr Between(ExprPtr x, ExprPtr lo, ExprPtr hi) {
 }
 ExprPtr YearOf(ExprPtr date) { return Mk(Expr::Op::kYear, {date}); }
 
+void CollectColumns(const ExprPtr& e, std::set<int>* cols) {
+  if (e == nullptr) return;
+  if (e->op() == Expr::Op::kColumn) cols->insert(e->column());
+  for (const ExprPtr& c : e->children()) CollectColumns(c, cols);
+}
+
+std::string ExprToString(const ExprPtr& e) {
+  if (e == nullptr) return "";
+  const auto& kids = e->children();
+  auto arg = [&kids](size_t i) { return ExprToString(kids[i]); };
+  auto infix = [&](const char* op) {
+    return "(" + arg(0) + " " + op + " " + arg(1) + ")";
+  };
+  switch (e->op()) {
+    case Expr::Op::kColumn:
+      return "col" + std::to_string(e->column());
+    case Expr::Op::kLiteral:
+      return e->literal().is_string() ? "'" + e->literal().ToString() + "'"
+                                      : e->literal().ToString();
+    case Expr::Op::kAdd:
+      return infix("+");
+    case Expr::Op::kSub:
+      return infix("-");
+    case Expr::Op::kMul:
+      return infix("*");
+    case Expr::Op::kDiv:
+      return infix("/");
+    case Expr::Op::kEq:
+      return infix("=");
+    case Expr::Op::kNe:
+      return infix("<>");
+    case Expr::Op::kLt:
+      return infix("<");
+    case Expr::Op::kLe:
+      return infix("<=");
+    case Expr::Op::kGt:
+      return infix(">");
+    case Expr::Op::kGe:
+      return infix(">=");
+    case Expr::Op::kAnd:
+      return infix("AND");
+    case Expr::Op::kOr:
+      return infix("OR");
+    case Expr::Op::kNot:
+      return "(NOT " + arg(0) + ")";
+    case Expr::Op::kIsNull:
+      return "(" + arg(0) + " IS NULL)";
+    case Expr::Op::kContains:
+      return "CONTAINS(" + arg(0) + ", " + arg(1) + ")";
+    case Expr::Op::kStartsWith:
+      return "STARTS_WITH(" + arg(0) + ", " + arg(1) + ")";
+    case Expr::Op::kBetween:
+      return "(" + arg(0) + " BETWEEN " + arg(1) + " AND " + arg(2) + ")";
+    case Expr::Op::kYear:
+      return "YEAR(" + arg(0) + ")";
+  }
+  return "?";
+}
+
 }  // namespace bih

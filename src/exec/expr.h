@@ -2,6 +2,7 @@
 #define TPCBIH_EXEC_EXPR_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,12 @@ ExprPtr Contains(ExprPtr s, ExprPtr needle);
 ExprPtr StartsWith(ExprPtr s, ExprPtr prefix);
 ExprPtr Between(ExprPtr x, ExprPtr lo, ExprPtr hi);
 ExprPtr YearOf(ExprPtr date);
+
+// Adds the columns `e` reads to *cols (nothing for a null `e`).
+void CollectColumns(const ExprPtr& e, std::set<int>* cols);
+
+// A compact rendering of `e` for EXPLAIN, e.g. "(col13 > 9000)".
+std::string ExprToString(const ExprPtr& e);
 
 }  // namespace bih
 

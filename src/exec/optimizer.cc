@@ -13,18 +13,14 @@ std::string OptimizerReport::ToString() const {
          " folded=" + std::to_string(conjuncts_folded) +
          " temporal=" + std::to_string(temporal_rewrites) +
          " pruned=" + std::to_string(scans_pruned) +
-         " build_left=" + std::to_string(builds_left);
+         " build_left=" + std::to_string(builds_left) +
+         " residual=" + std::to_string(residuals_folded) +
+         " agg_folded=" + std::to_string(aggregates_folded);
 }
 
 namespace {
 
 // ---- Expression analysis ------------------------------------------------
-
-void CollectCols(const ExprPtr& e, std::set<int>* cols) {
-  if (e == nullptr) return;
-  if (e->op() == Expr::Op::kColumn) cols->insert(e->column());
-  for (const ExprPtr& c : e->children()) CollectCols(c, cols);
-}
 
 void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
   if (e == nullptr) return;
@@ -170,7 +166,7 @@ void PushDownFilters(PlanPtr* node, const TemporalEngine& engine,
       SplitConjuncts(n.predicate, &conjuncts);
       for (const ExprPtr& c : conjuncts) {
         std::set<int> cols;
-        CollectCols(c, &cols);
+        CollectColumns(c, &cols);
         const bool only_left =
             cols.empty() || *cols.rbegin() < lw;
         const bool only_right = !cols.empty() && *cols.begin() >= lw &&
@@ -326,11 +322,14 @@ void FoldFilterIntoScan(PlanPtr* node, const TemporalEngine& engine,
       keep.push_back(c);
     }
   }
-  if (keep.empty()) {
-    *node = std::move(n.children[0]);  // everything folded; drop the Filter
-  } else {
-    n.predicate = CombineConjuncts(keep);
+  // The rest become the scan's residual: it runs in the engine's partition
+  // loop on the versions the folded forms passed, in place of the Filter.
+  if (!keep.empty()) {
+    rep->residuals_folded += static_cast<int>(keep.size());
+    if (scan.residual != nullptr) keep.insert(keep.begin(), scan.residual);
+    scan.residual = CombineConjuncts(keep);
   }
+  *node = std::move(n.children[0]);
 }
 
 // ---- Rule 4: column pruning ---------------------------------------------
@@ -349,7 +348,7 @@ struct Demand {
 };
 
 void AddExprCols(const ExprPtr& e, Demand* d) {
-  if (!d->all) CollectCols(e, &d->cols);
+  if (!d->all) CollectColumns(e, &d->cols);
 }
 
 // Splits what a join's parent reads, plus the columns of the join's
@@ -358,7 +357,7 @@ void AddExprCols(const ExprPtr& e, Demand* d) {
 void SplitJoinDemand(const PlanNode& n, int lw, const Demand& demand,
                      Demand* dl, Demand* dr) {
   std::set<int> cols = demand.cols;
-  CollectCols(n.predicate, &cols);
+  CollectColumns(n.predicate, &cols);
   for (int c : cols) {
     if (c < lw) {
       dl->cols.insert(c);
@@ -389,9 +388,13 @@ void PruneColumns(PlanNode& n, const Demand& demand,
       const int width = engine.ScanSchema(n.scan.table).num_columns();
       // Row width is part of the scan contract, so a projection never
       // narrows rows — it only lets column stores skip materializing dead
-      // attributes. Demand can be empty (COUNT(*)); keep one column so the
-      // request stays meaningful.
-      std::vector<int> proj(demand.cols.begin(), demand.cols.end());
+      // attributes. The residual's columns stay projected, so an emitted
+      // row carries the same cells whichever thread shaped it. Demand can
+      // be empty (COUNT(*)); keep one column so the request stays
+      // meaningful.
+      Demand d = demand;
+      AddExprCols(n.scan.residual, &d);
+      std::vector<int> proj(d.cols.begin(), d.cols.end());
       if (proj.empty()) proj.push_back(0);
       if (static_cast<int>(proj.size()) >= width) return;
       n.scan.projection = std::move(proj);
@@ -542,6 +545,37 @@ void ChooseBuildSides(PlanNode& n, const PlanNode* sort,
   for (PlanPtr& c : n.children) ChooseBuildSides(*c, below, engine, rep);
 }
 
+// ---- Rule 6: ungrouped aggregates fold into their scan -----------------
+
+// True when the scan can fold `a` on its stored cells: COUNT(*), or COUNT,
+// SUM, AVG, MIN or MAX of a bare column of the scan's `width` columns.
+bool ScanFoldable(const AggSpec& a, int width) {
+  if (a.kind == AggKind::kCountDistinct) return false;
+  if (a.expr == nullptr) return a.kind == AggKind::kCount;
+  return IsCol(a.expr) && a.expr->column() >= 0 && a.expr->column() < width;
+}
+
+// Hands the aggregates of an ungrouped Aggregate directly over a Scan to
+// the scan (ScanRequest::aggs): the engine then folds each qualifying
+// version's cells where it tests them, and the Aggregate only finishes the
+// one row.
+void FoldAggregatesIntoScans(PlanNode& n, const TemporalEngine& engine,
+                             OptimizerReport* rep) {
+  for (PlanPtr& c : n.children) FoldAggregatesIntoScans(*c, engine, rep);
+  if (n.kind != PlanNode::Kind::kAggregate || !n.group_cols.empty() ||
+      n.children[0]->kind != PlanNode::Kind::kScan) {
+    return;
+  }
+  ScanRequest& scan = n.children[0]->scan;
+  if (!engine.HasTable(scan.table) || !scan.aggs.empty()) return;
+  const int width = engine.ScanSchema(scan.table).num_columns();
+  for (const AggSpec& a : n.aggs) {
+    if (!ScanFoldable(a, width)) return;
+  }
+  scan.aggs = n.aggs;
+  ++rep->aggregates_folded;
+}
+
 }  // namespace
 
 void OptimizePlan(PlanPtr* plan, const TemporalEngine& engine,
@@ -552,6 +586,7 @@ void OptimizePlan(PlanPtr* plan, const TemporalEngine& engine,
   FoldFilterIntoScan(plan, engine, rep);
   PruneColumns(**plan, Demand::All(), engine, rep);
   ChooseBuildSides(**plan, /*sort=*/nullptr, engine, rep);
+  FoldAggregatesIntoScans(**plan, engine, rep);
 }
 
 }  // namespace bih

@@ -11,7 +11,7 @@ namespace bih {
 // the tree (the rows Execute materializes at the root, in order), with one
 // stated exception below; what the rules change is how much of the version
 // space the engines touch, which is exactly the axis the paper's Section 5
-// measures. Four rewrites (rules 1-5 in optimizer.cc; scan folding is
+// measures. Five rewrites (rules 1-6 in optimizer.cc; scan folding is
 // rules 2 and 3):
 //
 //  * Predicate pushdown: AND-conjuncts of a Filter sitting on a join move
@@ -22,7 +22,10 @@ namespace bih {
 //  * Scan folding: a Filter directly over a Scan folds sargable conjuncts
 //    into the ScanRequest — equality with a literal into `equals` (the
 //    index-eligible form; the paper's Fig. 7 temporal joins hinge on it)
-//    and non-strict range bounds into range_col/lo/hi. Folding into the
+//    and non-strict range bounds into range_col/lo/hi; every other
+//    conjunct becomes the scan's residual (ScanRequest::residual), which
+//    the engine tests in its partition loop, so the Filter is gone either
+//    way. Folding into the
 //    temporal selector comes first: a filter reproducing the bitemporal
 //    visibility predicate over the period columns (sys_from <= T < sys_to,
 //    or an application period's begin <= T < end) becomes the
@@ -53,6 +56,11 @@ namespace bih {
 //    DISTINCT, the groups and their final order do not change).
 //    Execution at any thread count stays byte-identical to serial
 //    execution of the same plan.
+//  * Aggregate fold: an ungrouped Aggregate directly over a Scan whose
+//    aggregates are all COUNT(*), or COUNT, SUM, AVG, MIN or MAX of a bare
+//    column, hands them to the scan (ScanRequest::aggs). The engine folds
+//    each qualifying version's cells in its partition loop, in scan order,
+//    and the Aggregate only finishes the one row: no version becomes a Row.
 //
 // The optimizer needs the engine only for schema arity (column counts,
 // period column positions); it never executes anything.
@@ -63,6 +71,8 @@ struct OptimizerReport {
   int temporal_rewrites = 0;   // visibility filters folded into selectors
   int scans_pruned = 0;        // scans given a projection list
   int builds_left = 0;         // hash joins set to build their left input
+  int residuals_folded = 0;    // other conjuncts moved into a scan residual
+  int aggregates_folded = 0;   // ungrouped aggregates folded into a scan
 
   std::string ToString() const;
 };

@@ -317,7 +317,8 @@ void ParallelScanPartition(const ParallelScanPlan& plan, uint64_t slot_count,
 }
 
 bool ParallelMorselRun(const ParallelScanPlan& plan, uint64_t item_count,
-                       QueryContext* ctx, const MorselRunFn& body) {
+                       QueryContext* ctx, const MorselRunFn& body,
+                       const std::function<void(uint64_t m)>& finish) {
   auto job = std::make_shared<ParallelJob>();
   const uint64_t morsel = plan.morsel_size;
   job->body = [&body, morsel](uint64_t begin, uint64_t end,
@@ -339,6 +340,14 @@ bool ParallelMorselRun(const ParallelScanPlan& plan, uint64_t item_count,
   plan.scheduler->Launch(job);
 
   bool tripped = false;
+  uint64_t finished = 0;  // morsels before this one went through `finish`
+  auto finish_ready = [&] {
+    while (finished < job->num_morsels &&
+           job->done[finished].load(std::memory_order_acquire)) {
+      if (finish) finish(finished);
+      ++finished;
+    }
+  };
   // Coordinator participates: claim and run morsels like a helper, with the
   // per-morsel deadline check the serial loops express as clock sampling.
   while (!tripped) {
@@ -349,16 +358,18 @@ bool ParallelMorselRun(const ParallelScanPlan& plan, uint64_t item_count,
     body(m, begin, end, job->stop);
     job->done[m].store(true, std::memory_order_release);
     if (ctx != nullptr && !ctx->CheckNow().ok()) tripped = true;
+    if (!tripped) finish_ready();
   }
   // Wait for helpers to finish the morsels they claimed.
-  for (uint64_t m = 0; m < job->num_morsels && !tripped; ++m) {
-    while (!job->done[m].load(std::memory_order_acquire)) {
+  while (!tripped && finished < job->num_morsels) {
+    if (!job->done[finished].load(std::memory_order_acquire)) {
       if (ctx != nullptr && !ctx->CheckNow().ok()) {
         tripped = true;
         break;
       }
       std::this_thread::yield();
     }
+    finish_ready();
   }
 
   job->stop.store(true, std::memory_order_seq_cst);

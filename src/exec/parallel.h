@@ -257,9 +257,14 @@ using MorselRunFn = std::function<void(uint64_t m, uint64_t begin,
 // the coordinator), in which case some slots may be unwritten and the
 // caller must discard the output. Either way no worker is still touching
 // the caller's slots on return (the scheduler drain in Retire provides the
-// happens-before edge for the coordinator's subsequent merge).
+// happens-before edge for the coordinator's subsequent merge). With a
+// `finish`, the coordinator calls finish(m) for every completed morsel, in
+// morsel order, as soon as it and every morsel before it completed, while
+// the workers run later morsels: a caller merges its partials there, in
+// serial order, and holds only the in-flight ones.
 bool ParallelMorselRun(const ParallelScanPlan& plan, uint64_t item_count,
-                       QueryContext* ctx, const MorselRunFn& body);
+                       QueryContext* ctx, const MorselRunFn& body,
+                       const std::function<void(uint64_t m)>& finish = {});
 
 }  // namespace bih
 

@@ -583,21 +583,6 @@ class KeyIds {
   std::vector<Value> key_cells_;  // width_ cells per key
 };
 
-// Running state of one aggregate in one group. In a morsel's partial, SUM
-// and AVG keep no sum here: their addends go to the morsel's addend log.
-struct AggState {
-  double sum = 0.0;
-  int64_t count = 0;
-  bool has = false;
-  Value min, max;
-  std::set<std::string> distinct;
-
-  void AddNumber(double v) {
-    sum += v;
-    ++count;
-  }
-};
-
 // Groups in first-seen order, each with one AggState per aggregate: the
 // keys in one flat array (KeyIds) and the states in one vector, so a new
 // group allocates nothing of its own. NULL is an ordinary key value.
@@ -614,13 +599,16 @@ class GroupTable {
     return Add(ids_.Intern(HashCells(key, ids_.width()),
                            [key](size_t i) -> const Value& { return key[i]; }));
   }
-  // True when `row`'s `cols` hold group g's key.
-  bool Holds(size_t g, const Row& row, const std::vector<int>& cols) const {
-    const Value* key = ids_.key(g);
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (row[static_cast<size_t>(cols[i])].Compare(key[i]) != 0) return false;
+  // Find for the next row of a fold whose previous row went to group
+  // `*last` (KeyIds::kEnd before the first row). Consecutive rows often
+  // share a group (every row of an ungrouped aggregate, the joined rows of
+  // one probe row), so the last group serves while its key repeats, without
+  // a table lookup.
+  size_t FindAfter(size_t* last, const Row& row, const std::vector<int>& cols) {
+    if (*last == KeyIds::kEnd || !Holds(*last, row, cols)) {
+      *last = Find(row, cols);
     }
-    return true;
+    return *last;
   }
 
   // Forgets every group, keeping the arrays' capacity.
@@ -644,101 +632,32 @@ class GroupTable {
     return g;
   }
 
+  // True when `row`'s `cols` hold group g's key.
+  bool Holds(size_t g, const Row& row, const std::vector<int>& cols) const {
+    const Value* key = ids_.key(g);
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (row[static_cast<size_t>(cols[i])].Compare(key[i]) != 0) return false;
+    }
+    return true;
+  }
+
   KeyIds ids_;
   size_t num_aggs_;
   std::vector<AggState> states_;
 };
 
-// Folds one input row into `st`, one state per aggregate. A SUM or AVG
-// addend goes to `add(i, v)` for aggregate i. A bare-column argument is read
-// in place; other arguments are evaluated into a temporary.
-template <class Add>
-void FoldRow(const Row& row, const std::vector<AggSpec>& aggs, AggState* st,
-             const Add& add) {
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    const AggSpec& a = aggs[i];
-    AggState& s = st[i];
-    if (a.kind == AggKind::kCount && a.expr == nullptr) {
-      ++s.count;
-      continue;
-    }
-    Value tmp;
-    const Value* v;
-    if (a.expr->op() == Expr::Op::kColumn) {
-      v = &row[static_cast<size_t>(a.expr->column())];
-    } else {
-      tmp = a.expr->Eval(row);
-      v = &tmp;
-    }
-    if (v->is_null()) continue;  // SQL aggregates skip NULLs
-    switch (a.kind) {
-      case AggKind::kSum:
-      case AggKind::kAvg:
-        add(i, v->AsDouble());
-        break;
-      case AggKind::kCount:
-        ++s.count;
-        break;
-      case AggKind::kMin:
-        if (!s.has || v->Compare(s.min) < 0) s.min = *v;
-        s.has = true;
-        break;
-      case AggKind::kMax:
-        if (!s.has || v->Compare(s.max) > 0) s.max = *v;
-        s.has = true;
-        break;
-      case AggKind::kCountDistinct:
-        s.distinct.insert(v->ToString());
-        break;
-    }
-  }
-}
-
-// One SUM/AVG addend of a morsel's partial: aggregate `agg` of the
-// partial's group `group`.
-struct Addend {
-  uint32_t group;
-  uint32_t agg;
-  double value;
-};
-
 // Folds one morsel's partial — its groups and its addend log, in row
-// order — into the final groups. Floating-point addition is not
-// associative, so a partial keeps the addends instead of a partial sum.
-// Merging the partials in morsel order makes the group discovery order the
-// serial first-seen order, and replaying each log in order adds every
-// group's addends in the serial row order: the result is byte-identical,
-// not merely numerically close.
+// order — into the final groups. Merging the partials in morsel order makes
+// the group discovery order the serial first-seen order, and replaying each
+// log in order adds every group's addends in the serial row order
+// (exec/aggregate.h): the result is byte-identical, not merely numerically
+// close.
 void MergePartial(const GroupTable& part, const std::vector<Addend>& addends,
                   const std::vector<AggSpec>& aggs, GroupTable* groups) {
   std::vector<size_t> to(part.size());
   for (size_t g = 0; g < part.size(); ++g) {
     to[g] = groups->Find(part.key(g));
-    const AggState* ps = part.states(g);
-    AggState* st = groups->states(to[g]);
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      const AggState& p = ps[i];
-      AggState& s = st[i];
-      switch (aggs[i].kind) {
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          break;  // in the addend log
-        case AggKind::kCount:
-          s.count += p.count;
-          break;
-        case AggKind::kMin:
-          if (p.has && (!s.has || p.min.Compare(s.min) < 0)) s.min = p.min;
-          s.has |= p.has;
-          break;
-        case AggKind::kMax:
-          if (p.has && (!s.has || p.max.Compare(s.max) > 0)) s.max = p.max;
-          s.has |= p.has;
-          break;
-        case AggKind::kCountDistinct:
-          s.distinct.insert(p.distinct.begin(), p.distinct.end());
-          break;
-      }
-    }
+    MergeStates(aggs, part.states(g), groups->states(to[g]));
   }
   for (const Addend& a : addends) {
     groups->states(to[a.group])[a.agg].AddNumber(a.value);
@@ -751,29 +670,7 @@ void FinishGroup(const GroupTable& groups, size_t g,
   r->assign(groups.key(g), groups.key(g) + groups.width());
   const AggState* st = groups.states(g);
   for (size_t i = 0; i < aggs.size(); ++i) {
-    const AggState& s = st[i];
-    switch (aggs[i].kind) {
-      case AggKind::kSum:
-        r->push_back(s.count == 0 ? Value::Null() : Value(s.sum));
-        break;
-      case AggKind::kAvg:
-        r->push_back(s.count == 0
-                         ? Value::Null()
-                         : Value(s.sum / static_cast<double>(s.count)));
-        break;
-      case AggKind::kCount:
-        r->push_back(Value(s.count));
-        break;
-      case AggKind::kMin:
-        r->push_back(s.has ? s.min : Value::Null());
-        break;
-      case AggKind::kMax:
-        r->push_back(s.has ? s.max : Value::Null());
-        break;
-      case AggKind::kCountDistinct:
-        r->push_back(Value(static_cast<int64_t>(s.distinct.size())));
-        break;
-    }
+    r->push_back(FinishState(aggs[i].kind, st[i]));
   }
 }
 
@@ -1174,15 +1071,9 @@ class MorselPipeline : public MorselSink {
 
   void Sink(Slot& s, const Row& row) const {
     if (groups_ != nullptr) {
-      // Consecutive rows often share a group (every row of an ungrouped
-      // aggregate, the joined rows of one probe row), so the last group
-      // serves while its key repeats, without a table lookup.
-      const std::vector<int>& cols = breaker_.group_cols;
-      if (s.last == KeyIds::kEnd || !s.groups.Holds(s.last, row, cols)) {
-        s.last = s.groups.Find(row, cols);
-      }
-      const uint32_t group = static_cast<uint32_t>(s.last);
-      FoldRow(row, breaker_.aggs, s.groups.states(s.last),
+      const uint32_t group = static_cast<uint32_t>(
+          s.groups.FindAfter(&s.last, row, breaker_.group_cols));
+      FoldRow(row, breaker_.aggs, s.groups.states(group),
               [&s, group](size_t i, double v) {
                 s.addends.push_back(
                     Addend{group, static_cast<uint32_t>(i), v});
@@ -1267,6 +1158,27 @@ struct Executor {
     return ResolveScanPlan(MergeExecOptions(n.scan.exec, opts));
   }
 
+  // Scan node `n`'s engine request: the query's context and options where
+  // the node left them unset, and the node's own counters. Resets them.
+  ScanRequest Request(const PlanNode& n) const {
+    n.stats = PlanStats{};
+    ScanRequest req = n.scan;
+    if (req.ctx == nullptr) req.ctx = ctx;
+    req.exec = MergeExecOptions(req.exec, opts);
+    req.stats = &n.stats.scan;
+    return req;
+  }
+
+  // Runs Scan `n`, which folds its aggregates (ScanRequest::aggs), into
+  // the states at `fold`.
+  Status FoldScan(const PlanNode& n, AggState* fold) {
+    ScanRequest req = Request(n);
+    req.fold = fold;
+    engine.Scan(req, [](const Row&) { return true; });
+    n.stats.rows_output = n.stats.scan.rows_output;
+    return Boundary();
+  }
+
   // The morsel pipeline feeding a breaker whose input is `top`: the chain
   // of Filter, Project and hash-join probe stages below it (bottom-up into
   // *stages; a join's chain continues down its probe input) to a Scan
@@ -1298,17 +1210,13 @@ struct Executor {
   Status RunPipeline(MorselPipeline* pipe) {
     const PlanNode& scan = *pipe->source();
     const std::vector<const PlanNode*>& stages = pipe->stages();
-    scan.stats = PlanStats{};
     for (const PlanNode* stage : stages) stage->stats = PlanStats{};
     for (size_t i = stages.size(); i-- > 0;) {
       if (stages[i]->kind == PlanNode::Kind::kHashJoin) {
         BIH_RETURN_IF_ERROR(Build(*stages[i], pipe->build(i)));
       }
     }
-    ScanRequest req = scan.scan;
-    if (req.ctx == nullptr) req.ctx = ctx;
-    req.exec = MergeExecOptions(req.exec, opts);
-    req.stats = &scan.stats.scan;
+    ScanRequest req = Request(scan);
     req.sink = pipe;
     engine.Scan(req,
                 [pipe](const Row& row) { return pipe->ConsumeSerial(row); });
@@ -1390,14 +1298,9 @@ struct Executor {
       return sink(row);
     };
     switch (n.kind) {
-      case PlanNode::Kind::kScan: {
-        ScanRequest req = n.scan;
-        if (req.ctx == nullptr) req.ctx = ctx;
-        req.exec = MergeExecOptions(req.exec, opts);
-        req.stats = &n.stats.scan;
-        engine.Scan(req, push);
+      case PlanNode::Kind::kScan:
+        engine.Scan(Request(n), push);
         break;
-      }
       case PlanNode::Kind::kValues:
         for (const Row& row : n.values) {
           if (!Live() || !push(row)) break;
@@ -1493,15 +1396,22 @@ struct Executor {
       case PlanNode::Kind::kAggregate: {
         const PlanNode& child = *n.children[0];
         GroupTable groups(n.group_cols.size(), n.aggs.size());
+        size_t last = KeyIds::kEnd;
         auto fold = [&](const Row& row) {
-          AggState* st = groups.states(groups.Find(row, n.group_cols));
+          AggState* st =
+              groups.states(groups.FindAfter(&last, row, n.group_cols));
           FoldRow(row, n.aggs, st,
                   [st](size_t i, double v) { st[i].AddNumber(v); });
           return true;
         };
         const PlanNode* scan = nullptr;
         std::vector<const PlanNode*> stages;
-        if (IsPipelineBreaker(child.kind)) {
+        if (child.kind == PlanNode::Kind::kScan && !child.scan.aggs.empty()) {
+          // The scan folds the aggregates on its stored cells into the one
+          // group's states.
+          BIH_RETURN_IF_ERROR(
+              FoldScan(child, groups.states(groups.Find(Row{}, {}))));
+        } else if (IsPipelineBreaker(child.kind)) {
           Rows in;
           BIH_RETURN_IF_ERROR(Collect(child, &in));
           const ParallelScanPlan plan = OperatorPlan(n);
@@ -1597,6 +1507,20 @@ void AppendScanJson(const ScanRequest& req, std::string* out) {
     for (size_t i = 0; i < req.projection.size(); ++i) {
       if (i) *out += ",";
       *out += std::to_string(req.projection[i]);
+    }
+    *out += "]";
+  }
+  if (req.residual != nullptr) {
+    *out += ",\"residual\":" + JsonQuote(ExprToString(req.residual));
+  }
+  if (!req.aggs.empty()) {
+    *out += ",\"aggregates\":[";
+    for (size_t i = 0; i < req.aggs.size(); ++i) {
+      if (i) *out += ",";
+      const AggSpec& a = req.aggs[i];
+      *out += JsonQuote(std::string(AggKindName(a.kind)) + "(" +
+                        (a.expr == nullptr ? "*" : ExprToString(a.expr)) +
+                        ")");
     }
     *out += "]";
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "exec/aggregate.h"
 #include "exec/exec_options.h"
 #include "exec/expr.h"
 #include "exec/rows.h"
@@ -48,15 +49,6 @@ namespace bih {
 // the partial output is only valid as "the query failed".
 
 enum class JoinType { kInner, kLeftOuter };
-
-enum class AggKind { kSum, kCount, kAvg, kMin, kMax, kCountDistinct };
-
-struct AggSpec {
-  AggKind kind;
-  // Aggregated expression; ignored for kCount with expr == nullptr
-  // (COUNT(*)).
-  ExprPtr expr;
-};
 
 struct SortSpec {
   // Sort key evaluated against the input row (a plain Col(i) for column

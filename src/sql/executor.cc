@@ -17,6 +17,7 @@ namespace {
 struct ScopeColumn {
   std::string qualifier;  // table alias
   std::string name;
+  ColumnType type = ColumnType::kInt;
 };
 
 class Binder {
@@ -211,7 +212,7 @@ Status PlanTable(TemporalEngine& engine, const TableRef& ref, PlanPtr* plan,
   *plan = ScanPlan(std::move(req));
   Schema schema = engine.ScanSchema(ref.table);
   for (const Column& c : schema.columns()) {
-    scope->push_back(ScopeColumn{ref.alias, c.name});
+    scope->push_back(ScopeColumn{ref.alias, c.name, c.type});
   }
   return Status::OK();
 }
@@ -344,6 +345,16 @@ Status PlanSelect(TemporalEngine& engine, const SelectStatement& stmt,
       } else {
         ExprPtr arg;
         BIH_RETURN_IF_ERROR(binder.Bind(root->children[0], &arg));
+        // SUM and AVG add numbers: a string column is refused here, not
+        // when the first row reaches the fold.
+        if ((root->func == "SUM" || root->func == "AVG") &&
+            arg->op() == Expr::Op::kColumn &&
+            scope[static_cast<size_t>(arg->column())].type ==
+                ColumnType::kString) {
+          return Status::InvalidArgument(
+              root->func + " of non-numeric column '" +
+              scope[static_cast<size_t>(arg->column())].name + "'");
+        }
         if (root->func == "SUM") spec.kind = AggKind::kSum;
         else if (root->func == "AVG") spec.kind = AggKind::kAvg;
         else if (root->func == "COUNT") spec.kind = AggKind::kCount;
@@ -646,6 +657,10 @@ Status Explain(TemporalEngine& engine, const std::string& text,
           std::to_string(report.temporal_rewrites) +
           ",\"scans_pruned\":" + std::to_string(report.scans_pruned) +
           ",\"builds_left\":" + std::to_string(report.builds_left) +
+          ",\"residuals_folded\":" +
+          std::to_string(report.residuals_folded) +
+          ",\"aggregates_folded\":" +
+          std::to_string(report.aggregates_folded) +
           "},\"plan\":" + PlanToJson(*plan) + "}";
   return Status::OK();
 }

@@ -45,6 +45,15 @@ class ColumnTable {
     return std::get_if<std::vector<int64_t>>(
         &columns_[static_cast<size_t>(col)]);
   }
+  // The stored cells of a double column (a NULL cell holds 0), or null.
+  const std::vector<double>* Doubles(int col) const {
+    return std::get_if<std::vector<double>>(
+        &columns_[static_cast<size_t>(col)]);
+  }
+  // The null bitmap, row-major: num_columns() bytes per slot, nonzero for
+  // a NULL cell. Scan kernels hoist it (and Ints/Doubles) out of their
+  // loops; it is valid until the next write.
+  const uint8_t* NullBitmap() const { return nulls_.data(); }
 
   // In-place single-cell update (System C uses this only for the hidden
   // system-time columns when invalidating a version).

@@ -250,7 +250,7 @@ TEST(OptimizerTest, AppTimePredicateBecomesApplicationAsOf) {
   EXPECT_EQ(TemporalSelector::Kind::kPoint, plan->scan.temporal.app_time.kind);
 }
 
-TEST(OptimizerTest, StrictBoundsAndNullLiteralsStayInFilter) {
+TEST(OptimizerTest, StrictBoundsAndNullLiteralsBecomeTheScanResidual) {
   TemporalEngine& eng = Workload("A").eng();
   PlanPtr plan =
       FilterPlan(ScanPlan(Req("CUSTOMER", TemporalScanSpec::Current())),
@@ -259,8 +259,12 @@ TEST(OptimizerTest, StrictBoundsAndNullLiteralsStayInFilter) {
   OptimizerReport rep;
   CheckPreserves(&plan, eng, &rep);
   EXPECT_EQ(0, rep.conjuncts_folded);
-  EXPECT_EQ(PlanNode::Kind::kFilter, plan->kind);
-  EXPECT_TRUE(plan->children[0]->scan.equals.empty());
+  EXPECT_EQ(2, rep.residuals_folded);
+  // Neither conjunct fits `equals` or the range; both run in the scan as
+  // its residual, and no Filter is left above it.
+  EXPECT_EQ(PlanNode::Kind::kScan, plan->kind);
+  EXPECT_TRUE(plan->scan.equals.empty());
+  EXPECT_NE(nullptr, plan->scan.residual);
 }
 
 TEST(OptimizerTest, BetweenFoldsToRangeConstraint) {
@@ -570,6 +574,67 @@ TEST(OptimizerTest, WorkloadJoinsKeepTheirBuildSide) {
     const std::string json = Explain(ctx, text);
     EXPECT_NE(std::string::npos, json.find("\"build\":\"right\"")) << label;
     EXPECT_EQ(std::string::npos, json.find("\"build\":\"left\"")) << label;
+  }
+}
+
+TEST(OptimizerTest, ScanFoldsShowOnTheScanAndKeepRowsExamined) {
+  // T2, both T6 slices and T8 fold their AVG/COUNT into the ORDERS scan,
+  // T8's strict conjunct runs there as the residual, and nothing is left
+  // between the Aggregate and the Scan. The folded plan examines exactly
+  // the versions the unoptimized one does and returns the same bytes.
+  for (const char* letter : {"A", "B", "C", "D"}) {
+    WorkloadContext& ctx = Workload(letter);
+    TemporalEngine& eng = ctx.eng();
+    const TemporalSelector sys = TemporalSelector::AsOf(ctx.sys_mid.micros());
+    const TemporalSelector app = TemporalSelector::AsOf(ctx.app_mid);
+    const std::vector<std::pair<std::string, std::string>> queries = {
+        {"T2", QuerySql(eng, "T2", {sys, app})},
+        {"T6-app", QuerySql(eng, "T2", {TemporalSelector::All(), app})},
+        {"T6-sys", QuerySql(eng, "T2", {sys, TemporalSelector::All()})},
+        {"T8", QuerySql(eng, "T8", {sys, TemporalSelector::ImplicitCurrent()},
+                        {Value(ctx.app_mid)})},
+    };
+    for (const auto& [label, text] : queries) {
+      SCOPED_TRACE(std::string(letter) + "/" + label);
+      const std::string json = Explain(ctx, text);
+      EXPECT_NE(std::string::npos, json.find("\"aggregates_folded\":1"))
+          << json;
+      EXPECT_NE(std::string::npos,
+                json.find("\"aggregates\":[\"AVG(col3)\",\"COUNT("))
+          << json;
+      EXPECT_NE(std::string::npos,
+                json.find("\"node\":\"Aggregate\",\"group_cols\":0,"
+                          "\"aggregates\":2,\"rows_output\":1,"
+                          "\"children\":[{\"node\":\"Scan\""))
+          << json;
+      EXPECT_EQ(std::string::npos, json.find("\"node\":\"Filter\""))
+          << json;
+      EXPECT_EQ(label == "T8", json.find("\"residual\":\"(col9 > ") !=
+                                   std::string::npos)
+          << json;
+      PlanPtr plan = SqlPlan(ctx, text);
+      auto [before, after] = CheckPreserves(&plan, eng, nullptr);
+      EXPECT_EQ(before, after);
+    }
+    // The served join, R5, R6 and the served per-customer counts are
+    // grouped: they keep their Aggregate pipelines and their build sides.
+    const std::vector<std::pair<std::string, std::string>> grouped = {
+        {"served-join", kServedJoin},
+        {"R5", QuerySql(eng, "R5", {}, {Value(5000.0), Value(100000.0)})},
+        {"R6", QuerySql(eng, "R6")},
+        {"served-groups",
+         "SELECT O_CUSTKEY, COUNT(*) FROM ORDERS FOR SYSTEM_TIME AS OF {t} "
+         "GROUP BY O_CUSTKEY"},
+    };
+    for (const auto& [label, text] : grouped) {
+      SCOPED_TRACE(std::string(letter) + "/" + label);
+      const std::string json = Explain(ctx, text);
+      EXPECT_NE(std::string::npos, json.find("\"aggregates_folded\":0"))
+          << json;
+      EXPECT_EQ(std::string::npos, json.find("\"aggregates\":[")) << json;
+    }
+    EXPECT_NE(std::string::npos,
+              Explain(ctx, kServedJoin).find("\"build\":\"left\""));
   }
 }
 

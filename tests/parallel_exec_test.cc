@@ -576,6 +576,242 @@ TEST(ParallelExecTest, LimitStopsItsScanEarlyWithSerialCounters) {
 
 // ---- Interrupts inside pipelines -------------------------------------------
 
+// ---- Scan-level folds -----------------------------------------------------
+//
+// The optimizer hands a scan its residual conjuncts and an ungrouped
+// Aggregate's aggregates, and the engine evaluates them on the stored cells
+// in its partition loop. Taking those two decisions back must change
+// nothing a client or an EXPLAIN reader sees: not the rows (byte for byte,
+// float sums included), not the versions each scan examined, at any thread
+// count and morsel size.
+
+// `plan` without the scan-level folds: each Scan's residual back in a
+// Filter directly above it, and its aggregates left to the Aggregate above
+// it. Everything else the optimizer chose (equals, range, selectors,
+// projection) stays.
+PlanPtr Unfold(PlanPtr plan) {
+  for (PlanPtr& c : plan->children) c = Unfold(std::move(c));
+  if (plan->kind != PlanNode::Kind::kScan) return plan;
+  plan->scan.aggs.clear();
+  ExprPtr residual = std::move(plan->scan.residual);
+  plan->scan.residual = nullptr;
+  if (residual == nullptr) return plan;
+  return FilterPlan(std::move(plan), std::move(residual));
+}
+
+// What one scan examined and handed up: its engine counters, and the rows
+// that left it through its residual (the scan's own, or the unfolded
+// Filter's above it).
+struct ScanFacts {
+  uint64_t rows_examined;
+  uint64_t rows_up;
+  int partitions;
+  bool used_index;
+  std::string index_name;
+  bool touched_history;
+  bool operator==(const ScanFacts& o) const {
+    return rows_examined == o.rows_examined && rows_up == o.rows_up &&
+           partitions == o.partitions && used_index == o.used_index &&
+           index_name == o.index_name && touched_history == o.touched_history;
+  }
+};
+
+void CollectScanFacts(const PlanNode& n, std::vector<ScanFacts>* out) {
+  const PlanNode* scan = &n;
+  if (n.kind == PlanNode::Kind::kFilter &&
+      n.children[0]->kind == PlanNode::Kind::kScan) {
+    scan = n.children[0].get();
+  }
+  if (scan->kind == PlanNode::Kind::kScan) {
+    const ExecStats& s = scan->stats.scan;
+    out->push_back({s.rows_examined, n.stats.rows_output,
+                    s.partitions_touched, s.used_index, s.index_name,
+                    s.touched_history});
+    return;
+  }
+  for (const PlanPtr& c : n.children) CollectScanFacts(*c, out);
+}
+
+// The first Scan at or below `n` that folds aggregates, or null.
+const PlanNode* FoldingScan(const PlanNode& n) {
+  if (n.kind == PlanNode::Kind::kScan) {
+    return n.scan.aggs.empty() ? nullptr : &n;
+  }
+  for (const PlanPtr& c : n.children) {
+    if (const PlanNode* f = FoldingScan(*c)) return f;
+  }
+  return nullptr;
+}
+
+// `text` with {sys_from} as CUSTOMER's system-time start column and {key}
+// as the workload's most-updated customer, planned like SqlPlan.
+PlanPtr FoldPlan(const std::string& letter, std::string text) {
+  WorkloadContext& ctx = Workload(letter);
+  const Schema schema = ctx.eng().ScanSchema("CUSTOMER");
+  for (const auto& [name, value] :
+       {std::pair<std::string, std::string>{
+            "{sys_from}", schema.column(schema.num_columns() - 2).name},
+        std::pair<std::string, std::string>{
+            "{key}", std::to_string(ctx.hot_custkey)}}) {
+    for (size_t at = text.find(name); at != std::string::npos;
+         at = text.find(name)) {
+      text.replace(at, name.size(), value);
+    }
+  }
+  return SqlPlan(letter, text);
+}
+
+// T1, T2, both T6 slices, T8/T9 (a range plus a residual), MIN/MAX over a
+// string and a date column under a residual, an empty input, the keyed
+// MAX(sys_from) of K5 (current: the key index on A and B; all of system
+// time), and a residual scan whose rows reach the client.
+constexpr const char* kFoldQueries[] = {
+    "SELECT AVG(PS_SUPPLYCOST), COUNT(PS_SUPPLYCOST) FROM PARTSUPP "
+    "FOR SYSTEM_TIME AS OF {t}",
+    "SELECT AVG(O_TOTALPRICE), COUNT(O_TOTALPRICE) FROM ORDERS "
+    "FOR SYSTEM_TIME AS OF {t} FOR BUSINESS_TIME AS OF {d}",
+    "SELECT AVG(O_TOTALPRICE), COUNT(*) FROM ORDERS "
+    "FOR SYSTEM_TIME ALL FOR BUSINESS_TIME AS OF {d}",
+    "SELECT AVG(O_TOTALPRICE), COUNT(*) FROM ORDERS "
+    "FOR SYSTEM_TIME AS OF {t} FOR BUSINESS_TIME ALL",
+    "SELECT AVG(O_TOTALPRICE), COUNT(O_TOTALPRICE) FROM ORDERS "
+    "FOR SYSTEM_TIME AS OF {t} WHERE O_ACTIVE_BEGIN <= {d} "
+    "AND O_ACTIVE_END > {d}",
+    "SELECT AVG(O_TOTALPRICE), COUNT(O_TOTALPRICE) FROM ORDERS "
+    "FOR SYSTEM_TIME ALL WHERE O_ACTIVE_BEGIN <= {d} AND O_ACTIVE_END > {d}",
+    "SELECT MIN(O_CLERK), MAX(O_CLERK), MIN(O_ORDERDATE), MAX(O_ORDERDATE), "
+    "COUNT(*), SUM(O_TOTALPRICE) FROM ORDERS FOR SYSTEM_TIME ALL "
+    "WHERE O_TOTALPRICE > 100000.0",
+    "SELECT COUNT(*), SUM(C_ACCTBAL), AVG(C_ACCTBAL), MIN(C_NAME), "
+    "COUNT(C_NAME) FROM CUSTOMER FOR SYSTEM_TIME ALL WHERE C_CUSTKEY < 0",
+    "SELECT MAX({sys_from}), COUNT(*) FROM CUSTOMER WHERE C_CUSTKEY = {key}",
+    "SELECT MAX({sys_from}) FROM CUSTOMER FOR SYSTEM_TIME ALL "
+    "WHERE C_CUSTKEY = {key}",
+    "SELECT O_ORDERKEY, O_TOTALPRICE FROM ORDERS FOR SYSTEM_TIME ALL "
+    "WHERE O_ACTIVE_END > {d} AND O_TOTALPRICE < 150000.0",
+};
+
+// Runs the unfolded plan serially, then `folded` at 1-8 threads and morsel
+// sizes 1, 64 and 1024, and expects the same rows and scan facts.
+void ExpectFoldsMatchUnfolded(const PlanNode& folded, const PlanNode& unfolded,
+                              TemporalEngine& eng, const std::string& label,
+                              Rows* rows) {
+  ExecOptions serial;
+  serial.scan_threads = 1;
+  Rows want;
+  ASSERT_TRUE(Execute(unfolded, eng, serial, nullptr, &want).ok()) << label;
+  std::vector<ScanFacts> want_facts;
+  CollectScanFacts(unfolded, &want_facts);
+  for (uint64_t morsel : {1, 64, 1024}) {
+    for (int threads = 1; threads <= 8; ++threads) {
+      const std::string what = label + " morsel=" + std::to_string(morsel) +
+                               " threads=" + std::to_string(threads);
+      ExecOptions opts;
+      opts.scan_threads = threads;
+      opts.morsel_size = morsel;
+      opts.scheduler = &Pool();
+      Rows got;
+      ASSERT_TRUE(Execute(folded, eng, opts, nullptr, &got).ok()) << what;
+      ExpectRowsIdentical(want, got, what);
+      std::vector<ScanFacts> got_facts;
+      CollectScanFacts(folded, &got_facts);
+      EXPECT_EQ(want_facts, got_facts) << what << ": scan counters diverged";
+    }
+  }
+  *rows = std::move(want);
+}
+
+TEST(ParallelExecTest, ScanFoldsMatchTheUnfoldedPlan) {
+  for (const char* letter : kEngines) {
+    TemporalEngine& eng = Workload(letter).eng();
+    for (const char* text : kFoldQueries) {
+      const std::string label = std::string(letter) + ": " + text;
+      PlanPtr folded = FoldPlan(letter, text);
+      PlanPtr unfolded = Unfold(FoldPlan(letter, text));
+      const bool aggregate = std::string(text).find("O_ORDERKEY,") ==
+                             std::string::npos;
+      const PlanNode* scan = FoldingScan(*folded);
+      ASSERT_EQ(aggregate, scan != nullptr) << label;
+      Rows rows;
+      ExpectFoldsMatchUnfolded(*folded, *unfolded, eng, label, &rows);
+      ASSERT_FALSE(rows.empty()) << label;
+      if (std::string(text).find("C_CUSTKEY < 0") != std::string::npos) {
+        // Over no version: COUNT(*) and COUNT(col) are 0, the rest NULL.
+        ASSERT_EQ(1u, rows.size()) << label;
+        EXPECT_EQ(0, rows[0][0].AsInt()) << label;
+        for (int c : {1, 2, 3}) EXPECT_TRUE(rows[0][c].is_null()) << label;
+        EXPECT_EQ(0, rows[0][4].AsInt()) << label;
+      } else if (aggregate) {
+        EXPECT_GT(scan->stats.scan.rows_output, 0u) << label;
+      }
+      if (std::string(text).find("CUSTOMER WHERE") != std::string::npos &&
+          (std::string(letter) == "A" || std::string(letter) == "B")) {
+        // The keyed current query folds on the key index's hits.
+        EXPECT_TRUE(scan->stats.scan.used_index) << label;
+      }
+    }
+  }
+}
+
+// A table with NULLs in a double, a string and a date column, some of its
+// keys updated so history holds versions too.
+void LoadNullTable(TemporalEngine* eng) {
+  TableDef def;
+  def.name = "NULLS";
+  def.schema = Schema({{"K", ColumnType::kInt},
+                       {"V", ColumnType::kDouble},
+                       {"S", ColumnType::kString},
+                       {"D", ColumnType::kDate}});
+  def.primary_key = {0};
+  def.system_versioned = true;
+  ASSERT_TRUE(eng->CreateTable(def).ok());
+  for (int64_t k = 0; k < 300; ++k) {
+    Row row = {Value(k),
+               k % 3 == 0 ? Value::Null() : Value(0.1 * static_cast<double>(k)),
+               k % 5 == 0 ? Value::Null() : Value("s" + std::to_string(k % 17)),
+               k % 7 == 0 ? Value::Null() : Value(int64_t{9000 + k % 11})};
+    ASSERT_TRUE(eng->Insert("NULLS", std::move(row)).ok());
+  }
+  for (int64_t k = 0; k < 300; k += 4) {
+    ASSERT_TRUE(eng->UpdateCurrent("NULLS", {Value(k)},
+                                   {{1, k % 8 == 0 ? Value::Null()
+                                                   : Value(1.5)}})
+                    .ok());
+  }
+}
+
+TEST(ParallelExecTest, ScanFoldsSkipNullsLikeTheAggregate) {
+  for (const char* letter : kEngines) {
+    std::unique_ptr<TemporalEngine> eng = MakeEngine(letter);
+    ASSERT_NO_FATAL_FAILURE(LoadNullTable(eng.get()));
+    for (const char* text :
+         {"SELECT COUNT(*), COUNT(V), SUM(V), AVG(V), MIN(V), MAX(V), "
+          "COUNT(S), MIN(S), MAX(S), COUNT(D), MIN(D), MAX(D) "
+          "FROM NULLS FOR SYSTEM_TIME ALL",
+          "SELECT COUNT(*), COUNT(V), SUM(V), MIN(S), MAX(D) FROM NULLS "
+          "WHERE K <> 7 AND K < 250"}) {
+      const std::string label = std::string(letter) + ": " + text;
+      auto plan = [&] {
+        sql::SelectStatement stmt;
+        EXPECT_TRUE(sql::ParseSelect(text, &stmt).ok()) << label;
+        PlanPtr p;
+        std::vector<std::string> columns;
+        EXPECT_TRUE(sql::PlanSelect(*eng, stmt, &p, &columns).ok()) << label;
+        OptimizePlan(&p, *eng);
+        return p;
+      };
+      PlanPtr folded = plan();
+      ASSERT_NE(nullptr, FoldingScan(*folded)) << label;
+      Rows rows;
+      ExpectFoldsMatchUnfolded(*folded, *Unfold(plan()), *eng, label, &rows);
+      ASSERT_EQ(1u, rows.size()) << label;
+      // COUNT(col) skips the NULLs COUNT(*) counts.
+      EXPECT_LT(rows[0][1].AsInt(), rows[0][0].AsInt()) << label;
+      EXPECT_GT(rows[0][1].AsInt(), 0) << label;
+    }
+  }
+}
+
 // A read-only engine view that runs `trip` on the query's context when the
 // `after`-th row of `table` leaves a scan — through the row callback or,
 // for a scan feeding a morsel pipeline, through the request's sink — i.e.
@@ -605,6 +841,14 @@ class TrippingEngine : public TemporalEngine {
     return inner_->GetTableStats(t);
   }
   void Scan(const ScanRequest& req, const RowCallback& cb) override {
+    if (req.table == table_ && !req.aggs.empty()) {
+      // A folding scan hands no row on: trip as it starts, so the fold's
+      // partition loop, serial or per morsel, is what meets the interrupt.
+      tripped_.store(true);
+      trip_(req.ctx);
+      inner_->Scan(req, cb);
+      return;
+    }
     std::atomic<int> seen{0};
     auto see = [&] {
       if (req.table == table_ && seen.fetch_add(1) + 1 == after_) {
@@ -678,9 +922,20 @@ bool PoolDrained() {
 // Where the interrupt fires: inside the probe of a HashJoin that feeds an
 // Aggregate (ORDERS is the probe side; the CUSTOMER build is complete by
 // then), inside a hash-join build fed by a parallel ORDERS scan, inside an
-// aggregate's Filter pipeline, or inside a parallel scan's emit loop under a
-// Filter. With more than one thread all but the last run on the workers.
+// aggregate's Filter pipeline, inside a parallel scan's emit loop under a
+// Filter, inside a scan that folds an ungrouped aggregate, or inside the
+// emit loop of a scan that tests a residual. With more than one thread all
+// but the last run on the workers.
 PlanPtr InterruptedPlan(const std::string& where) {
+  std::vector<AggSpec> aggs = {{AggKind::kAvg, Col(orders::kTotalPrice)},
+                               {AggKind::kCount, nullptr}};
+  ScanRequest residual = Req("ORDERS");
+  residual.residual = Gt(Col(orders::kTotalPrice), Lit(0.0));
+  if (where == "folded-scan") {
+    residual.aggs = aggs;
+    return AggregatePlan(ScanPlan(std::move(residual)), {}, aggs);
+  }
+  if (where == "residual-scan") return ScanPlan(std::move(residual));
   if (where == "hash-join-build") {
     return HashJoinPlan(ScanPlan(Req("CUSTOMER")), ScanPlan(Req("ORDERS")),
                         {customer::kCustKey}, {orders::kCustKey},
@@ -708,8 +963,11 @@ TEST(ParallelExecTest, InterruptInsidePipelineReturnsStatusAndDrainsPool) {
   using Clock = QueryContext::Clock;
   for (const char* letter : kEngines) {
     TemporalEngine& inner = Workload(letter).eng();  // built before the clock
-    for (const char* where : {"hash-join-probe", "hash-join-build",
-                              "aggregate-pipeline", "scan-emit"}) {
+    const TableStats orders = inner.GetTableStats("ORDERS");
+    const uint64_t versions = orders.current_rows + orders.history_rows;
+    for (const char* where :
+         {"hash-join-probe", "hash-join-build", "aggregate-pipeline",
+          "scan-emit", "folded-scan", "residual-scan"}) {
       for (bool cancel : {true, false}) {
         const std::string label = std::string(letter) + "/" + where +
                                   (cancel ? "/cancel" : "/deadline");
@@ -739,6 +997,11 @@ TEST(ParallelExecTest, InterruptInsidePipelineReturnsStatusAndDrainsPool) {
             << label << ": " << st.ToString();
         EXPECT_EQ(st.code(), ctx.status().code()) << label;
         EXPECT_TRUE(PoolDrained()) << label;
+        if (std::string(where) == "folded-scan") {
+          // The fold stopped short of the versions it would have examined.
+          EXPECT_LT(plan->children[0]->stats.scan.rows_examined, versions)
+              << label;
+        }
       }
     }
   }

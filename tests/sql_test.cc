@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "engine/system_a.h"
+#include "net/client.h"
+#include "net/server.h"
+#include "server/session.h"
 #include "sql/executor.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -605,6 +608,70 @@ TEST(SqlNegativeLiteralTest, NegativeBoundFoldsIntoTheScanOnEveryEngine) {
     EXPECT_GT(folded.rows.size(), 0u) << letter;
     EXPECT_LT(folded.rows.size(), all.rows.size()) << letter;
   }
+}
+
+// SUM and AVG of a bare string column are refused when the statement is
+// planned, with a Status, on every engine; COUNT, MIN and MAX of it stay
+// valid.
+constexpr const char* kMistypedAggregates[] = {
+    "SELECT SUM(C_NAME) FROM CUSTOMER",
+    "SELECT AVG(C_NAME), COUNT(*) FROM CUSTOMER FOR SYSTEM_TIME ALL"};
+
+TEST(SqlMistypedAggregateTest, SumOrAvgOfAStringColumnIsInvalidArgument) {
+  for (const std::string& letter : AllEngineLetters()) {
+    WorkloadConfig cfg;
+    cfg.engine_letter = letter;
+    cfg.h = 0.001;
+    cfg.m = 0.001;
+    cfg.seed = 7;
+    WorkloadContext w = BuildWorkload(cfg);
+    for (const char* text : kMistypedAggregates) {
+      SqlResult result;
+      const Status st = ExecuteSql(w.eng(), text, &result);
+      EXPECT_EQ(Status::Code::kInvalidArgument, st.code())
+          << letter << ": " << text << ": " << st.ToString();
+    }
+    SqlResult ok;
+    ASSERT_TRUE(ExecuteSql(w.eng(),
+                           "SELECT COUNT(C_NAME), MIN(C_NAME), MAX(C_NAME) "
+                           "FROM CUSTOMER FOR SYSTEM_TIME ALL",
+                           &ok)
+                    .ok())
+        << letter;
+    ASSERT_EQ(1u, ok.rows.size()) << letter;
+    EXPECT_GT(ok.rows[0][0].AsInt(), 0) << letter;
+  }
+}
+
+// The same statements over the wire: each gets an error reply, and the
+// server keeps serving the connection.
+TEST(SqlMistypedAggregateTest, LiveServerAnswersWithAnErrorAndKeepsServing) {
+  WorkloadConfig cfg;
+  cfg.engine_letter = "C";
+  cfg.h = 0.001;
+  cfg.m = 0.001;
+  cfg.seed = 7;
+  WorkloadContext w = BuildWorkload(cfg);
+  SessionManager session(&w.eng(), SessionConfig{});
+  net::Server server(&session, net::ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  net::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), "mistyped").ok());
+  for (const char* text : kMistypedAggregates) {
+    net::QueryReply reply;
+    const Status st = client.Query(text, 5000, &reply);
+    EXPECT_EQ(Status::Code::kInvalidArgument, reply.status.code())
+        << text << ": " << reply.status.ToString();
+    EXPECT_NE(Status::Code::kIoError, st.code()) << text;
+  }
+  net::QueryReply reply;
+  ASSERT_TRUE(
+      client.Query("SELECT COUNT(*) FROM CUSTOMER", 5000, &reply).ok())
+      << reply.status.ToString();
+  ASSERT_EQ(1u, reply.rows.size());
+  EXPECT_GT(reply.rows[0][0].AsInt(), 0);
+  client.Close();
+  server.Drain();
 }
 
 }  // namespace

@@ -36,9 +36,12 @@
 //                       reads run as plans through Execute()
 //   scan-loop           under src/engine/, only scan_util.{h,cc} calls
 //                       MatchesTemporal, ParallelScanPartition or
-//                       RecordIndexUse: the partition-scan loop exists once
-//                       (PartitionScan) and the engines supply only how a
-//                       stored slot qualifies and becomes a row
+//                       RecordIndexUse, or the scan fold's per-slot and
+//                       merge entry points FoldBatch, FoldRow and
+//                       MergeStates: the partition-scan loop and its
+//                       aggregate fold exist once (PartitionScan) and the
+//                       engines supply only how a stored slot qualifies,
+//                       becomes a row and reads a cell
 //
 // Suppressions (always with a reason in the surrounding code):
 //   // bih-lint: allow(<rule>)       this line or the next line
@@ -580,13 +583,16 @@ void CheckScanCtx(const FileText& f, std::vector<Finding>* out) {
 //
 // The partition walk exists once: PartitionScan (src/engine/scan_util.{h,cc})
 // owns the context poll, the counters, the temporal and constraint match,
-// the morsel leg and the index-access bookkeeping, and each engine supplies
-// only its physical traits. A measured gap between two engines should trace
-// to those traits, not to two copies of a loop that drifted apart, so under
-// src/engine/ no other file may call the loop's building blocks.
+// the morsel leg, the index-access bookkeeping and the fold of an ungrouped
+// aggregate (per slot, and the merge of morsel partials), and each engine
+// supplies only its physical traits. A measured gap between two engines
+// should trace to those traits, not to two copies of a loop that drifted
+// apart, so under src/engine/ no other file may call the loop's building
+// blocks.
 
 const char* kScanLoopTokens[] = {"MatchesTemporal", "ParallelScanPartition",
-                                 "RecordIndexUse"};
+                                 "RecordIndexUse",  "FoldBatch",
+                                 "FoldRow",         "MergeStates"};
 
 void CheckScanLoop(const FileText& f, std::vector<Finding>* out) {
   if (f.path.find("src/engine/") == std::string::npos) return;
@@ -603,9 +609,10 @@ void CheckScanLoop(const FileText& f, std::vector<Finding>* out) {
         out->push_back({f.path, i + 1, "scan-loop",
                         std::string(tok) +
                             "() outside engine/scan_util; partition scans "
-                            "run through PartitionScan::ScanSlots/ScanRows, "
-                            "and an engine supplies only how a slot "
-                            "qualifies and becomes a row"});
+                            "and their aggregate folds run through "
+                            "PartitionScan::ScanSlots/ScanRows, and an "
+                            "engine supplies only how a slot qualifies, "
+                            "becomes a row and reads a cell"});
       }
       break;  // one finding per line is enough
     }
